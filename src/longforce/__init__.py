@@ -12,7 +12,8 @@ from .core import (DriveLog, DriveSample, Gear, VehicleParams, Wheel,
                    equivalent_mass, kmh_to_mps, load_vehicle_params, mps_to_kmh,
                    total_mass)
 from .dynamics import (ActuationCommand, ForceBreakdown, ModelSet, Trajectory,
-                       direct_acceleration, inverse_actuation, simulate)
+                       direct_acceleration, direct_acceleration_many,
+                       inverse_actuation, simulate)
 from .errors import (EmptyReportError, EmptySeriesError, FitError, InversionError,
                      InvalidParameterError, LongforceError, ProtocolViolationError,
                      SchemaError, SegmentSplitRequired)
@@ -36,7 +37,8 @@ __all__ = [
     "InversionError", "InversionResult", "LongforceError", "ModelSet",
     "ProtocolViolationError", "SchemaError", "SegmentSplitRequired", "Spline1D",
     "Trajectory", "VehicleParams", "Wheel", "bin_by_speed", "check_signal_monotone",
-    "direct_acceleration", "equivalent_mass", "estimate_acceleration",
+    "direct_acceleration", "direct_acceleration_many", "equivalent_mass",
+    "estimate_acceleration",
     "extract_braking", "extract_friction", "extract_propulsion", "fit_curve",
     "inverse_actuation", "kmh_to_mps", "load_model", "load_vehicle_params",
     "log_spaced_edges", "mps_to_kmh", "neutral_model_set", "reference_model_set",

@@ -251,7 +251,7 @@ def _fit_rms(curve: Spline1D, binned) -> float:
 def run_fit_friction(log_paths: list[str], config: PipelineConfig,
                      out_path: str | Path) -> Spline1D:
     """Chain estimation, friction extraction and curve fitting; write the model."""
-    points = []
+    parts = [np.empty((0, 2))]  # (speed, force) rows, one array per log
     for path in log_paths:
         log = load_drive_log(path)
         accel = estimate_acceleration(log, config.window, config.cutoff_hz)
@@ -259,24 +259,26 @@ def run_fit_friction(log_paths: list[str], config: PipelineConfig,
             obs = extract_friction(log, accel, config.params)
         except ProtocolViolationError as exc:
             raise ProtocolViolationError(f"{path}: {exc}", exc.indices) from exc
-        points.extend(obs.points().tolist())
+        parts.append(obs.points())
     anchors = config.anchors.get("friction", AnchorSet({})).for_level(None)
-    curve, _ = _fit_level_curve(points, anchors, config.knots_for("friction"),
-                                config.bin_edges, "friction")
+    curve, _ = _fit_level_curve(np.concatenate(parts), anchors,
+                                config.knots_for("friction"), config.bin_edges, "friction")
     save_model(out_path, "friction", curve, _provenance(log_paths))
     return curve
 
 
-def _fit_surface(kind: str, points_by_level: dict[int, list], config: PipelineConfig,
-                 out_path: str | Path, source_logs: list[str]) -> ForceSurface:
+def _fit_surface(kind: str, points_by_level: dict[int, list[np.ndarray]],
+                 config: PipelineConfig, out_path: str | Path,
+                 source_logs: list[str]) -> ForceSurface:
     anchor_set = config.anchors.get(kind, AnchorSet({}))
     knots = config.knots_for(kind)
     levels = sorted(points_by_level)
     curves = []
     for level in levels:
         try:
-            curve, _ = _fit_level_curve(points_by_level[level], anchor_set.for_level(level),
-                                        knots, config.bin_edges, f"{kind} level {level}")
+            curve, _ = _fit_level_curve(np.concatenate(points_by_level[level]),
+                                        anchor_set.for_level(level), knots,
+                                        config.bin_edges, f"{kind} level {level}")
         except FitError as exc:
             raise FitError(f"{kind} level {level}: {exc}") from exc
         curves.append(curve)
@@ -292,7 +294,7 @@ def run_fit_propulsion(log_paths: list[str], friction_path: str | Path,
     kind, friction, _ = load_model(friction_path)
     if kind != "friction":
         raise SchemaError(f"{friction_path}: expected a friction model, got {kind}")
-    points_by_level: dict[int, list] = {}
+    points_by_level: dict[int, list[np.ndarray]] = {}
     for path in log_paths:
         log = load_drive_log(path)
         for part in split_constant_signal(log, "throttle"):
@@ -303,7 +305,7 @@ def run_fit_propulsion(log_paths: list[str], friction_path: str | Path,
                 obs = extract_propulsion(part, accel, friction, config.params)
             except ProtocolViolationError as exc:
                 raise ProtocolViolationError(f"{path}: {exc}", exc.indices) from exc
-            points_by_level.setdefault(obs.level, []).extend(obs.points().tolist())
+            points_by_level.setdefault(obs.level, []).append(obs.points())
     if not points_by_level:
         raise EmptySeriesError("no usable constant-throttle segments in the given logs")
     return _fit_surface("propulsion", points_by_level, config, out_path, log_paths)
@@ -320,7 +322,7 @@ def run_fit_brake(log_paths: list[str], friction_path: str | Path,
     if kind != "propulsion":
         raise SchemaError(f"{propulsion_path}: expected a propulsion model, got {kind}")
     creep = propulsion.curve_at(0)
-    points_by_level: dict[int, list] = {}
+    points_by_level: dict[int, list[np.ndarray]] = {}
     for path in log_paths:
         log = load_drive_log(path)
         for part in split_constant_signal(log, "brake"):
@@ -331,7 +333,7 @@ def run_fit_brake(log_paths: list[str], friction_path: str | Path,
                 obs = extract_braking(part, accel, friction, creep, config.params)
             except ProtocolViolationError as exc:
                 raise ProtocolViolationError(f"{path}: {exc}", exc.indices) from exc
-            points_by_level.setdefault(obs.level, []).extend(obs.points().tolist())
+            points_by_level.setdefault(obs.level, []).append(obs.points())
     if not points_by_level:
         raise EmptySeriesError("no usable constant-brake segments in the given logs")
     return _fit_surface("braking", points_by_level, config, out_path, log_paths)
@@ -363,11 +365,11 @@ def run_export(model_path: str | Path, out_path: str | Path,
         writer = csv.writer(fh)
         writer.writerow(["speed_kmh", "force_N", "level"])
         for level in level_list:
-            for v_kmh in grid_kmh:
-                v = kmh_to_mps(float(v_kmh))
-                force = model.eval(v) if level is None else model.eval(v, level)
-                writer.writerow([repr(float(v_kmh)), repr(float(force)),
-                                 "" if level is None else level])
+            v = kmh_to_mps(grid_kmh)
+            forces = model.eval_many(v) if level is None else model.eval_many(v, level)
+            label = "" if level is None else level
+            writer.writerows([repr(v_kmh), repr(force), label]
+                             for v_kmh, force in zip(grid_kmh.tolist(), forces.tolist()))
     print(f"wrote {points * len(level_list)} rows to {out_path}")
 
 

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .core import VehicleParams, equivalent_mass, total_mass
-from .errors import SchemaError
+from .errors import InvalidParameterError, SchemaError
 from .spline import ForceSurface, Spline1D
 
 #: (throttle, brake, slope_rad) at a given time.
@@ -88,6 +88,10 @@ def direct_acceleration(models: ModelSet, v: float, throttle: float, brake: floa
     level 0 is the regenerative curve); with throttle applied regen is
     deactivated, so only an explicit brake command produces braking force.
     """
+    if not math.isfinite(v + throttle + brake + slope):
+        raise InvalidParameterError(
+            f"non-finite operating point: v={v}, throttle={throttle}, brake={brake}, "
+            f"slope={slope}")
     f_f = models.friction.eval(v)
     f_p = models.propulsion.eval(v, throttle)
     if throttle == 0.0:
@@ -97,6 +101,36 @@ def direct_acceleration(models: ModelSet, v: float, throttle: float, brake: floa
     else:
         f_b = 0.0
     grade = total_mass(models.params) * models.params.gravity_mps2 * math.sin(slope)
+    accel = (f_p - grade - f_f - f_b) / equivalent_mass(models.params)
+    return accel, ForceBreakdown(f_p, f_f, f_b)
+
+
+def direct_acceleration_many(models: ModelSet, v, throttle, brake,
+                             slope) -> tuple[np.ndarray, ForceBreakdown]:
+    """Array form of :func:`direct_acceleration`, one row per operating point.
+
+    The inputs broadcast against each other. Each row equals the scalar
+    result bit for bit, with the same regen rule; the breakdown holds one
+    array per force. Raises :class:`~longforce.errors.InvalidParameterError`
+    naming the first row with a non-finite value.
+    """
+    v, throttle, brake, slope = np.broadcast_arrays(
+        *(np.asarray(col, dtype=float).ravel() for col in (v, throttle, brake, slope)))
+    finite = np.isfinite(v + throttle + brake + slope)
+    if not finite.all():
+        k = int(finite.argmin())
+        raise InvalidParameterError(
+            f"non-finite operating point at row {k}: v={v[k]}, throttle={throttle[k]}, "
+            f"brake={brake[k]}, slope={slope[k]}")
+    f_f = models.friction.eval_many(v)
+    f_p = models.propulsion.eval_many(v, throttle)
+    f_b = np.zeros(len(v))
+    braking = (throttle == 0.0) | (brake > 0.0)
+    f_b[braking] = models.braking.eval_many(v[braking], brake[braking])
+    # math.sin per row, because np.sin may use a SIMD routine that differs
+    # from the C library in the last bit on some CPUs.
+    sin = np.fromiter(map(math.sin, slope.tolist()), dtype=float, count=len(slope))
+    grade = total_mass(models.params) * models.params.gravity_mps2 * sin
     accel = (f_p - grade - f_f - f_b) / equivalent_mass(models.params)
     return accel, ForceBreakdown(f_p, f_f, f_b)
 
@@ -182,6 +216,10 @@ def inverse_actuation(models: ModelSet, v: float, slope: float,
     the creep force with brakes at very low speed. Saturation and underflow
     flags propagate from the surface inversions.
     """
+    if not math.isfinite(v + slope + desired_accel):
+        raise InvalidParameterError(
+            f"non-finite operating point: v={v}, slope={slope}, "
+            f"desired_accel={desired_accel}")
     m_eq = equivalent_mass(models.params)
     grade = total_mass(models.params) * models.params.gravity_mps2 * math.sin(slope)
     f_req = m_eq * desired_accel + grade + models.friction.eval(v)

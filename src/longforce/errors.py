@@ -12,7 +12,7 @@ class LongforceError(Exception):
 
 
 class InvalidParameterError(LongforceError):
-    """A vehicle parameter violates its physical constraints."""
+    """A vehicle parameter or an operating point is physically invalid or non-finite."""
 
 
 class SchemaError(LongforceError):

@@ -146,6 +146,8 @@ def log_spaced_edges(lo: float = 0.05, hi: float = 40.0, count: int = 40) -> np.
 def bin_by_speed(points, edges) -> BinnedPoints:
     """Aggregate scattered (speed, value) points into per-bin medians.
 
+    ``points`` is an (N, 2) array, used as is, or an iterable of pairs.
+
     Each bin reports the median value of its members and the median member
     speed as its center; this is robust to the bump/pothole outliers that
     contaminate force observations. Points outside the edge span are
@@ -154,7 +156,9 @@ def bin_by_speed(points, edges) -> BinnedPoints:
     edges = np.asarray(edges, dtype=float)
     if len(edges) < 2 or not np.all(np.diff(edges) > 0):
         raise ValueError("edges must be strictly increasing with >= 2 entries")
-    pts = np.asarray(list(points), dtype=float).reshape(-1, 2)
+    if not isinstance(points, np.ndarray):
+        points = list(points)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) == 0:
         empty = np.array([])
         return BinnedPoints(empty, empty.copy(), np.array([], dtype=np.int64))

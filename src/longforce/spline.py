@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import FitError, InversionError, SchemaError
+from .errors import FitError, InvalidParameterError, InversionError, SchemaError
 
 #: Default knot layout (m/s): log-spaced, dense at low speed where the
 #: shapes carry the creep/Stribeck/regen-cutoff features.
@@ -87,6 +87,50 @@ def limited_tangents(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, .
     return tuple(m)
 
 
+def _limited_tangents_many(xs: Sequence[float], ys: np.ndarray) -> np.ndarray:
+    """Array form of :func:`limited_tangents`, one column per sample.
+
+    ``ys`` holds one row per knot. The limiter runs along the knot axis with
+    numpy arrays across the samples, in the same operation order as the
+    scalar function, so each column equals ``limited_tangents(xs, column)``
+    bit for bit.
+    """
+    n = len(xs)
+    m = np.zeros_like(ys)
+    if n == 1:
+        return m
+    x = np.asarray(xs, dtype=float)
+    delta = (ys[1:] - ys[:-1]) / (x[1:] - x[:-1])[:, None]
+    m[0] = delta[0]
+    m[-1] = delta[-1]
+    secant = (ys[2:] - ys[:-2]) / (x[2:] - x[:-2])[:, None]
+    m[1:-1] = np.where(delta[:-1] * delta[1:] <= 0.0, 0.0, secant)
+    with np.errstate(all="ignore"):  # Python float arithmetic does not warn either
+        for i in range(n - 1):
+            d = delta[i]
+            a = m[i] / d
+            b = m[i + 1] / d
+            left = np.where(a < 0.0, 0.0, m[i])
+            right = np.where(b < 0.0, 0.0, m[i + 1])
+            a = np.where(a < 0.0, 0.0, a)
+            b = np.where(b < 0.0, 0.0, b)
+            r2 = a * a + b * b
+            tau = 3.0 / np.sqrt(r2)
+            steep = r2 > 9.0
+            left = np.where(steep, tau * a * d, left)
+            right = np.where(steep, tau * b * d, right)
+            flat = d == 0.0
+            m[i] = np.where(flat, 0.0, left)
+            m[i + 1] = np.where(flat, 0.0, right)
+    return m
+
+
+def _reject_nan(name: str, values: np.ndarray) -> None:
+    nan = np.isnan(values)
+    if nan.any():
+        raise InvalidParameterError(f"{name} is NaN at row {int(nan.argmax())}")
+
+
 @dataclass(frozen=True)
 class Spline1D:
     """Piecewise-cubic Hermite force curve over speed.
@@ -144,7 +188,25 @@ class Spline1D:
         return y if y > self.lower_clamp else self.lower_clamp
 
     def eval_many(self, xs) -> np.ndarray:
-        return np.array([self.eval(float(x)) for x in np.asarray(xs, dtype=float).ravel()])
+        """Curve values at an array of speeds, equal to :meth:`eval` bit for bit.
+
+        Raises :class:`~longforce.errors.InvalidParameterError` naming the
+        first NaN speed.
+        """
+        x = np.asarray(xs, dtype=float).ravel()
+        _reject_nan("speed", x)
+        kx = np.asarray(self.knots_x)
+        ky = np.asarray(self.knots_y)
+        km = np.asarray(self.tangents)
+        out = np.where(x <= kx[0], ky[0], ky[-1])
+        inside = (x > kx[0]) & (x < kx[-1])
+        xi = x[inside]
+        i = np.searchsorted(kx, xi, side="right") - 1
+        h = kx[i + 1] - kx[i]
+        t = (xi - kx[i]) / h
+        y = _hermite(t, ky[i], ky[i + 1], km[i], km[i + 1], h)
+        out[inside] = np.where(y > self.lower_clamp, y, self.lower_clamp)
+        return out
 
 
 def unsupported_knots(knots: Sequence[float], xs: Sequence[float]) -> list[bool]:
@@ -376,6 +438,36 @@ class ForceSurface:
     def eval(self, v: float, signal: float) -> float:
         return self.eval_clamped(v, signal)[0]
 
+    def eval_many(self, v, signal) -> np.ndarray:
+        """Surface values at arrays of (speed, signal), equal to :meth:`eval` bit for bit.
+
+        ``v`` and ``signal`` broadcast against each other. Raises
+        :class:`~longforce.errors.InvalidParameterError` naming the first
+        row where either is NaN.
+        """
+        v, signal = np.broadcast_arrays(np.asarray(v, dtype=float).ravel(),
+                                        np.asarray(signal, dtype=float).ravel())
+        _reject_nan("speed", v)
+        _reject_nan("signal", signal)
+        levels = np.asarray(self.levels, dtype=float)
+        out = np.empty(len(v))
+        low = signal <= levels[0]
+        high = ~low & (signal >= levels[-1])
+        out[low] = self.curves[0].eval_many(v[low])
+        out[high] = self.curves[-1].eval_many(v[high])
+        between = ~(low | high)
+        vb, sb = v[between], signal[between]
+        values = np.array([curve.eval_many(vb) for curve in self.curves])
+        tangents = _limited_tangents_many(self.levels, values)
+        i = np.searchsorted(levels, sb, side="right") - 1
+        h = levels[i + 1] - levels[i]
+        t = (sb - levels[i]) / h
+        col = np.arange(len(sb))
+        y = _hermite(t, values[i, col], values[i + 1, col],
+                     tangents[i, col], tangents[i + 1, col], h)
+        out[between] = np.where(0.0 > y, 0.0, y)
+        return out
+
     def invert(self, v: float, force: float, tol: float = SIGNAL_TOL) -> InversionResult:
         """Smallest signal whose force at speed ``v`` reaches ``force``.
 
@@ -418,14 +510,16 @@ def check_signal_monotone(surface: ForceSurface, speeds=None, tol_n: float = 1e-
         lo = min(c.domain[0] for c in surface.curves)
         hi = max(c.domain[1] for c in surface.curves)
         speeds = np.geomspace(max(lo, 1e-3), hi, 200)
-    for v in speeds:
-        values = surface.cross_section(float(v))
-        for i in range(len(values) - 1):
-            if values[i + 1] < values[i] - tol_n:
-                raise FitError(
-                    f"level {surface.levels[i + 1]} falls below level {surface.levels[i]} "
-                    f"by {values[i] - values[i + 1]:.1f} N at {float(v):.2f} m/s; "
-                    "surface would not be monotone in the signal")
+    speeds = np.asarray(speeds, dtype=float).ravel()
+    values = np.array([curve.eval_many(speeds) for curve in surface.curves])
+    falls = values[1:] < values[:-1] - tol_n
+    if falls.any():
+        k = int(falls.any(axis=0).argmax())
+        i = int(falls[:, k].argmax())
+        raise FitError(
+            f"level {surface.levels[i + 1]} falls below level {surface.levels[i]} "
+            f"by {values[i, k] - values[i + 1, k]:.1f} N at {speeds[k]:.2f} m/s; "
+            "surface would not be monotone in the signal")
 
 
 # --- model file serialization -------------------------------------------------

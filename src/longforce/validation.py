@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DriveLog
-from .dynamics import ModelSet, direct_acceleration
+from .dynamics import ModelSet, direct_acceleration_many
 from .errors import EmptyReportError
 from .estimation import AccelSeries
 
@@ -52,12 +52,9 @@ def validate(models: ModelSet, log: DriveLog, accel: AccelSeries,
     idx = np.flatnonzero(keep)
     if len(idx) == 0:
         raise EmptyReportError("no valid samples to compare")
-    errors = np.empty(len(idx))
-    for row, i in enumerate(idx):
-        model_a, _ = direct_acceleration(models, float(log.speed[i]),
-                                         float(log.throttle[i]), float(log.brake[i]),
-                                         float(log.slope[i]))
-        errors[row] = accel.accel[i] - model_a
+    model_a, _ = direct_acceleration_many(models, log.speed[idx], log.throttle[idx],
+                                          log.brake[idx], log.slope[idx])
+    errors = accel.accel[idx] - model_a
     distance = float(np.trapezoid(log.speed, log.t)) if len(log) > 1 else 0.0
     return ErrorReport(
         mean=float(errors.mean()),

@@ -1,0 +1,262 @@
+"""The array evaluation kernel against the scalar path, its oracle.
+
+``Spline1D.eval_many``, ``ForceSurface.eval_many`` and
+``direct_acceleration_many`` must equal a per-element loop over the scalar
+``eval`` / ``direct_acceleration`` bit for bit, including the sign of zero,
+so that vectorised callers (validation, extraction, export) give the same
+results as before.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from longforce.cli import main, save_drive_log  # noqa: E402
+from longforce.core import DriveLog, Gear  # noqa: E402
+from longforce.dynamics import (ModelSet, direct_acceleration,  # noqa: E402
+                                direct_acceleration_many, inverse_actuation)
+from longforce.errors import FitError, InvalidParameterError  # noqa: E402
+from longforce.estimation import estimate_acceleration  # noqa: E402
+from longforce.reference import data_path  # noqa: E402
+from longforce.spline import (ForceSurface, Spline1D,  # noqa: E402
+                              check_signal_monotone)
+from longforce.validation import _histogram, validate  # noqa: E402
+
+from conftest import mixed_drive  # noqa: E402
+
+KERNEL = settings(max_examples=200, deadline=None)
+
+# Knot values drawn partly from a small pool, so that flat spans (the
+# zero-secant branch of the limiter) and steep jumps next to gentle slopes
+# (the alpha^2 + beta^2 > 9 rescale) come up often.
+KNOT_VALUES = st.one_of(st.sampled_from([0.0, 0.0, 5.0, 5.0, 120.0, 3000.0]),
+                        st.floats(-200.0, 4000.0, allow_nan=False))
+CLAMPS = st.sampled_from([0.0, 0.0, -50.0, 40.0])
+
+
+def assert_same_bits(array, oracle):
+    array = np.asarray(array, dtype=float)
+    oracle = np.asarray(oracle, dtype=float)
+    assert np.array_equal(array, oracle, equal_nan=True)
+    # array_equal treats 0.0 and -0.0 as equal; repr (used by export) does not.
+    number = ~np.isnan(oracle)
+    assert np.array_equal(array[number].view(np.uint64), oracle[number].view(np.uint64))
+
+
+@st.composite
+def curves(draw, lower_clamp=None):
+    """A curve on its own knot grid, with limited or hand-set tangents."""
+    # Knots on a 1 mm/s grid: knots a few ulps apart blow the secants up to
+    # inf and NaN, which no fit produces.
+    xs = sorted(draw(st.lists(st.integers(0, 45_000), min_size=2, max_size=8,
+                              unique=True)))
+    xs = [k / 1000.0 for k in xs]
+    ys = draw(st.lists(KNOT_VALUES, min_size=len(xs), max_size=len(xs)))
+    clamp = draw(CLAMPS) if lower_clamp is None else lower_clamp
+    if draw(st.booleans()):
+        return Spline1D.interpolate(xs, ys, clamp)
+    # Unlimited tangents can overshoot below the clamp between knots.
+    ms = draw(st.lists(st.floats(-5000.0, 5000.0), min_size=len(xs), max_size=len(xs)))
+    return Spline1D(tuple(xs), tuple(max(y, clamp) for y in ys), tuple(ms), clamp)
+
+
+@st.composite
+def surfaces(draw, with_zero=False):
+    """A surface whose levels each carry their own knot grid, as after pruning."""
+    levels = set(draw(st.lists(st.integers(0, 255), min_size=1, max_size=6)))
+    if with_zero or not levels:
+        levels.add(0)
+    clamp = draw(CLAMPS)
+    chosen = []
+    for _ in levels:
+        if chosen and draw(st.booleans()):
+            chosen.append(chosen[-1])  # a flat span along the signal axis
+        else:
+            chosen.append(draw(curves(lower_clamp=clamp)))
+    return ForceSurface(tuple(sorted(levels)), tuple(chosen))
+
+
+def speeds_for(knots):
+    """Speeds inside and outside the knot span, on the knots, and infinite."""
+    return st.lists(st.one_of(st.floats(-5.0, 60.0, allow_nan=False),
+                              st.sampled_from(sorted(knots)),
+                              st.sampled_from([-math.inf, math.inf])),
+                    min_size=1, max_size=60)
+
+
+def finite_signals_for(levels):
+    """Signals below, above, on and between the defining levels."""
+    return st.one_of(st.floats(-20.0, 280.0), st.sampled_from(levels),
+                     st.integers(-5, 260).map(float))
+
+
+def signals_for(levels):
+    return st.one_of(finite_signals_for(levels), st.sampled_from([-math.inf, math.inf]))
+
+
+def all_knots(surface):
+    return {x for curve in surface.curves for x in curve.knots_x}
+
+
+@KERNEL
+@given(st.data())
+def test_spline_eval_many_matches_scalar(data):
+    curve = data.draw(curves())
+    xs = data.draw(speeds_for(curve.knots_x))
+    assert_same_bits(curve.eval_many(xs), [curve.eval(x) for x in xs])
+
+
+@KERNEL
+@given(st.data())
+def test_surface_eval_many_matches_scalar(data):
+    surface = data.draw(surfaces())
+    v = data.draw(speeds_for(all_knots(surface)))
+    signal = data.draw(st.lists(signals_for(surface.levels), min_size=len(v),
+                                max_size=len(v)))
+    assert_same_bits(surface.eval_many(v, signal),
+                     [surface.eval(x, s) for x, s in zip(v, signal)])
+
+
+@KERNEL
+@given(st.data())
+def test_surface_eval_many_broadcasts_one_signal(data):
+    surface = data.draw(surfaces())
+    v = data.draw(speeds_for(all_knots(surface)))
+    level = data.draw(st.sampled_from(surface.levels))
+    assert_same_bits(surface.eval_many(v, level), [surface.eval(x, level) for x in v])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_direct_model_many_matches_scalar(gt_models, data):
+    models = ModelSet(data.draw(curves()), data.draw(surfaces(with_zero=True)),
+                      data.draw(surfaces(with_zero=True)), gt_models.params)
+    knots = all_knots(models.propulsion) | all_knots(models.braking)
+    n = data.draw(st.integers(1, 40))
+    v = data.draw(st.lists(st.one_of(st.floats(0.0, 60.0), st.sampled_from(sorted(knots))),
+                           min_size=n, max_size=n))
+    # Zero throttle (regen on), throttle with and without brake (regen off).
+    pedal = st.one_of(st.just(0.0), finite_signals_for(models.propulsion.levels))
+    throttle = data.draw(st.lists(pedal, min_size=n, max_size=n))
+    brake = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(-5.0, 260.0)),
+                               min_size=n, max_size=n))
+    slope = data.draw(st.lists(st.floats(-0.35, 0.35), min_size=n, max_size=n))
+    accel, forces = direct_acceleration_many(models, v, throttle, brake, slope)
+    oracle = [direct_acceleration(models, *row) for row in zip(v, throttle, brake, slope)]
+    assert_same_bits(accel, [a for a, _ in oracle])
+    assert_same_bits(forces.propulsion, [f.propulsion for _, f in oracle])
+    assert_same_bits(forces.friction, [f.friction for _, f in oracle])
+    assert_same_bits(forces.braking, [f.braking for _, f in oracle])
+
+
+def _monotone_check_loop(surface, speeds, tol_n=1e-6):
+    """The per-speed scalar loop ``check_signal_monotone`` replaced."""
+    for v in speeds:
+        values = surface.cross_section(float(v))
+        for i in range(len(values) - 1):
+            if values[i + 1] < values[i] - tol_n:
+                return (f"level {surface.levels[i + 1]} falls below level {surface.levels[i]} "
+                        f"by {values[i] - values[i + 1]:.1f} N at {float(v):.2f} m/s; "
+                        "surface would not be monotone in the signal")
+    return None
+
+
+@KERNEL
+@given(st.data())
+def test_check_signal_monotone_matches_scalar_loop(data):
+    surface = data.draw(surfaces())
+    speeds = np.geomspace(1e-3, 45.0, 50)
+    expected = _monotone_check_loop(surface, speeds)
+    if expected is None:
+        check_signal_monotone(surface, speeds)
+    else:
+        with pytest.raises(FitError) as err:
+            check_signal_monotone(surface, speeds)
+        assert str(err.value) == expected
+
+
+def test_single_level_surface_is_its_curve():
+    curve = Spline1D.interpolate([0.5, 3.0, 20.0], [100.0, 400.0, 250.0], lower_clamp=10.0)
+    surface = ForceSurface((60,), (curve,))
+    v = np.linspace(0.0, 25.0, 101)
+    for signal in (0.0, 60.0, 200.0):
+        assert_same_bits(surface.eval_many(v, signal), curve.eval_many(v))
+
+
+@pytest.fixture(scope="module")
+def mixed_log(gt_models):
+    log, _, _ = mixed_drive(gt_models, cycles=1)
+    return log
+
+
+class TestValidateMatchesScalarLoop:
+    def test_report_equals_per_sample_loop(self, gt_models, mixed_log):
+        log = mixed_log
+        accel = estimate_acceleration(log, 51, 2.0)
+        include = np.arange(len(log)) % 7 != 0
+        report = validate(gt_models, log, accel, include=include)
+        idx = np.flatnonzero(accel.valid & include)
+        errors = np.array([
+            accel.accel[i] - direct_acceleration(
+                gt_models, float(log.speed[i]), float(log.throttle[i]),
+                float(log.brake[i]), float(log.slope[i]))[0]
+            for i in idx])
+        assert report.count == len(errors)
+        assert report.mean == float(errors.mean())
+        assert report.std_dev == float(errors.std())
+        assert report.min == float(errors.min())
+        assert report.max == float(errors.max())
+        assert report.histogram == _histogram(errors, report.hist_bin_width)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("v, slope, accel", [
+        (10.0, 0.0, math.nan), (10.0, math.nan, 0.5), (math.nan, 0.0, 0.5),
+        (10.0, math.inf, 0.5), (math.inf, 0.0, 0.5), (10.0, 0.0, -math.inf)])
+    def test_inverse_actuation_rejects(self, gt_models, v, slope, accel):
+        # A NaN desired acceleration used to walk the brake bisection to a
+        # silent full brake with no flag set.
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            inverse_actuation(gt_models, v, slope, accel)
+
+    @pytest.mark.parametrize("row", [
+        (math.nan, 0.0, 0.0, 0.0), (10.0, math.nan, 0.0, 0.0), (10.0, 0.0, math.nan, 0.0),
+        (10.0, 0.0, 0.0, math.nan), (10.0, 0.0, 0.0, math.inf), (math.inf, 50.0, 0.0, 0.0)])
+    def test_direct_acceleration_rejects(self, gt_models, row):
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            direct_acceleration(gt_models, *row)
+        v, throttle, brake, slope = (np.full(6, x) for x in (10.0, 50.0, 0.0, 0.01))
+        for col, value in zip((v, throttle, brake, slope), row):
+            col[4] = value
+        with pytest.raises(InvalidParameterError, match="at row 4"):
+            direct_acceleration_many(gt_models, v, throttle, brake, slope)
+
+    def test_eval_many_names_nan_row(self, gt_models):
+        v = np.array([1.0, 2.0, np.nan, 4.0])
+        with pytest.raises(InvalidParameterError, match="speed is NaN at row 2"):
+            gt_models.friction.eval_many(v)
+        with pytest.raises(InvalidParameterError, match="speed is NaN at row 2"):
+            gt_models.propulsion.eval_many(v, 50.0)
+        with pytest.raises(InvalidParameterError, match="signal is NaN at row 1"):
+            gt_models.propulsion.eval_many(5.0, [0.0, np.nan, 10.0])
+
+    def test_validate_cli_exits_2_on_nan_speed(self, mixed_log, tmp_path, capsys):
+        part = slice(0, 3000)
+        speed = mixed_log.speed[part].copy()
+        speed[1500] = math.nan
+        log_path = tmp_path / "drive.json"
+        save_drive_log(log_path, DriveLog(mixed_log.t[part], speed, mixed_log.throttle[part],
+                                          mixed_log.brake[part], mixed_log.slope[part],
+                                          gear=Gear.DRIVE))
+        assert main(["reference", "--out-dir", str(tmp_path)]) == 0
+        code = main(["validate", "--friction", str(tmp_path / "friction.json"),
+                     "--propulsion", str(tmp_path / "propulsion.json"),
+                     "--braking", str(tmp_path / "braking.json"),
+                     "--params", str(data_path("zoe_params.json")), "--log", str(log_path)])
+        assert code == 2
+        assert "non-finite operating point" in capsys.readouterr().err
