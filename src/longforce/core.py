@@ -119,7 +119,8 @@ class DriveLog:
     The sample rate is nominally 100 Hz; gaps larger than
     ``MAX_SAMPLE_GAP_S`` split the log into segments during processing
     (see :meth:`segments`). Only forward motion is modeled, so speeds are
-    non-negative.
+    non-negative. Time, speed and slope must be finite: a single NaN would
+    spread through the acceleration filter into every fitted force.
     """
 
     t: np.ndarray
@@ -141,6 +142,11 @@ class DriveLog:
                           ("brake", brake), ("slope", slope)):
             if len(col) != n:
                 raise SchemaError(f"column '{name}' has {len(col)} rows, expected {n}")
+        for name, col in (("t", t), ("speed", speed), ("slope", slope)):
+            finite = np.isfinite(col)
+            if not finite.all():
+                bad = int(np.argmin(finite))
+                raise SchemaError(f"column '{name}' is non-finite at row {bad}: {col[bad]}")
         if n > 1 and not np.all(np.diff(t) > 0):
             bad = int(np.flatnonzero(np.diff(t) <= 0)[0]) + 1
             raise SchemaError(f"time must be strictly increasing; violated at row {bad}")

@@ -21,6 +21,10 @@ from .errors import EmptySeriesError
 DEFAULT_WINDOW = 21
 DEFAULT_CUTOFF_HZ = 5.0
 
+#: Windows per block in :func:`_window_slopes` (two 2048 x 51 float blocks
+#: are about 1.7 MB).
+_SLOPE_BLOCK_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class AccelSeries:
@@ -48,13 +52,20 @@ def _window_slopes(t: np.ndarray, v: np.ndarray, window: int) -> np.ndarray:
 
     Time is re-centered per window before forming the normal equations, so
     the conditioning does not degrade with the absolute time stamp.
-    Returns an array of length ``len(t) - window + 1``.
+    Returns an array of length ``len(t) - window + 1``. The windows are
+    reduced ``_SLOPE_BLOCK_ROWS`` at a time, so the centered copies stay a
+    few megabytes however long the segment is; each row's arithmetic does
+    not depend on the block it falls in.
     """
     tw = sliding_window_view(t, window)
     vw = sliding_window_view(v, window)
-    tc = tw - tw.mean(axis=1, keepdims=True)
-    vc = vw - vw.mean(axis=1, keepdims=True)
-    return np.einsum("ij,ij->i", tc, vc) / np.einsum("ij,ij->i", tc, tc)
+    slopes = np.empty(len(tw))
+    for lo in range(0, len(tw), _SLOPE_BLOCK_ROWS):
+        rows = slice(lo, lo + _SLOPE_BLOCK_ROWS)
+        tc = tw[rows] - tw[rows].mean(axis=1, keepdims=True)
+        vc = vw[rows] - vw[rows].mean(axis=1, keepdims=True)
+        slopes[rows] = np.einsum("ij,ij->i", tc, vc) / np.einsum("ij,ij->i", tc, tc)
+    return slopes
 
 
 def _lowpass_zero_phase(x: np.ndarray, dt: float, cutoff_hz: float) -> np.ndarray:
@@ -69,19 +80,19 @@ def _lowpass_zero_phase(x: np.ndarray, dt: float, cutoff_hz: float) -> np.ndarra
     rc = 1.0 / (2.0 * math.pi * cutoff_hz)
     alpha = dt / (rc + dt)
 
-    def forward(sig: np.ndarray) -> np.ndarray:
-        out = np.empty_like(sig)
+    def forward(sig: list[float]) -> list[float]:
         acc = sig[0]
-        out[0] = acc
-        for i in range(1, len(sig)):
-            acc = acc + alpha * (sig[i] - acc)
-            out[i] = acc
+        out = [acc]
+        for x_i in sig[1:]:
+            acc = acc + alpha * (x_i - acc)
+            out.append(acc)
         return out
 
-    def backward(sig: np.ndarray) -> np.ndarray:
+    def backward(sig: list[float]) -> list[float]:
         return forward(sig[::-1])[::-1]
 
-    return 0.5 * (backward(forward(x)) + forward(backward(x)))
+    xs = x.tolist()
+    return 0.5 * (np.array(backward(forward(xs))) + np.array(forward(backward(xs))))
 
 
 def estimate_acceleration(log: DriveLog, window: int = DEFAULT_WINDOW,

@@ -127,6 +127,15 @@ class TestDriveLog:
         with pytest.raises(SchemaError):
             self.make([0.0, 0.01], [1.0, -0.1])
 
+    @pytest.mark.parametrize("column", ["t", "speed", "slope"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_naming_row(self, column, value):
+        cols = {"t": np.array([0.0, 0.01, 0.02]), "speed": np.ones(3), "slope": np.zeros(3)}
+        cols[column][1] = value
+        zeros = np.zeros(3, dtype=np.int64)
+        with pytest.raises(SchemaError, match=f"column '{column}' is non-finite at row 1"):
+            DriveLog(cols["t"], cols["speed"], zeros, zeros, cols["slope"])
+
     def test_segments_split_on_gaps(self):
         t = np.concatenate([np.arange(0, 1, 0.01), np.arange(2, 3, 0.01)])
         log = self.make(t, np.ones(len(t)))

@@ -7,6 +7,7 @@ so that vectorised callers (validation, extraction, export) give the same
 results as before.
 """
 
+import json
 import math
 
 import numpy as np
@@ -16,8 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from longforce.cli import main, save_drive_log  # noqa: E402
-from longforce.core import DriveLog, Gear  # noqa: E402
+from longforce.cli import main  # noqa: E402
 from longforce.dynamics import (ModelSet, direct_acceleration,  # noqa: E402
                                 direct_acceleration_many, inverse_actuation)
 from longforce.errors import FitError, InvalidParameterError  # noqa: E402
@@ -246,17 +246,23 @@ class TestNonFiniteInputs:
             gt_models.propulsion.eval_many(5.0, [0.0, np.nan, 10.0])
 
     def test_validate_cli_exits_2_on_nan_speed(self, mixed_log, tmp_path, capsys):
+        # DriveLog refuses a NaN speed, so the file is written as raw JSON;
+        # load_drive_log must then stop at the boundary, naming the row.
         part = slice(0, 3000)
-        speed = mixed_log.speed[part].copy()
+        speed = mixed_log.speed[part].tolist()
         speed[1500] = math.nan
         log_path = tmp_path / "drive.json"
-        save_drive_log(log_path, DriveLog(mixed_log.t[part], speed, mixed_log.throttle[part],
-                                          mixed_log.brake[part], mixed_log.slope[part],
-                                          gear=Gear.DRIVE))
+        log_path.write_text(json.dumps({
+            "format": "longforce-drivelog-v1",
+            "metadata": {"gear": "drive", "description": ""},
+            "t_s": mixed_log.t[part].tolist(), "speed_mps": speed,
+            "throttle": mixed_log.throttle[part].tolist(),
+            "brake": mixed_log.brake[part].tolist(),
+            "slope_rad": mixed_log.slope[part].tolist()}))
         assert main(["reference", "--out-dir", str(tmp_path)]) == 0
         code = main(["validate", "--friction", str(tmp_path / "friction.json"),
                      "--propulsion", str(tmp_path / "propulsion.json"),
                      "--braking", str(tmp_path / "braking.json"),
                      "--params", str(data_path("zoe_params.json")), "--log", str(log_path)])
         assert code == 2
-        assert "non-finite operating point" in capsys.readouterr().err
+        assert "column 'speed' is non-finite at row 1500" in capsys.readouterr().err

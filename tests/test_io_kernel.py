@@ -1,0 +1,280 @@
+"""Drive-log I/O and the acceleration estimator against their loop oracles.
+
+``save_drive_log``, ``ingest_csv``, ``_lowpass_zero_phase`` and
+``_window_slopes`` work column-wise. Each must equal the straightforward
+per-element implementation kept here as an oracle: the same file bytes, the
+same arrays bit for bit (so 0.0 and -0.0 differ), the same report and the
+same error text.
+"""
+
+import csv
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from longforce.cli import (UNIT_SPECS, ingest_csv, load_drive_log,  # noqa: E402
+                           main, save_drive_log)
+from longforce.core import DriveLog, Gear, kmh_to_mps  # noqa: E402
+from longforce.errors import SchemaError  # noqa: E402
+from longforce.estimation import (_SLOPE_BLOCK_ROWS, _lowpass_zero_phase,  # noqa: E402
+                                  _window_slopes)
+
+IO = settings(max_examples=150, deadline=None)
+
+
+# --- oracles ------------------------------------------------------------------
+
+def save_drive_log_oracle(path, log, extra_meta=None):
+    obj = {
+        "format": "longforce-drivelog-v1",
+        "metadata": {"gear": log.gear.value, "description": log.description,
+                     **(extra_meta or {})},
+        "t_s": log.t.tolist(),
+        "speed_mps": log.speed.tolist(),
+        "throttle": log.throttle.tolist(),
+        "brake": log.brake.tolist(),
+        "slope_rad": log.slope.tolist(),
+    }
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def ingest_csv_oracle(csv_path, units, gear=Gear.DRIVE, description=""):
+    """The row-by-row ``csv.DictReader`` loop, plus the int64 range rule."""
+    rows, rejected = [], []
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        missing = [c for c in ("t", "speed", "throttle", "brake", "slope") if c not in header]
+        if missing:
+            raise SchemaError(f"{csv_path}: missing column(s) {', '.join(missing)}")
+        for i, row in enumerate(reader, start=1):
+            try:
+                t = float(row["t"])
+                speed = float(row["speed"])
+                throttle = float(row["throttle"])
+                brake = float(row["brake"])
+                slope = float(row["slope"])
+            except (TypeError, ValueError):
+                rejected.append((i, "unparseable number"))
+                continue
+            if not all(math.isfinite(x) for x in (t, speed, throttle, brake, slope)):
+                rejected.append((i, "non-finite value"))
+                continue
+            if units == "speed_kmh":
+                speed = kmh_to_mps(speed)
+            if speed < 0:
+                rejected.append((i, "negative speed"))
+                continue
+            if throttle != int(throttle) or brake != int(brake):
+                rejected.append((i, "non-integer command signal"))
+                continue
+            if not all(-2**63 <= int(x) < 2**63 for x in (throttle, brake)):
+                rejected.append((i, "command signal out of range"))
+                continue
+            rows.append((t, speed, int(throttle), int(brake), slope))
+    for k in range(1, len(rows)):
+        if rows[k][0] <= rows[k - 1][0]:
+            raise SchemaError(
+                f"{csv_path}: time not strictly increasing at data row {k + 1} "
+                f"(t={rows[k][0]} after t={rows[k - 1][0]})")
+    cols = list(zip(*rows)) if rows else [[], [], [], [], []]
+    log = DriveLog(np.array(cols[0], dtype=float), np.array(cols[1], dtype=float),
+                   np.array(cols[2], dtype=np.int64), np.array(cols[3], dtype=np.int64),
+                   np.array(cols[4], dtype=float), gear=gear, description=description)
+    report = {"rows": len(rows), "rejected": len(rejected),
+              "rejected_rows": rejected[:20], "segments": len(log.segments())}
+    return log, report
+
+
+def window_slopes_oracle(t, v, window):
+    tw = sliding_window_view(t, window)
+    vw = sliding_window_view(v, window)
+    tc = tw - tw.mean(axis=1, keepdims=True)
+    vc = vw - vw.mean(axis=1, keepdims=True)
+    return np.einsum("ij,ij->i", tc, vc) / np.einsum("ij,ij->i", tc, tc)
+
+
+def lowpass_oracle(x, dt, cutoff_hz):
+    rc = 1.0 / (2.0 * math.pi * cutoff_hz)
+    alpha = dt / (rc + dt)
+
+    def forward(sig):
+        out = np.empty_like(sig)
+        acc = sig[0]
+        out[0] = acc
+        for i in range(1, len(sig)):
+            acc = acc + alpha * (sig[i] - acc)
+            out[i] = acc
+        return out
+
+    def backward(sig):
+        return forward(sig[::-1])[::-1]
+
+    return 0.5 * (backward(forward(x)) + forward(backward(x)))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# --- save_drive_log -------------------------------------------------------------
+
+# Finite floats of every magnitude, plus the values whose spelling is most
+# likely to differ: -0.0, subnormals and the largest exponents.
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+                                    1.7976931348623157e308, 1e16, 1e-7, 0.1]))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | FLOATS | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+TEXT = st.one_of(st.text(), st.sampled_from(['"quoted"', "back\\slash", "Zoé ✓ 車", "\n\t"]))
+
+
+@st.composite
+def drive_logs(draw):
+    # Time stamps far enough from the float limits that np.diff cannot overflow.
+    times = st.one_of(st.floats(-1e300, 1e300), st.sampled_from([-0.0, 5e-324, 1e-7]))
+    t = np.unique(np.array(draw(st.lists(times, max_size=25)), dtype=float))
+    n = len(t)
+    speed = draw(st.lists(st.one_of(st.just(-0.0), st.floats(0.0, allow_infinity=False)),
+                          min_size=n, max_size=n))
+    ints = st.integers(-2**63, 2**63 - 1)
+    return DriveLog(t, np.array(speed, dtype=float),
+                    np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=np.int64),
+                    np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=np.int64),
+                    np.array(draw(st.lists(FLOATS, min_size=n, max_size=n)), dtype=float),
+                    gear=draw(st.sampled_from(list(Gear))), description=draw(TEXT))
+
+
+class TestSaveDriveLog:
+    @IO
+    @given(log=drive_logs(),
+           extra=st.one_of(st.none(), st.dictionaries(TEXT, JSON_VALUES, max_size=4)))
+    def test_bytes_equal_json_dumps(self, tmp_path_factory, log, extra):
+        out = tmp_path_factory.mktemp("save")
+        save_drive_log(out / "new.json", log, extra)
+        save_drive_log_oracle(out / "old.json", log, extra)
+        assert (out / "new.json").read_bytes() == (out / "old.json").read_bytes()
+
+    def test_empty_log(self, tmp_path):
+        empty = np.array([])
+        log = DriveLog(empty, empty, empty.astype(np.int64), empty.astype(np.int64), empty)
+        save_drive_log(tmp_path / "new.json", log)
+        save_drive_log_oracle(tmp_path / "old.json", log)
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+        assert len(load_drive_log(tmp_path / "new.json")) == 0
+
+
+# --- ingest_csv -----------------------------------------------------------------
+
+CELLS = st.sampled_from([
+    "0", "1", "7", "-3", "186", "0.0", "-0.0", " 12 ", "1_0", "0.5", "-2.25", "1e3",
+    "1e20", "-1e19", "9223372036854775807", "9.223372036854775e18", "-9.223372036854776e18",
+    "nan", "inf", "-inf", "Infinity", "", "abc", "1e-320", "-5e-324", '"4"'])
+
+
+@st.composite
+def telemetry_csvs(draw):
+    names = ["t", "speed", "throttle", "brake", "slope"]
+    header = draw(st.permutations(names))
+    header += draw(st.lists(st.sampled_from(names + ["note", "gps"]), max_size=3))
+    if draw(st.booleans()):
+        header.insert(draw(st.integers(0, len(header))), draw(st.sampled_from(names)))
+    if draw(st.integers(0, 19)) == 0:
+        header.remove(draw(st.sampled_from(names)))
+    t_cols = [i for i, name in enumerate(header) if name == "t"]
+    lines = [",".join(header)]
+    if draw(st.integers(0, 19)) == 0:
+        lines.insert(0, "")
+    t = 0.0
+    for _ in range(draw(st.integers(0, 30))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+            continue
+        width = len(header) + draw(st.sampled_from([0, 0, 0, 0, -1, -3, 1, 2]))
+        cells = draw(st.lists(CELLS, min_size=max(width, 0), max_size=max(width, 0)))
+        # Mostly increasing time stamps, so that most examples get past the
+        # time-order check; the CELLS pool breaks it now and then.
+        t += draw(st.sampled_from([0.01, 0.01, 0.01, 0.7, 0.0, -0.01]))
+        for i in t_cols:
+            if i < len(cells) and draw(st.integers(0, 5)):
+                cells[i] = repr(round(t, 2))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n", "\r\n"]))
+
+
+def ingest_outcome(fn, path, units):
+    try:
+        return fn(path, units, Gear.NEUTRAL, "demo")
+    except SchemaError as exc:
+        return str(exc)
+
+
+class TestIngestCsv:
+    @IO
+    @given(text=telemetry_csvs(), units=st.sampled_from(UNIT_SPECS))
+    def test_matches_dictreader_loop(self, tmp_path_factory, text, units):
+        path = tmp_path_factory.mktemp("ingest") / "log.csv"
+        path.write_text(text, encoding="utf-8")
+        new = ingest_outcome(ingest_csv, path, units)
+        old = ingest_outcome(ingest_csv_oracle, path, units)
+        if isinstance(old, str):
+            assert new == old
+            return
+        (log, report), (log_old, report_old) = new, old
+        assert report == report_old
+        for col in ("t", "speed", "throttle", "brake", "slope"):
+            assert same_bits(getattr(log, col), getattr(log_old, col)), col
+        assert (log.gear, log.description) == (log_old.gear, log_old.description)
+
+    def test_out_of_range_signal_is_rejected_row(self, tmp_path, capsys):
+        path = tmp_path / "log.csv"
+        path.write_text("t,speed,throttle,brake,slope\n0.00,10,0,0,0\n0.01,10,1e20,0,0\n"
+                        "0.02,10,0,-1e19,0\n0.03,10,0,0,0\n")
+        log, report = ingest_csv(path, "speed_mps")
+        assert report["rows"] == 2
+        assert report["rejected_rows"] == [(2, "command signal out of range"),
+                                           (3, "command signal out of range")]
+        assert main(["ingest", str(path), "--units", "speed_mps",
+                     "--out", str(tmp_path / "log.json")]) == 0
+        assert "rejected row 2: command signal out of range" in capsys.readouterr().out
+
+
+# --- estimator kernels ------------------------------------------------------------
+
+class TestEstimatorKernels:
+    @IO
+    @given(rows=st.sampled_from([1, 2, 7, _SLOPE_BLOCK_ROWS - 1, _SLOPE_BLOCK_ROWS,
+                                 _SLOPE_BLOCK_ROWS + 1, 2 * _SLOPE_BLOCK_ROWS + 1]),
+           window=st.sampled_from([3, 21, 51]),
+           t0=st.sampled_from([0.0, 1e3, 1.7e9]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_window_slopes_bit_equal(self, rows, window, t0, seed):
+        rng = np.random.default_rng(seed)
+        n = rows + window - 1
+        t = t0 + np.cumsum(rng.uniform(0.005, 0.015, n))
+        v = np.abs(np.cumsum(rng.normal(0.0, 0.05, n)))
+        slopes = _window_slopes(t, v, window)
+        assert len(slopes) == rows
+        assert same_bits(slopes, window_slopes_oracle(t, v, window))
+
+    @IO
+    @given(x=st.lists(st.one_of(st.floats(-1e6, 1e6), st.just(-0.0)), min_size=1, max_size=60),
+           dt=st.sampled_from([0.01, 0.002, 0.1]), cutoff=st.sampled_from([0.5, 2.0, 5.0]))
+    def test_lowpass_bit_equal(self, x, dt, cutoff):
+        x = np.array(x, dtype=float)
+        assert same_bits(_lowpass_zero_phase(x, dt, cutoff), lowpass_oracle(x, dt, cutoff))
+
+    def test_lowpass_bit_equal_long(self):
+        x = np.cumsum(np.random.default_rng(7).normal(size=3 * _SLOPE_BLOCK_ROWS))
+        assert same_bits(_lowpass_zero_phase(x, 0.01, 2.0), lowpass_oracle(x, 0.01, 2.0))
