@@ -6,8 +6,8 @@ propulsion and brake fits) and practitioners re-run later stages after
 editing anchors. All outputs are deterministic for identical inputs; the
 model provenance timestamp honors ``SOURCE_DATE_EPOCH``.
 
-Exit codes: 0 on success, 2 for schema or protocol errors, 3 for
-numerical or fit errors.
+Exit codes: 0 on success, 2 for schema or protocol errors and for input
+files that are missing or cannot be read, 3 for numerical or fit errors.
 """
 
 from __future__ import annotations
@@ -24,18 +24,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DriveLog, Gear, VehicleParams, kmh_to_mps, load_vehicle_params
+from .core import (DriveLog, Gear, VehicleParams, kmh_to_mps, load_vehicle_params,
+                   read_json)
 from .dynamics import ModelSet, load_schedule_csv, simulate
-from .errors import (EmptyReportError, EmptySeriesError, FitError, InversionError,
-                     InvalidParameterError, LongforceError, ProtocolViolationError,
-                     SchemaError, SegmentSplitRequired)
+from .errors import (EmptySeriesError, FitError, InvalidParameterError, LongforceError,
+                     ProtocolViolationError, SchemaError, SegmentSplitRequired)
 from .estimation import (BinnedPoints, bin_by_speed, estimate_acceleration,
                          log_spaced_edges)
 from .extraction import (extract_braking, extract_friction, extract_propulsion,
                          split_constant_signal)
 from .reference import load_anchor_file, reference_model_set
 from .spline import (DEFAULT_KNOTS_MPS, AnchorSet, ForceSurface, Spline1D,
-                     check_signal_monotone, fit_curve, load_model,
+                     check_signal_monotone, fit_curve, load_model, load_typed_model,
                      prune_unsupported_knots, save_model)
 from .validation import render_table, report_to_dict, validate
 
@@ -78,10 +78,7 @@ def _json_array(values: list) -> str:
 
 
 def load_drive_log(path: str | Path) -> DriveLog:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    obj = read_json(path)
     if obj.get("format") != DRIVELOG_FORMAT:
         raise SchemaError(f"{path}: not a {DRIVELOG_FORMAT} file")
     meta = obj.get("metadata", {})
@@ -216,10 +213,7 @@ class PipelineConfig:
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    obj = read_json(path)
     try:
         params = load_vehicle_params(path.parent / obj["params"])
         anchors = load_anchor_file(path.parent / obj["anchors"])
@@ -304,9 +298,23 @@ def run_fit_friction(log_paths: list[str], config: PipelineConfig,
     return curve
 
 
-def _fit_surface(kind: str, points_by_level: dict[int, list[np.ndarray]],
-                 config: PipelineConfig, out_path: str | Path,
-                 source_logs: list[str]) -> ForceSurface:
+def _fit_surface(kind: str, signal: str, log_paths: list[str], config: PipelineConfig,
+                 out_path: str | Path, extract) -> ForceSurface:
+    """Fit one ``kind`` curve per constant-``signal`` level; ``extract(run, accel)``
+    gives a run's force observations."""
+    points_by_level: dict[int, list[np.ndarray]] = {}
+    for path in log_paths:
+        for part in split_constant_signal(load_drive_log(path), signal):
+            if len(part) < config.window:
+                continue
+            accel = estimate_acceleration(part, config.window, config.cutoff_hz)
+            try:
+                obs = extract(part, accel)
+            except ProtocolViolationError as exc:
+                raise ProtocolViolationError(f"{path}: {exc}", exc.indices) from exc
+            points_by_level.setdefault(obs.level, []).append(obs.points())
+    if not points_by_level:
+        raise EmptySeriesError(f"no usable constant-{signal} segments in the given logs")
     anchor_set = config.anchors.get(kind, AnchorSet({}))
     knots = config.knots_for(kind)
     levels = sorted(points_by_level)
@@ -321,59 +329,28 @@ def _fit_surface(kind: str, points_by_level: dict[int, list[np.ndarray]],
         curves.append(curve)
     surface = ForceSurface(tuple(levels), tuple(curves))
     check_signal_monotone(surface)
-    save_model(out_path, kind, surface, _provenance(source_logs))
+    save_model(out_path, kind, surface, _provenance(log_paths))
     return surface
 
 
 def run_fit_propulsion(log_paths: list[str], friction_path: str | Path,
                        config: PipelineConfig, out_path: str | Path) -> ForceSurface:
     """Fit one propulsion curve per constant throttle level and assemble the surface."""
-    kind, friction, _ = load_model(friction_path)
-    if kind != "friction":
-        raise SchemaError(f"{friction_path}: expected a friction model, got {kind}")
-    points_by_level: dict[int, list[np.ndarray]] = {}
-    for path in log_paths:
-        log = load_drive_log(path)
-        for part in split_constant_signal(log, "throttle"):
-            if len(part) < config.window:
-                continue
-            accel = estimate_acceleration(part, config.window, config.cutoff_hz)
-            try:
-                obs = extract_propulsion(part, accel, friction, config.params)
-            except ProtocolViolationError as exc:
-                raise ProtocolViolationError(f"{path}: {exc}", exc.indices) from exc
-            points_by_level.setdefault(obs.level, []).append(obs.points())
-    if not points_by_level:
-        raise EmptySeriesError("no usable constant-throttle segments in the given logs")
-    return _fit_surface("propulsion", points_by_level, config, out_path, log_paths)
+    friction = load_typed_model(friction_path, "friction")
+    return _fit_surface("propulsion", "throttle", log_paths, config, out_path,
+                        lambda part, accel: extract_propulsion(part, accel, friction,
+                                                               config.params))
 
 
 def run_fit_brake(log_paths: list[str], friction_path: str | Path,
                   propulsion_path: str | Path, config: PipelineConfig,
                   out_path: str | Path) -> ForceSurface:
     """Fit one braking curve per constant brake level and assemble the surface."""
-    kind, friction, _ = load_model(friction_path)
-    if kind != "friction":
-        raise SchemaError(f"{friction_path}: expected a friction model, got {kind}")
-    kind, propulsion, _ = load_model(propulsion_path)
-    if kind != "propulsion":
-        raise SchemaError(f"{propulsion_path}: expected a propulsion model, got {kind}")
-    creep = propulsion.curve_at(0)
-    points_by_level: dict[int, list[np.ndarray]] = {}
-    for path in log_paths:
-        log = load_drive_log(path)
-        for part in split_constant_signal(log, "brake"):
-            if len(part) < config.window:
-                continue
-            accel = estimate_acceleration(part, config.window, config.cutoff_hz)
-            try:
-                obs = extract_braking(part, accel, friction, creep, config.params)
-            except ProtocolViolationError as exc:
-                raise ProtocolViolationError(f"{path}: {exc}", exc.indices) from exc
-            points_by_level.setdefault(obs.level, []).append(obs.points())
-    if not points_by_level:
-        raise EmptySeriesError("no usable constant-brake segments in the given logs")
-    return _fit_surface("braking", points_by_level, config, out_path, log_paths)
+    friction = load_typed_model(friction_path, "friction")
+    creep = load_typed_model(propulsion_path, "propulsion").curve_at(0)
+    return _fit_surface("braking", "brake", log_paths, config, out_path,
+                        lambda part, accel: extract_braking(part, accel, friction, creep,
+                                                            config.params))
 
 
 # --- plot data export ----------------------------------------------------------
@@ -413,15 +390,9 @@ def run_export(model_path: str | Path, out_path: str | Path,
 # --- simulation & validation ---------------------------------------------------
 
 def load_model_set(friction_path, propulsion_path, braking_path, params_path) -> ModelSet:
-    kind, friction, _ = load_model(friction_path)
-    if kind != "friction":
-        raise SchemaError(f"{friction_path}: expected a friction model, got {kind}")
-    kind, propulsion, _ = load_model(propulsion_path)
-    if kind != "propulsion":
-        raise SchemaError(f"{propulsion_path}: expected a propulsion model, got {kind}")
-    kind, braking, _ = load_model(braking_path)
-    if kind != "braking":
-        raise SchemaError(f"{braking_path}: expected a braking model, got {kind}")
+    friction = load_typed_model(friction_path, "friction")
+    propulsion = load_typed_model(propulsion_path, "propulsion")
+    braking = load_typed_model(braking_path, "braking")
     params = load_vehicle_params(params_path)
     try:
         return ModelSet(friction, propulsion, braking, params)
@@ -436,10 +407,8 @@ def run_simulate(models: ModelSet, schedule_path: str | Path, v0: float, dt: flo
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_s", "speed_mps", "accel_mps2", "F_p_N", "F_f_N", "F_b_N"])
-        for k in range(len(traj)):
-            writer.writerow([repr(float(traj.t[k])), repr(float(traj.speed[k])),
-                             repr(float(traj.accel[k])), repr(float(traj.f_p[k])),
-                             repr(float(traj.f_f[k])), repr(float(traj.f_b[k]))])
+        columns = (traj.t, traj.speed, traj.accel, traj.f_p, traj.f_f, traj.f_b)
+        writer.writerows(zip(*(map(repr, col.tolist()) for col in columns)))
     print(f"wrote {len(traj)} trajectory rows to {out_path}")
 
 
@@ -568,12 +537,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return run(argv)
     except (SchemaError, ProtocolViolationError, InvalidParameterError,
-            SegmentSplitRequired) as exc:
+            SegmentSplitRequired, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FitError, InversionError, EmptySeriesError, EmptyReportError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except LongforceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -147,8 +147,11 @@ class DriveLog:
             if not finite.all():
                 bad = int(np.argmin(finite))
                 raise SchemaError(f"column '{name}' is non-finite at row {bad}: {col[bad]}")
-        if n > 1 and not np.all(np.diff(t) > 0):
-            bad = int(np.flatnonzero(np.diff(t) <= 0)[0]) + 1
+        # A comparison, not np.diff: the difference of two finite stamps can
+        # overflow to inf.
+        increasing = t[1:] > t[:-1]
+        if not increasing.all():
+            bad = int(np.argmin(increasing)) + 1
             raise SchemaError(f"time must be strictly increasing; violated at row {bad}")
         if n and float(speed.min()) < 0:
             bad = int(np.argmin(speed))
@@ -187,7 +190,9 @@ class DriveLog:
         n = len(self)
         if n == 0:
             return []
-        breaks = np.flatnonzero(np.diff(self.t) > max_gap_s) + 1
+        with np.errstate(over="ignore"):  # an inf gap is a gap
+            gaps = np.diff(self.t)
+        breaks = np.flatnonzero(gaps > max_gap_s) + 1
         starts = [0, *breaks.tolist()]
         ends = [*breaks.tolist(), n]
         return [slice(a, b) for a, b in zip(starts, ends)]
@@ -215,18 +220,38 @@ def parse_vehicle_params(obj: dict) -> VehicleParams:
         raise SchemaError(f"invalid vehicle parameter config: {exc}") from exc
 
 
-def load_vehicle_params(path: str | Path) -> VehicleParams:
-    """Load vehicle parameters from a JSON file."""
+def read_json(path: str | Path) -> dict:
+    """The JSON object stored in the file at ``path``.
+
+    Raises :class:`SchemaError` naming the path when the file is not valid
+    UTF-8 JSON or holds any top-level value other than an object; a missing
+    or unreadable file raises ``OSError``.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
-    return parse_vehicle_params(obj)
+        raise SchemaError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
-def grade_force(params: VehicleParams, slope_rad: float) -> float:
-    """Ground-tangent weight component m*g*sin(slope), in N."""
-    return total_mass(params) * params.gravity_mps2 * math.sin(slope_rad)
+def load_vehicle_params(path: str | Path) -> VehicleParams:
+    """Load vehicle parameters from a JSON file."""
+    return parse_vehicle_params(read_json(path))
+
+
+def grade_force(params: VehicleParams, slope_rad: float | np.ndarray) -> float | np.ndarray:
+    """Ground-tangent weight component m*g*sin(slope), in N.
+
+    ``slope_rad`` is a float or an array. An array takes ``math.sin`` per
+    element, because ``np.sin`` may use a SIMD routine that differs from the
+    C library in the last bit on some CPUs; each element then equals the
+    scalar result bit for bit.
+    """
+    if isinstance(slope_rad, np.ndarray):
+        sin = np.fromiter(map(math.sin, slope_rad.ravel().tolist()), dtype=float,
+                          count=slope_rad.size).reshape(slope_rad.shape)
+    else:
+        sin = math.sin(slope_rad)
+    return total_mass(params) * params.gravity_mps2 * sin

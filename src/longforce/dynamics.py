@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import VehicleParams, equivalent_mass, total_mass
+from .core import VehicleParams, equivalent_mass, grade_force
 from .errors import InvalidParameterError, SchemaError
 from .spline import ForceSurface, Spline1D
 
@@ -100,7 +100,7 @@ def direct_acceleration(models: ModelSet, v: float, throttle: float, brake: floa
         f_b = models.braking.eval(v, brake)
     else:
         f_b = 0.0
-    grade = total_mass(models.params) * models.params.gravity_mps2 * math.sin(slope)
+    grade = grade_force(models.params, slope)
     accel = (f_p - grade - f_f - f_b) / equivalent_mass(models.params)
     return accel, ForceBreakdown(f_p, f_f, f_b)
 
@@ -127,10 +127,7 @@ def direct_acceleration_many(models: ModelSet, v, throttle, brake,
     f_b = np.zeros(len(v))
     braking = (throttle == 0.0) | (brake > 0.0)
     f_b[braking] = models.braking.eval_many(v[braking], brake[braking])
-    # math.sin per row, because np.sin may use a SIMD routine that differs
-    # from the C library in the last bit on some CPUs.
-    sin = np.fromiter(map(math.sin, slope.tolist()), dtype=float, count=len(slope))
-    grade = total_mass(models.params) * models.params.gravity_mps2 * sin
+    grade = grade_force(models.params, slope)
     accel = (f_p - grade - f_f - f_b) / equivalent_mass(models.params)
     return accel, ForceBreakdown(f_p, f_f, f_b)
 
@@ -221,7 +218,7 @@ def inverse_actuation(models: ModelSet, v: float, slope: float,
             f"non-finite operating point: v={v}, slope={slope}, "
             f"desired_accel={desired_accel}")
     m_eq = equivalent_mass(models.params)
-    grade = total_mass(models.params) * models.params.gravity_mps2 * math.sin(slope)
+    grade = grade_force(models.params, slope)
     f_req = m_eq * desired_accel + grade + models.friction.eval(v)
     f_p0 = models.propulsion.eval(v, 0.0)
     if f_req >= f_p0:

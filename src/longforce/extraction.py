@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import DriveLog, Gear, VehicleParams, equivalent_mass, total_mass
+from .core import DriveLog, Gear, VehicleParams, equivalent_mass, grade_force
 from .errors import ProtocolViolationError, SegmentSplitRequired
 from .estimation import AccelSeries
 from .spline import Spline1D
@@ -118,10 +118,8 @@ def extract_friction(log: DriveLog, accel: AccelSeries,
     _require_zero(log, "throttle", "friction extraction")
     _require_zero(log, "brake", "friction extraction")
     keep = _valid_mask(log, accel)
-    m = total_mass(params)
     m_eq = equivalent_mass(params)
-    g = params.gravity_mps2
-    forces = -m * g * np.sin(log.slope[keep]) - m_eq * accel.accel[keep]
+    forces = -grade_force(params, log.slope[keep]) - m_eq * accel.accel[keep]
     return ForceObservationSet(ForceKind.FRICTION, None, log.speed[keep], forces)
 
 
@@ -136,12 +134,10 @@ def extract_propulsion(log: DriveLog, accel: AccelSeries, friction: Spline1D,
     _require_zero(log, "brake", "propulsion extraction")
     level = _require_constant(log, "throttle", "propulsion extraction")
     keep = _valid_mask(log, accel)
-    m = total_mass(params)
     m_eq = equivalent_mass(params)
-    g = params.gravity_mps2
     speeds = log.speed[keep]
     forces = (friction.eval_many(speeds)
-              + m * g * np.sin(log.slope[keep])
+              + grade_force(params, log.slope[keep])
               + m_eq * accel.accel[keep])
     return ForceObservationSet(ForceKind.PROPULSION, level, speeds, forces)
 
@@ -158,13 +154,11 @@ def extract_braking(log: DriveLog, accel: AccelSeries, friction: Spline1D,
     _require_zero(log, "throttle", "braking extraction")
     level = _require_constant(log, "brake", "braking extraction")
     keep = _valid_mask(log, accel)
-    m = total_mass(params)
     m_eq = equivalent_mass(params)
-    g = params.gravity_mps2
     speeds = log.speed[keep]
     forces = (propulsion_at_zero_throttle.eval_many(speeds)
               - friction.eval_many(speeds)
-              - m * g * np.sin(log.slope[keep])
+              - grade_force(params, log.slope[keep])
               - m_eq * accel.accel[keep])
     return ForceObservationSet(ForceKind.BRAKING, level, speeds, forces)
 

@@ -17,7 +17,7 @@ import json
 from importlib import resources
 from pathlib import Path
 
-from .core import VehicleParams, parse_vehicle_params
+from .core import VehicleParams, parse_vehicle_params, read_json
 from .dynamics import ModelSet
 from .errors import SchemaError
 from .spline import Anchor, AnchorSet, ForceSurface, Spline1D
@@ -67,11 +67,7 @@ def parse_anchor_file(obj: dict) -> dict[str, AnchorSet]:
 
 
 def load_anchor_file(path: str | Path) -> dict[str, AnchorSet]:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    return parse_anchor_file(obj)
+    return parse_anchor_file(read_json(path))
 
 
 def reference_anchors() -> dict[str, AnchorSet]:

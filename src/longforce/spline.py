@@ -26,6 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .core import read_json
 from .errors import FitError, InvalidParameterError, InversionError, SchemaError
 
 #: Default knot layout (m/s): log-spaced, dense at low speed where the
@@ -81,9 +82,11 @@ def limited_tangents(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, .
             b = 0.0
         r2 = a * a + b * b
         if r2 > 9.0:
+            # tau is 0 when r2 overflows (a secant far smaller than a tangent);
+            # the tangents are then zero, not 0 * inf.
             tau = 3.0 / math.sqrt(r2)
-            m[i] = tau * a * delta[i]
-            m[i + 1] = tau * b * delta[i]
+            m[i] = tau * a * delta[i] if tau else 0.0 * delta[i]
+            m[i + 1] = tau * b * delta[i] if tau else 0.0 * delta[i]
     return tuple(m)
 
 
@@ -117,8 +120,8 @@ def _limited_tangents_many(xs: Sequence[float], ys: np.ndarray) -> np.ndarray:
             r2 = a * a + b * b
             tau = 3.0 / np.sqrt(r2)
             steep = r2 > 9.0
-            left = np.where(steep, tau * a * d, left)
-            right = np.where(steep, tau * b * d, right)
+            left = np.where(steep, np.where(tau != 0.0, tau * a * d, 0.0 * d), left)
+            right = np.where(steep, np.where(tau != 0.0, tau * b * d, 0.0 * d), right)
             flat = d == 0.0
             m[i] = np.where(flat, 0.0, left)
             m[i + 1] = np.where(flat, 0.0, right)
@@ -151,6 +154,12 @@ class Spline1D:
         ms = tuple(float(m) for m in self.tangents)
         if len(xs) < 2:
             raise FitError("a curve needs at least 2 knots")
+        for name, values in (("knot position", xs), ("knot value", ys), ("tangent", ms)):
+            bad = [i for i, value in enumerate(values) if not math.isfinite(value)]
+            if bad:
+                raise FitError(f"{name} {bad[0]} is non-finite: {values[bad[0]]}")
+        if not math.isfinite(self.lower_clamp):
+            raise FitError(f"lower clamp is non-finite: {self.lower_clamp}")
         if not all(a < b for a, b in zip(xs, xs[1:])):
             raise FitError("knot positions must be strictly increasing")
         if len(ys) != len(xs) or len(ms) != len(xs):
@@ -536,11 +545,8 @@ def _curve_to_dict(curve: Spline1D) -> dict:
 
 
 def _curve_from_dict(obj: dict, lower_clamp: float) -> Spline1D:
-    try:
-        return Spline1D(tuple(obj["knots_x_mps"]), tuple(obj["knots_y_N"]),
-                        tuple(obj["tangents"]), lower_clamp)
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed curve entry: {exc}") from exc
+    return Spline1D(tuple(obj["knots_x_mps"]), tuple(obj["knots_y_N"]),
+                    tuple(obj["tangents"]), lower_clamp)
 
 
 def model_to_dict(kind: str, model: Spline1D | ForceSurface,
@@ -564,32 +570,40 @@ def model_from_dict(obj: dict) -> tuple[str, Spline1D | ForceSurface, dict]:
         kind = obj["kind"]
         curves = obj["curves"]
         clamp = float(obj.get("lower_clamp_N", 0.0))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed model file: {exc}") from exc
     if kind not in MODEL_KINDS:
         raise SchemaError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
     provenance = dict(obj.get("provenance", {}))
-    if kind == "friction":
-        if len(curves) != 1:
-            raise SchemaError("a friction model holds exactly one curve")
-        return kind, _curve_from_dict(curves[0], clamp), provenance
-    levels = obj.get("levels")
-    if not levels or len(levels) != len(curves):
-        raise SchemaError(f"a {kind} model needs matching 'levels' and 'curves' lists")
-    surface = ForceSurface(tuple(int(v) for v in levels),
-                           tuple(_curve_from_dict(c, clamp) for c in curves))
+    try:
+        if kind == "friction":
+            if len(curves) != 1:
+                raise SchemaError("a friction model holds exactly one curve")
+            return kind, _curve_from_dict(curves[0], clamp), provenance
+        levels = obj.get("levels")
+        if not levels or len(levels) != len(curves):
+            raise SchemaError(f"a {kind} model needs matching 'levels' and 'curves' lists")
+        surface = ForceSurface(tuple(int(v) for v in levels),
+                               tuple(_curve_from_dict(c, clamp) for c in curves))
+    except (KeyError, TypeError, ValueError, OverflowError, FitError) as exc:
+        raise SchemaError(f"malformed {kind} model: {exc}") from exc
     return kind, surface, provenance
 
 
 def save_model(path: str | Path, kind: str, model: Spline1D | ForceSurface,
                provenance: dict | None = None) -> None:
     obj = model_to_dict(kind, model, provenance)
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n",
+                          encoding="utf-8")
 
 
 def load_model(path: str | Path) -> tuple[str, Spline1D | ForceSurface, dict]:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    return model_from_dict(obj)
+    return model_from_dict(read_json(path))
+
+
+def load_typed_model(path: str | Path, kind: str) -> Spline1D | ForceSurface:
+    """The model stored at ``path``, which must be a ``kind`` model."""
+    got, model, _ = load_model(path)
+    if got != kind:
+        raise SchemaError(f"{path}: expected a {kind} model, got {got}")
+    return model

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -145,6 +146,16 @@ class TestPipelineConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"anchors": str(data_path("anchors_zoe.json"))}))
         with pytest.raises(SchemaError):
+            load_pipeline_config(path)
+
+    def test_anchor_list_rejected(self, tmp_path):
+        # A list used to parse as "no anchors at all".
+        anchors = tmp_path / "anchors.json"
+        anchors.write_text(json.dumps([{"speed_mps": 1.0, "force_n": 100.0}]))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"params": str(data_path("zoe_params.json")),
+                                    "anchors": str(anchors)}))
+        with pytest.raises(SchemaError, match="anchors.json: expected a JSON object, got list"):
             load_pipeline_config(path)
 
 
@@ -390,6 +401,87 @@ class TestMainExitCodes:
             capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "log.json").exists()
+
+
+@pytest.fixture()
+def cli_inputs(tmp_path, config_path):
+    """One valid file of each type the CLI reads, by name."""
+    assert main(["reference", "--out-dir", str(tmp_path)]) == 0
+    csv_path = tmp_path / "log.csv"
+    write_csv(csv_path, ["0.00,10,0,0,0", "0.01,10,0,0,0"])
+    log_path = tmp_path / "log.json"
+    assert main(["ingest", str(csv_path), "--units", "speed_mps", "--out", str(log_path)]) == 0
+    schedule = tmp_path / "schedule.csv"
+    schedule.write_text("t_s,throttle,brake,slope_rad\n0,0,0,0\n")
+    return {"csv": csv_path, "log": log_path, "config": config_path, "schedule": schedule,
+            "params": data_path("zoe_params.json"),
+            **{kind: tmp_path / f"{kind}.json" for kind in ("friction", "propulsion", "braking")}}
+
+
+def cli_argv(command, files, out):
+    f = {name: str(path) for name, path in files.items()}
+    models = ["--friction", f["friction"], "--propulsion", f["propulsion"],
+              "--braking", f["braking"], "--params", f["params"]]
+    return {
+        "ingest": ["ingest", f["csv"], "--units", "speed_mps", "--out", out],
+        "fit-friction": ["fit-friction", f["log"], "--config", f["config"], "--out", out],
+        "fit-propulsion": ["fit-propulsion", f["log"], "--friction", f["friction"],
+                           "--config", f["config"], "--out", out],
+        "fit-brake": ["fit-brake", f["log"], "--friction", f["friction"],
+                      "--propulsion", f["propulsion"], "--config", f["config"], "--out", out],
+        "simulate": ["simulate", *models, "--schedule", f["schedule"], "--duration", "1",
+                     "--out", out],
+        "validate": ["validate", *models, "--log", f["log"]],
+    }[command]
+
+
+class TestMainInputFiles:
+    """A bad input file ends in one ``error:`` line and exit code 2."""
+
+    @pytest.mark.parametrize("command, name", [
+        ("ingest", "csv"), ("validate", "log"), ("fit-friction", "config"),
+        ("fit-friction", "anchors"), ("validate", "params"), ("validate", "friction"),
+        ("simulate", "schedule")])
+    def test_missing_file_is_2(self, cli_inputs, tmp_path, capsys, command, name):
+        missing = tmp_path / "absent" / f"{name}.file"
+        if name == "anchors":  # named inside the pipeline config
+            obj = json.loads(cli_inputs["config"].read_text())
+            obj["anchors"] = str(missing)
+            cli_inputs["config"] = tmp_path / "cfg.json"
+            cli_inputs["config"].write_text(json.dumps(obj))
+        else:
+            cli_inputs[name] = missing
+        assert main(cli_argv(command, cli_inputs, str(tmp_path / "out"))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file" in err and str(missing) in err
+
+    @pytest.mark.parametrize("content, message", [
+        (b"[]", "expected a JSON object, got list"),
+        (b"null", "expected a JSON object, got NoneType"),
+        (b"\xff\xfe{}", "not valid JSON")])
+    def test_non_object_drive_log_is_2(self, cli_inputs, tmp_path, capsys, content, message):
+        # A list used to crash load_drive_log with an AttributeError.
+        cli_inputs["log"].write_bytes(content)
+        assert main(cli_argv("fit-friction", cli_inputs, str(tmp_path / "out"))) == 2
+        assert f"log.json: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, other", [
+        ("validate", "friction", "propulsion"), ("validate", "propulsion", "braking"),
+        ("simulate", "braking", "friction"), ("fit-propulsion", "friction", "braking"),
+        ("fit-brake", "propulsion", "friction")])
+    def test_wrong_model_kind_is_2(self, cli_inputs, tmp_path, capsys, command, flag, other):
+        cli_inputs[flag] = cli_inputs[other]
+        assert main(cli_argv(command, cli_inputs, str(tmp_path / "out"))) == 2
+        assert f"expected a {flag} model, got {other}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_non_finite_model_is_2(self, cli_inputs, tmp_path, capsys, command):
+        # Such a curve used to load and evaluate to its lower clamp.
+        obj = json.loads(cli_inputs["friction"].read_text())
+        obj["curves"][0]["knots_y_N"][1] = math.nan
+        cli_inputs["friction"].write_text(json.dumps(obj))
+        assert main(cli_argv(command, cli_inputs, str(tmp_path / "out"))) == 2
+        assert "knot value 1 is non-finite: nan" in capsys.readouterr().err
 
 
 class TestFitDeterminism:

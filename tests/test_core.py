@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,16 @@ class TestDriveLog:
         assert len(segs) == 2
         assert segs[0] == slice(0, 100)
         assert segs[1] == slice(100, 200)
+
+    def test_time_stamps_near_float_limits(self):
+        # Their difference overflows to inf, which must neither warn nor pass
+        # for a non-increasing pair.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log = self.make([-1e308, 1e308], [1.0, 1.0])
+            assert log.segments() == [slice(0, 1), slice(1, 2)]
+            with pytest.raises(SchemaError, match="row 1"):
+                self.make([1e308, -1e308], [1.0, 1.0])
 
     def test_small_gap_not_split(self):
         t = np.array([0.0, 0.01, 0.4, 0.8])

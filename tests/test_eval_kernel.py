@@ -1,10 +1,10 @@
 """The array evaluation kernel against the scalar path, its oracle.
 
-``Spline1D.eval_many``, ``ForceSurface.eval_many`` and
-``direct_acceleration_many`` must equal a per-element loop over the scalar
-``eval`` / ``direct_acceleration`` bit for bit, including the sign of zero,
-so that vectorised callers (validation, extraction, export) give the same
-results as before.
+``Spline1D.eval_many``, ``ForceSurface.eval_many``, ``direct_acceleration_many``
+and ``grade_force`` on an array must equal a per-element loop over the
+scalar ``eval`` / ``direct_acceleration`` / ``grade_force`` bit for bit,
+including the sign of zero, so that vectorised callers (validation,
+extraction, export) give the same results as before.
 """
 
 import json
@@ -18,6 +18,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from longforce.cli import main  # noqa: E402
+from longforce.core import grade_force  # noqa: E402
 from longforce.dynamics import (ModelSet, direct_acceleration,  # noqa: E402
                                 direct_acceleration_many, inverse_actuation)
 from longforce.errors import FitError, InvalidParameterError  # noqa: E402
@@ -148,6 +149,8 @@ def test_direct_model_many_matches_scalar(gt_models, data):
     slope = data.draw(st.lists(st.floats(-0.35, 0.35), min_size=n, max_size=n))
     accel, forces = direct_acceleration_many(models, v, throttle, brake, slope)
     oracle = [direct_acceleration(models, *row) for row in zip(v, throttle, brake, slope)]
+    assert_same_bits(grade_force(models.params, np.array(slope)),
+                     [grade_force(models.params, s) for s in slope])
     assert_same_bits(accel, [a for a, _ in oracle])
     assert_same_bits(forces.propulsion, [f.propulsion for _, f in oracle])
     assert_same_bits(forces.friction, [f.friction for _, f in oracle])

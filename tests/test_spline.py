@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,20 @@ class TestSpline1D:
         with pytest.raises(FitError):
             Spline1D((1.0, 1.0), (0.0, 0.0), (0.0, 0.0))
 
+    @pytest.mark.parametrize("field, name", [(0, "knot position"), (1, "knot value"),
+                                             (2, "tangent")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, name, value):
+        parts = [[0.0, 1.0, 2.0], [5.0, 6.0, 7.0], [0.0, 1.0, 0.0]]
+        parts[field][1] = value
+        with pytest.raises(FitError, match=f"{name} 1 is non-finite"):
+            Spline1D(*map(tuple, parts))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lower_clamp_rejected(self, value):
+        with pytest.raises(FitError, match="lower clamp is non-finite"):
+            Spline1D((0.0, 1.0), (5.0, 6.0), (0.0, 0.0), lower_clamp=value)
+
     def test_eval_many_matches_eval(self):
         s = Spline1D.interpolate([0.0, 2.0, 4.0], [1.0, 5.0, 3.0])
         xs = np.linspace(-1, 5, 50)
@@ -82,6 +98,11 @@ class TestLimitedTangents:
     def test_flat_span_zeroes_tangents(self):
         m = limited_tangents([0.0, 1.0, 2.0, 3.0], [5.0, 5.0, 5.0, 9.0])
         assert m[0] == 0.0 and m[1] == 0.0 and m[2] == 0.0
+
+    def test_overflowing_ratio_gives_zero_tangents(self):
+        # m/delta overflows next to a subnormal secant; r2 = inf used to give
+        # 0 * inf = NaN tangents.
+        assert limited_tangents([0.0, 0.001, 0.002], [0.0, 5e-313, 1.0]) == (0.0, 0.0, 1000.0)
 
     def test_steep_tangents_scaled_into_monotone_region(self):
         xs = [0.0, 1.0, 1.001, 2.0]
@@ -319,6 +340,18 @@ class TestSerialization:
         obj = model_to_dict("propulsion", gt_models.propulsion)
         obj["levels"] = obj["levels"][:-1]
         with pytest.raises(SchemaError):
+            model_from_dict(obj)
+
+    @pytest.mark.parametrize("edit", [
+        lambda obj: obj["curves"][0]["knots_y_N"].__setitem__(1, math.nan),
+        lambda obj: obj["curves"][1]["tangents"].__setitem__(0, math.inf),
+        lambda obj: obj["levels"].__setitem__(1, math.nan),
+        lambda obj: obj["levels"].__setitem__(1, math.inf),
+        lambda obj: obj["levels"].reverse()])
+    def test_bad_values_rejected_as_schema_error(self, gt_models, edit):
+        obj = model_to_dict("braking", gt_models.braking)
+        edit(obj)
+        with pytest.raises(SchemaError, match="malformed braking model"):
             model_from_dict(obj)
 
     def test_friction_single_curve_enforced(self, gt_models):
