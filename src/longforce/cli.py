@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (DriveLog, Gear, VehicleParams, kmh_to_mps, load_vehicle_params,
-                   read_json)
+from .core import (DriveLog, Gear, VehicleParams, json_object, kmh_to_mps,
+                   load_vehicle_params, read_json)
 from .dynamics import ModelSet, load_schedule_csv, simulate
 from .errors import (EmptySeriesError, FitError, InvalidParameterError, LongforceError,
                      ProtocolViolationError, SchemaError, SegmentSplitRequired)
@@ -34,7 +34,7 @@ from .estimation import (BinnedPoints, bin_by_speed, estimate_acceleration,
 from .extraction import (extract_braking, extract_friction, extract_propulsion,
                          split_constant_signal)
 from .reference import load_anchor_file, reference_model_set
-from .spline import (DEFAULT_KNOTS_MPS, AnchorSet, ForceSurface, Spline1D,
+from .spline import (DEFAULT_KNOTS_MPS, Anchor, ForceSurface, Spline1D,
                      check_signal_monotone, fit_curve, load_model, load_typed_model,
                      prune_unsupported_knots, save_model)
 from .validation import render_table, report_to_dict, validate
@@ -81,8 +81,8 @@ def load_drive_log(path: str | Path) -> DriveLog:
     obj = read_json(path)
     if obj.get("format") != DRIVELOG_FORMAT:
         raise SchemaError(f"{path}: not a {DRIVELOG_FORMAT} file")
-    meta = obj.get("metadata", {})
     try:
+        meta = json_object(obj, "metadata")
         return DriveLog(
             t=np.array(obj["t_s"], dtype=float),
             speed=np.array(obj["speed_mps"], dtype=float),
@@ -92,7 +92,7 @@ def load_drive_log(path: str | Path) -> DriveLog:
             gear=Gear(meta.get("gear", "drive")),
             description=meta.get("description", ""),
         )
-    except (KeyError, ValueError, SchemaError) as exc:
+    except (KeyError, TypeError, ValueError, SchemaError) as exc:
         raise SchemaError(f"{path}: malformed drive log: {exc}") from exc
 
 
@@ -198,7 +198,7 @@ class PipelineConfig:
     """
 
     params: VehicleParams
-    anchors: dict[str, AnchorSet]
+    anchors: dict[str, dict[int | None, tuple[Anchor, ...]]]
     window: int
     cutoff_hz: float
     bin_edges: np.ndarray
@@ -217,10 +217,10 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
     try:
         params = load_vehicle_params(path.parent / obj["params"])
         anchors = load_anchor_file(path.parent / obj["anchors"])
-        est = obj.get("estimator", {})
+        est = json_object(obj, "estimator")
         window = int(est.get("window", 21))
         cutoff = float(est.get("cutoff_hz", 5.0))
-        bins = obj.get("bins", {})
+        bins = json_object(obj, "bins")
         edges = log_spaced_edges(float(bins.get("lo_mps", 0.05)),
                                  float(bins.get("hi_mps", 40.0)),
                                  int(bins.get("count", 40)))
@@ -291,7 +291,7 @@ def run_fit_friction(log_paths: list[str], config: PipelineConfig,
         except ProtocolViolationError as exc:
             raise ProtocolViolationError(f"{path}: {exc}", exc.indices) from exc
         parts.append(obs.points())
-    anchors = config.anchors.get("friction", AnchorSet({})).for_level(None)
+    anchors = config.anchors.get("friction", {}).get(None, ())
     curve, _ = _fit_level_curve(np.concatenate(parts), anchors,
                                 config.knots_for("friction"), config.bin_edges, "friction")
     save_model(out_path, "friction", curve, _provenance(log_paths))
@@ -315,14 +315,14 @@ def _fit_surface(kind: str, signal: str, log_paths: list[str], config: PipelineC
             points_by_level.setdefault(obs.level, []).append(obs.points())
     if not points_by_level:
         raise EmptySeriesError(f"no usable constant-{signal} segments in the given logs")
-    anchor_set = config.anchors.get(kind, AnchorSet({}))
+    anchors = config.anchors.get(kind, {})
     knots = config.knots_for(kind)
     levels = sorted(points_by_level)
     curves = []
     for level in levels:
         try:
             curve, _ = _fit_level_curve(np.concatenate(points_by_level[level]),
-                                        anchor_set.for_level(level), knots,
+                                        anchors.get(level, ()), knots,
                                         config.bin_edges, f"{kind} level {level}")
         except FitError as exc:
             raise FitError(f"{kind} level {level}: {exc}") from exc
@@ -347,7 +347,11 @@ def run_fit_brake(log_paths: list[str], friction_path: str | Path,
                   out_path: str | Path) -> ForceSurface:
     """Fit one braking curve per constant brake level and assemble the surface."""
     friction = load_typed_model(friction_path, "friction")
-    creep = load_typed_model(propulsion_path, "propulsion").curve_at(0)
+    propulsion = load_typed_model(propulsion_path, "propulsion")
+    if 0 not in propulsion.levels:
+        raise SchemaError(f"{propulsion_path}: propulsion surface must include level 0 "
+                          "(the creep curve)")
+    creep = propulsion.curve_at(0)
     return _fit_surface("braking", "brake", log_paths, config, out_path,
                         lambda part, accel: extract_braking(part, accel, friction, creep,
                                                             config.params))
@@ -355,15 +359,17 @@ def run_fit_brake(log_paths: list[str], friction_path: str | Path,
 
 # --- plot data export ----------------------------------------------------------
 
+#: Speed range (km/h) of the exported grid.
+EXPORT_LO_KMH, EXPORT_HI_KMH = 0.1, 130.0
+
+
 def run_export(model_path: str | Path, out_path: str | Path,
                levels: list[int] | None = None, log_axes: bool = False,
-               points: int = 500, lo_kmh: float = 0.1, hi_kmh: float = 130.0) -> None:
+               points: int = 500) -> None:
     """Dense per-level evaluation grid as CSV (speed_kmh, force_N, level)."""
     kind, model, _ = load_model(model_path)
-    if log_axes:
-        grid_kmh = np.geomspace(max(lo_kmh, 1e-3), hi_kmh, points)
-    else:
-        grid_kmh = np.linspace(lo_kmh, hi_kmh, points)
+    grid = np.geomspace if log_axes else np.linspace
+    grid_kmh = grid(EXPORT_LO_KMH, EXPORT_HI_KMH, points)
     if kind == "friction":
         if levels:
             raise SchemaError("a friction model has no levels")

@@ -102,17 +102,6 @@ def equivalent_mass(params: VehicleParams) -> float:
 
 
 @dataclass(frozen=True)
-class DriveSample:
-    """One telemetry sample in SI units."""
-
-    t: float
-    speed: float
-    throttle: int
-    brake: int
-    slope: float
-
-
-@dataclass(frozen=True)
 class DriveLog:
     """Time-ordered telemetry, stored column-wise as read-only arrays.
 
@@ -167,24 +156,6 @@ class DriveLog:
     def __len__(self) -> int:
         return len(self.t)
 
-    def sample(self, i: int) -> DriveSample:
-        return DriveSample(float(self.t[i]), float(self.speed[i]),
-                           int(self.throttle[i]), int(self.brake[i]),
-                           float(self.slope[i]))
-
-    @classmethod
-    def from_samples(cls, samples: list[DriveSample], gear: Gear = Gear.DRIVE,
-                     description: str = "") -> "DriveLog":
-        return cls(
-            t=np.array([s.t for s in samples], dtype=float),
-            speed=np.array([s.speed for s in samples], dtype=float),
-            throttle=np.array([s.throttle for s in samples], dtype=np.int64),
-            brake=np.array([s.brake for s in samples], dtype=np.int64),
-            slope=np.array([s.slope for s in samples], dtype=float),
-            gear=gear,
-            description=description,
-        )
-
     def segments(self, max_gap_s: float = MAX_SAMPLE_GAP_S) -> list[slice]:
         """Index ranges of contiguous recording, split at gaps > ``max_gap_s``."""
         n = len(self)
@@ -203,23 +174,6 @@ class DriveLog:
                         self.brake[sl], self.slope[sl], self.gear, self.description)
 
 
-def parse_vehicle_params(obj: dict) -> VehicleParams:
-    """Build :class:`VehicleParams` from the JSON config schema."""
-    try:
-        wheels = tuple(Wheel(float(w["inertia_kgm2"]), float(w["radius_m"]))
-                       for w in obj.get("wheels", []))
-        return VehicleParams(
-            base_mass_kg=float(obj["base_mass_kg"]),
-            payload_mass_kg=float(obj.get("payload_mass_kg", 0.0)),
-            gravity_mps2=float(obj.get("gravity_mps2", 9.81)),
-            wheels=wheels,
-            throttle_range=tuple(obj.get("throttle_range", (0, 186))),
-            brake_range=tuple(obj.get("brake_range", (0, 255))),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"invalid vehicle parameter config: {exc}") from exc
-
-
 def read_json(path: str | Path) -> dict:
     """The JSON object stored in the file at ``path``.
 
@@ -236,9 +190,34 @@ def read_json(path: str | Path) -> dict:
     return obj
 
 
+def json_object(obj: dict, key: str) -> dict:
+    """The JSON object ``obj[key]``, or ``{}`` when ``key`` is absent.
+
+    Raises ``TypeError`` naming the key when the value is anything else; the
+    file readers turn it into a :class:`SchemaError` naming the file.
+    """
+    value = obj.get(key, {})
+    if not isinstance(value, dict):
+        raise TypeError(f"{key!r} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def load_vehicle_params(path: str | Path) -> VehicleParams:
     """Load vehicle parameters from a JSON file."""
-    return parse_vehicle_params(read_json(path))
+    obj = read_json(path)
+    try:
+        wheels = tuple(Wheel(float(w["inertia_kgm2"]), float(w["radius_m"]))
+                       for w in obj.get("wheels", []))
+        return VehicleParams(
+            base_mass_kg=float(obj["base_mass_kg"]),
+            payload_mass_kg=float(obj.get("payload_mass_kg", 0.0)),
+            gravity_mps2=float(obj.get("gravity_mps2", 9.81)),
+            wheels=wheels,
+            throttle_range=tuple(obj.get("throttle_range", (0, 186))),
+            brake_range=tuple(obj.get("brake_range", (0, 255))),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: invalid vehicle parameter config: {exc}") from exc
 
 
 def grade_force(params: VehicleParams, slope_rad: float | np.ndarray) -> float | np.ndarray:

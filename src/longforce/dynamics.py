@@ -70,15 +70,6 @@ class ActuationCommand:
         if self.throttle != 0.0 and self.brake != 0.0:
             raise ValueError("throttle and brake must never both be nonzero")
 
-    @property
-    def flags(self) -> frozenset[str]:
-        out = set()
-        if self.saturated:
-            out.add("saturated")
-        if self.underflow:
-            out.add("underflow")
-        return frozenset(out)
-
 
 def direct_acceleration(models: ModelSet, v: float, throttle: float, brake: float,
                         slope: float) -> tuple[float, ForceBreakdown]:

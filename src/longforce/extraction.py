@@ -21,7 +21,6 @@ the propulsion model if tolerated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -35,12 +34,6 @@ from .spline import Spline1D
 MIN_EXTRACTION_SPEED = 0.05
 
 
-class ForceKind(Enum):
-    FRICTION = "friction"
-    PROPULSION = "propulsion"
-    BRAKING = "braking"
-
-
 @dataclass(frozen=True)
 class ForceObservationSet:
     """(speed, force) observations attributed to one force and command level.
@@ -49,16 +42,11 @@ class ForceObservationSet:
     signal of the source run; friction sets carry no level.
     """
 
-    kind: ForceKind
     level: int | None
     speeds: np.ndarray
     forces: np.ndarray
 
     def __post_init__(self):
-        if self.kind is ForceKind.FRICTION and self.level is not None:
-            raise ValueError("friction observations carry no signal level")
-        if self.kind is not ForceKind.FRICTION and self.level is None:
-            raise ValueError(f"{self.kind.value} observations need a signal level")
         speeds = np.asarray(self.speeds, dtype=float)
         forces = np.asarray(self.forces, dtype=float)
         if len(speeds) and float(speeds.min()) < 0:
@@ -120,7 +108,7 @@ def extract_friction(log: DriveLog, accel: AccelSeries,
     keep = _valid_mask(log, accel)
     m_eq = equivalent_mass(params)
     forces = -grade_force(params, log.slope[keep]) - m_eq * accel.accel[keep]
-    return ForceObservationSet(ForceKind.FRICTION, None, log.speed[keep], forces)
+    return ForceObservationSet(None, log.speed[keep], forces)
 
 
 def extract_propulsion(log: DriveLog, accel: AccelSeries, friction: Spline1D,
@@ -139,7 +127,7 @@ def extract_propulsion(log: DriveLog, accel: AccelSeries, friction: Spline1D,
     forces = (friction.eval_many(speeds)
               + grade_force(params, log.slope[keep])
               + m_eq * accel.accel[keep])
-    return ForceObservationSet(ForceKind.PROPULSION, level, speeds, forces)
+    return ForceObservationSet(level, speeds, forces)
 
 
 def extract_braking(log: DriveLog, accel: AccelSeries, friction: Spline1D,
@@ -160,7 +148,7 @@ def extract_braking(log: DriveLog, accel: AccelSeries, friction: Spline1D,
               - friction.eval_many(speeds)
               - grade_force(params, log.slope[keep])
               - m_eq * accel.accel[keep])
-    return ForceObservationSet(ForceKind.BRAKING, level, speeds, forces)
+    return ForceObservationSet(level, speeds, forces)
 
 
 def split_constant_signal(log: DriveLog, signal: str) -> list[DriveLog]:

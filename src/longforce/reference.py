@@ -13,65 +13,44 @@ ground-truth model set to simulate against.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 from pathlib import Path
 
-from .core import VehicleParams, parse_vehicle_params, read_json
+from .core import json_object, load_vehicle_params, read_json
 from .dynamics import ModelSet
 from .errors import SchemaError
-from .spline import Anchor, AnchorSet, ForceSurface, Spline1D
-
-_DATA_PACKAGE = "longforce.data"
-
-PARAMS_RESOURCE = "zoe_params.json"
-ANCHORS_RESOURCE = "anchors_zoe.json"
-PIPELINE_RESOURCE = "pipeline_zoe.json"
-
-
-def _read_resource(name: str) -> str:
-    return resources.files(_DATA_PACKAGE).joinpath(name).read_text(encoding="utf-8")
+from .spline import Anchor, ForceSurface, Spline1D
 
 
 def data_path(name: str) -> Path:
     """Filesystem path of a packaged data file (params, anchors, pipeline)."""
-    return Path(str(resources.files(_DATA_PACKAGE).joinpath(name)))
+    return Path(str(resources.files("longforce.data").joinpath(name)))
 
 
-def reference_vehicle_params() -> VehicleParams:
-    return parse_vehicle_params(json.loads(_read_resource(PARAMS_RESOURCE)))
-
-
-def parse_anchor_file(obj: dict) -> dict[str, AnchorSet]:
-    """Anchor sets per model kind from the anchor JSON schema.
+def load_anchor_file(path: str | Path) -> dict[str, dict[int | None, tuple[Anchor, ...]]]:
+    """Anchors by model kind, then by signal level, from an anchor JSON file.
 
     Schema: ``{"friction": [anchor...], "propulsion": {"<level>": [...]},
     "braking": {...}}`` with each anchor as
-    ``{"speed_mps":..., "force_n":..., "weight":...}``.
+    ``{"speed_mps":..., "force_n":..., "weight":...}``. Friction anchors sit
+    under the level ``None``.
     """
     def parse_list(items) -> tuple[Anchor, ...]:
         return tuple(Anchor(float(a["speed_mps"]), float(a["force_n"]),
                             float(a.get("weight", 1.0))) for a in items)
 
+    obj = read_json(path)
     try:
-        out: dict[str, AnchorSet] = {}
+        out = {}
         if "friction" in obj:
-            out["friction"] = AnchorSet({None: parse_list(obj["friction"])})
+            out["friction"] = {None: parse_list(obj["friction"])}
         for kind in ("propulsion", "braking"):
             if kind in obj:
-                out[kind] = AnchorSet({int(level): parse_list(items)
-                                       for level, items in obj[kind].items()})
+                out[kind] = {int(level): parse_list(items)
+                             for level, items in json_object(obj, kind).items()}
         return out
     except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"invalid anchor config: {exc}") from exc
-
-
-def load_anchor_file(path: str | Path) -> dict[str, AnchorSet]:
-    return parse_anchor_file(read_json(path))
-
-
-def reference_anchors() -> dict[str, AnchorSet]:
-    return parse_anchor_file(json.loads(_read_resource(ANCHORS_RESOURCE)))
+        raise SchemaError(f"{path}: invalid anchor config: {exc}") from exc
 
 
 def _curve_from_anchors(anchors) -> Spline1D:
@@ -80,20 +59,20 @@ def _curve_from_anchors(anchors) -> Spline1D:
     return Spline1D.interpolate(xs, ys, lower_clamp=0.0)
 
 
-def surface_from_anchors(anchor_set: AnchorSet) -> ForceSurface:
-    levels = sorted(level for level in anchor_set.levels if level is not None)
-    curves = tuple(_curve_from_anchors(anchor_set.for_level(level)) for level in levels)
-    return ForceSurface(tuple(levels), curves)
+def _surface_from_anchors(by_level: dict[int, tuple[Anchor, ...]]) -> ForceSurface:
+    levels = sorted(by_level)
+    return ForceSurface(tuple(levels),
+                        tuple(_curve_from_anchors(by_level[level]) for level in levels))
 
 
 def reference_model_set() -> ModelSet:
     """Ground-truth ModelSet interpolated straight through the shipped anchors."""
-    anchors = reference_anchors()
+    anchors = load_anchor_file(data_path("anchors_zoe.json"))
     return ModelSet(
-        friction=_curve_from_anchors(anchors["friction"].for_level(None)),
-        propulsion=surface_from_anchors(anchors["propulsion"]),
-        braking=surface_from_anchors(anchors["braking"]),
-        params=reference_vehicle_params(),
+        friction=_curve_from_anchors(anchors["friction"][None]),
+        propulsion=_surface_from_anchors(anchors["propulsion"]),
+        braking=_surface_from_anchors(anchors["braking"]),
+        params=load_vehicle_params(data_path("zoe_params.json")),
     )
 
 

@@ -22,11 +22,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import read_json
+from .core import json_object, read_json
 from .errors import FitError, InvalidParameterError, InversionError, SchemaError
 
 #: Default knot layout (m/s): log-spaced, dense at low speed where the
@@ -371,20 +371,6 @@ class Anchor:
             raise FitError(f"anchor weight must be > 0, got {self.weight}")
 
 
-class AnchorSet:
-    """Anchors grouped by command-signal level (``None`` for friction)."""
-
-    def __init__(self, by_level: Mapping[int | None, Sequence[Anchor]]):
-        self._by_level = {level: tuple(anchors) for level, anchors in by_level.items()}
-
-    @property
-    def levels(self) -> list[int | None]:
-        return sorted(self._by_level, key=lambda v: (-1 if v is None else v))
-
-    def for_level(self, level: int | None) -> tuple[Anchor, ...]:
-        return self._by_level.get(level, ())
-
-
 @dataclass(frozen=True)
 class InversionResult:
     """Signal returned by a surface inversion, with saturation bookkeeping."""
@@ -428,24 +414,20 @@ class ForceSurface:
         """Values of every defining curve at speed ``v``, in level order."""
         return [curve.eval(v) for curve in self.curves]
 
-    def eval_clamped(self, v: float, signal: float) -> tuple[float, bool]:
-        """Surface value at (v, signal); flags when the signal was clamped."""
+    def eval(self, v: float, signal: float) -> float:
+        """Surface value at (v, signal); a signal outside the levels is clamped to them."""
         levels = self.levels
-        clamped = signal < levels[0] or signal > levels[-1]
         if signal <= levels[0]:
-            return self.curves[0].eval(v), clamped
+            return self.curves[0].eval(v)
         if signal >= levels[-1]:
-            return self.curves[-1].eval(v), clamped
+            return self.curves[-1].eval(v)
         values = self.cross_section(v)
         tangents = limited_tangents(levels, values)
         i = bisect_right(levels, signal) - 1
         h = levels[i + 1] - levels[i]
         t = (signal - levels[i]) / h
         y = _hermite(t, values[i], values[i + 1], tangents[i], tangents[i + 1], h)
-        return max(y, 0.0), clamped
-
-    def eval(self, v: float, signal: float) -> float:
-        return self.eval_clamped(v, signal)[0]
+        return max(y, 0.0)
 
     def eval_many(self, v, signal) -> np.ndarray:
         """Surface values at arrays of (speed, signal), equal to :meth:`eval` bit for bit.
@@ -513,7 +495,8 @@ def check_signal_monotone(surface: ForceSurface, speeds=None, tol_n: float = 1e-
     """Verify cross-sections never decrease with the signal; raise FitError if they do.
 
     Checked on a dense speed grid over the union of the curve domains. The
-    check runs at fit time so that inversion later is well posed everywhere.
+    check runs at fit time and at load time so that inversion later is well
+    posed everywhere.
     """
     if speeds is None:
         lo = min(c.domain[0] for c in surface.curves)
@@ -570,11 +553,11 @@ def model_from_dict(obj: dict) -> tuple[str, Spline1D | ForceSurface, dict]:
         kind = obj["kind"]
         curves = obj["curves"]
         clamp = float(obj.get("lower_clamp_N", 0.0))
+        provenance = dict(json_object(obj, "provenance"))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed model file: {exc}") from exc
     if kind not in MODEL_KINDS:
         raise SchemaError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-    provenance = dict(obj.get("provenance", {}))
     try:
         if kind == "friction":
             if len(curves) != 1:
@@ -585,6 +568,7 @@ def model_from_dict(obj: dict) -> tuple[str, Spline1D | ForceSurface, dict]:
             raise SchemaError(f"a {kind} model needs matching 'levels' and 'curves' lists")
         surface = ForceSurface(tuple(int(v) for v in levels),
                                tuple(_curve_from_dict(c, clamp) for c in curves))
+        check_signal_monotone(surface)
     except (KeyError, TypeError, ValueError, OverflowError, FitError) as exc:
         raise SchemaError(f"malformed {kind} model: {exc}") from exc
     return kind, surface, provenance
@@ -598,7 +582,12 @@ def save_model(path: str | Path, kind: str, model: Spline1D | ForceSurface,
 
 
 def load_model(path: str | Path) -> tuple[str, Spline1D | ForceSurface, dict]:
-    return model_from_dict(read_json(path))
+    """The kind, model and provenance stored at ``path``; a schema error names the path."""
+    obj = read_json(path)
+    try:
+        return model_from_dict(obj)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def load_typed_model(path: str | Path, kind: str) -> Spline1D | ForceSurface:

@@ -483,6 +483,52 @@ class TestMainInputFiles:
         assert main(cli_argv(command, cli_inputs, str(tmp_path / "out"))) == 2
         assert "knot value 1 is non-finite: nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, name, key", [
+        ("fit-friction", "config", "estimator"), ("fit-friction", "config", "bins"),
+        ("fit-friction", "anchors", "propulsion"), ("fit-friction", "log", "metadata"),
+        ("validate", "friction", "provenance")])
+    def test_non_object_member_is_2(self, cli_inputs, tmp_path, capsys, command, name, key):
+        # Each used to end in an AttributeError traceback; a list provenance
+        # was read as an empty one.
+        if name == "anchors":  # named inside the pipeline config
+            path = tmp_path / "anchors.json"
+            path.write_text(data_path("anchors_zoe.json").read_text())
+            config = json.loads(cli_inputs["config"].read_text())
+            config["anchors"] = str(path)
+            cli_inputs["config"].write_text(json.dumps(config))
+        else:
+            path = cli_inputs[name]
+        obj = json.loads(path.read_text())
+        obj[key] = []
+        path.write_text(json.dumps(obj))
+        assert main(cli_argv(command, cli_inputs, str(tmp_path / "out"))) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and f"'{key}' must be a JSON object, got list" in err
+
+    @pytest.mark.parametrize("command", ["fit-brake", "validate"])
+    def test_propulsion_without_level_zero_is_2(self, cli_inputs, tmp_path, capsys,
+                                                command):
+        # fit-brake used to end in a KeyError traceback from curve_at(0).
+        path = cli_inputs["propulsion"]
+        obj = json.loads(path.read_text())
+        obj["levels"], obj["curves"] = obj["levels"][1:], obj["curves"][1:]
+        path.write_text(json.dumps(obj))
+        assert main(cli_argv(command, cli_inputs, str(tmp_path / "out"))) == 2
+        assert ("propulsion surface must include level 0 (the creep curve)"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_non_monotone_surface_is_2(self, cli_inputs, tmp_path, capsys, command):
+        # Such a file used to load, and inverting it raised InversionError later.
+        path = cli_inputs["propulsion"]
+        obj = json.loads(path.read_text())
+        top = obj["curves"][-1]
+        top["knots_y_N"] = [0.5 * y for y in top["knots_y_N"]]
+        path.write_text(json.dumps(obj))
+        assert main(cli_argv(command, cli_inputs, str(tmp_path / "out"))) == 2
+        assert (f"{path}: malformed propulsion model: level 186 falls below level 150"
+                in capsys.readouterr().err)
+
 
 class TestFitDeterminism:
     def test_model_files_byte_identical_under_pinned_epoch(

@@ -165,11 +165,12 @@ class TestDriveLog:
         with pytest.raises(ValueError):
             log.speed[0] = 5.0
 
-    def test_sample_accessor(self):
+    def test_row_values(self):
         log = DriveLog(np.array([0.0]), np.array([10.0]), np.array([50]),
                        np.array([0]), np.array([0.01]), gear=Gear.DRIVE)
-        s = log.sample(0)
-        assert (s.t, s.speed, s.throttle, s.brake, s.slope) == (0.0, 10.0, 50, 0, 0.01)
+        row = (log.t[0], log.speed[0], log.throttle[0], log.brake[0], log.slope[0])
+        assert row == (0.0, 10.0, 50, 0, 0.01)
+        assert (log.throttle.dtype, log.brake.dtype) == (np.int64, np.int64)
 
 
 def test_unit_conversions():

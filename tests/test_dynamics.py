@@ -82,8 +82,9 @@ class TestActuationCommand:
 
     def test_flags(self):
         cmd = ActuationCommand(throttle=10.0, brake=0.0, saturated=True)
-        assert cmd.flags == frozenset({"saturated"})
-        assert ActuationCommand(0.0, 0.0).flags == frozenset()
+        assert (cmd.saturated, cmd.underflow) == (True, False)
+        cmd = ActuationCommand(0.0, 0.0)
+        assert (cmd.saturated, cmd.underflow) == (False, False)
 
 
 class TestSimulate:

@@ -6,9 +6,9 @@ import pytest
 from longforce.core import DriveLog, Gear, VehicleParams, equivalent_mass, total_mass
 from longforce.errors import ProtocolViolationError, SegmentSplitRequired
 from longforce.estimation import AccelSeries, estimate_acceleration
-from longforce.extraction import (MIN_EXTRACTION_SPEED, ForceKind,
-                                  extract_braking, extract_friction,
-                                  extract_propulsion, split_constant_signal)
+from longforce.extraction import (MIN_EXTRACTION_SPEED, extract_braking,
+                                  extract_friction, extract_propulsion,
+                                  split_constant_signal)
 from longforce.spline import Spline1D
 
 from conftest import protocol_log
@@ -37,7 +37,7 @@ class TestExtractFriction:
     def test_static_balance_is_zero(self, flat_params):
         log = make_log([10.0] * 5)
         obs = extract_friction(log, series_for(log, 0.0), flat_params)
-        assert obs.kind is ForceKind.FRICTION and obs.level is None
+        assert obs.level is None
         assert np.allclose(obs.forces, 0.0)
 
     def test_deceleration_arithmetic(self, flat_params):
@@ -111,7 +111,7 @@ class TestExtractPropulsion:
     def test_steady_state_balances_friction(self, flat_params):
         log = make_log([10.0] * 5, throttle=40, gear=Gear.DRIVE)
         obs = extract_propulsion(log, series_for(log, 0.0), flat_curve(200.0), flat_params)
-        assert obs.kind is ForceKind.PROPULSION and obs.level == 40
+        assert obs.level == 40
         assert np.allclose(obs.forces, 200.0)
 
     def test_acceleration_arithmetic(self, flat_params):
@@ -190,7 +190,7 @@ class TestExtractBraking:
         log = make_log([10.0] * 5, brake=20, gear=Gear.DRIVE)
         obs = extract_braking(log, series_for(log, 0.0), flat_curve(300.0),
                               flat_curve(300.0), flat_params)
-        assert obs.kind is ForceKind.BRAKING and obs.level == 20
+        assert obs.level == 20
         assert np.allclose(obs.forces, 0.0)
 
     def test_deceleration_arithmetic(self, flat_params):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from longforce.errors import FitError, InversionError, SchemaError
 from longforce.estimation import BinnedPoints
-from longforce.spline import (Anchor, AnchorSet, ForceSurface, Spline1D,
+from longforce.reference import load_anchor_file
+from longforce.spline import (Anchor, ForceSurface, Spline1D,
                               check_signal_monotone, fit_curve, limited_tangents,
                               load_model, model_from_dict, model_to_dict,
                               prune_unsupported_knots, save_model,
@@ -219,12 +221,9 @@ class TestForceSurface:
 
     def test_signal_clamped_outside_range(self):
         surface = two_level_surface()
-        value, clamped = surface.eval_clamped(5.0, 150.0)
-        assert value == 1000.0 and clamped
-        value, clamped = surface.eval_clamped(5.0, -5.0)
-        assert value == 0.0 and clamped
-        _, clamped = surface.eval_clamped(5.0, 50.0)
-        assert not clamped
+        assert surface.eval(5.0, 150.0) == surface.eval(5.0, 100.0) == 1000.0
+        assert surface.eval(5.0, -5.0) == surface.eval(5.0, 0.0) == 0.0
+        assert 0.0 < surface.eval(5.0, 50.0) < 1000.0
 
     def test_monotone_cross_sections_invert_round_trip(self, gt_models):
         surface = gt_models.propulsion
@@ -347,7 +346,9 @@ class TestSerialization:
         lambda obj: obj["curves"][1]["tangents"].__setitem__(0, math.inf),
         lambda obj: obj["levels"].__setitem__(1, math.nan),
         lambda obj: obj["levels"].__setitem__(1, math.inf),
-        lambda obj: obj["levels"].reverse()])
+        lambda obj: obj["levels"].reverse(),
+        lambda obj: obj["curves"][-1].update(  # top level below the one beneath it
+            knots_y_N=[0.5 * y for y in obj["curves"][-1]["knots_y_N"]])])
     def test_bad_values_rejected_as_schema_error(self, gt_models, edit):
         obj = model_to_dict("braking", gt_models.braking)
         edit(obj)
@@ -361,9 +362,12 @@ class TestSerialization:
             model_from_dict(obj)
 
 
-def test_anchor_set_lookup():
-    anchors = AnchorSet({None: [Anchor(0.1, 300.0)], 50: [Anchor(1.0, 2000.0)]})
-    assert anchors.for_level(None)[0].force_n == 300.0
-    assert anchors.for_level(50)[0].force_n == 2000.0
-    assert anchors.for_level(99) == ()
-    assert anchors.levels == [None, 50]
+def test_anchor_set_lookup(tmp_path):
+    path = tmp_path / "anchors.json"
+    path.write_text(json.dumps({
+        "friction": [{"speed_mps": 0.1, "force_n": 300.0}],
+        "propulsion": {"50": [{"speed_mps": 1.0, "force_n": 2000.0, "weight": 5.0}]}}))
+    anchors = load_anchor_file(path)
+    assert anchors["friction"] == {None: (Anchor(0.1, 300.0),)}
+    assert anchors["propulsion"] == {50: (Anchor(1.0, 2000.0, 5.0),)}
+    assert "braking" not in anchors
