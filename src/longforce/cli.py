@@ -403,7 +403,8 @@ def load_model_set(friction_path, propulsion_path, braking_path, params_path) ->
     try:
         return ModelSet(friction, propulsion, braking, params)
     except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+        path = propulsion_path if 0 not in propulsion.levels else braking_path
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def run_simulate(models: ModelSet, schedule_path: str | Path, v0: float, dt: float,

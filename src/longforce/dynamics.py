@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -38,12 +38,15 @@ class ModelSet:
     propulsion: ForceSurface
     braking: ForceSurface
     params: VehicleParams
+    #: ``equivalent_mass(params)``, computed once.
+    m_eq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if 0 not in self.propulsion.levels:
             raise ValueError("propulsion surface must include level 0 (the creep curve)")
         if 0 not in self.braking.levels:
             raise ValueError("braking surface must include level 0 (the regenerative curve)")
+        object.__setattr__(self, "m_eq", equivalent_mass(self.params))
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,20 @@ class ActuationCommand:
             raise ValueError("throttle and brake must never both be nonzero")
 
 
+def _forces(models: ModelSet, v: float, throttle: float, brake: float,
+            slope: float) -> tuple[float, float, float, float]:
+    """``(accel, f_p, f_f, f_b)`` at one operating point; see :func:`direct_acceleration`."""
+    if not math.isfinite(v + throttle + brake + slope):
+        raise InvalidParameterError(
+            f"non-finite operating point: v={v}, throttle={throttle}, brake={brake}, "
+            f"slope={slope}")
+    f_f = models.friction.eval(v)
+    f_p = models.propulsion.eval(v, throttle)
+    f_b = models.braking.eval(v, brake) if throttle == 0.0 or brake > 0.0 else 0.0
+    accel = (f_p - grade_force(models.params, slope) - f_f - f_b) / models.m_eq
+    return accel, f_p, f_f, f_b
+
+
 def direct_acceleration(models: ModelSet, v: float, throttle: float, brake: float,
                         slope: float) -> tuple[float, ForceBreakdown]:
     """Acceleration and force breakdown for one operating point.
@@ -79,20 +96,7 @@ def direct_acceleration(models: ModelSet, v: float, throttle: float, brake: floa
     level 0 is the regenerative curve); with throttle applied regen is
     deactivated, so only an explicit brake command produces braking force.
     """
-    if not math.isfinite(v + throttle + brake + slope):
-        raise InvalidParameterError(
-            f"non-finite operating point: v={v}, throttle={throttle}, brake={brake}, "
-            f"slope={slope}")
-    f_f = models.friction.eval(v)
-    f_p = models.propulsion.eval(v, throttle)
-    if throttle == 0.0:
-        f_b = models.braking.eval(v, brake)
-    elif brake > 0.0:
-        f_b = models.braking.eval(v, brake)
-    else:
-        f_b = 0.0
-    grade = grade_force(models.params, slope)
-    accel = (f_p - grade - f_f - f_b) / equivalent_mass(models.params)
+    accel, f_p, f_f, f_b = _forces(models, v, throttle, brake, slope)
     return accel, ForceBreakdown(f_p, f_f, f_b)
 
 
@@ -119,7 +123,7 @@ def direct_acceleration_many(models: ModelSet, v, throttle, brake,
     braking = (throttle == 0.0) | (brake > 0.0)
     f_b[braking] = models.braking.eval_many(v[braking], brake[braking])
     grade = grade_force(models.params, slope)
-    accel = (f_p - grade - f_f - f_b) / equivalent_mass(models.params)
+    accel = (f_p - grade - f_f - f_b) / models.m_eq
     return accel, ForceBreakdown(f_p, f_f, f_b)
 
 
@@ -157,8 +161,7 @@ def simulate(models: ModelSet, schedule: Schedule, v0: float, dt: float,
 
     def accel_at(t: float, v: float) -> float:
         throttle, brake, slope = schedule(t)
-        a, _ = direct_acceleration(models, max(v, 0.0), throttle, brake, slope)
-        return a
+        return _forces(models, max(v, 0.0), throttle, brake, slope)[0]
 
     steps = max(int(round(duration / dt)), 0)
     t_out = np.empty(steps + 1)
@@ -172,14 +175,11 @@ def simulate(models: ModelSet, schedule: Schedule, v0: float, dt: float,
     for k in range(steps + 1):
         t = k * dt
         throttle, brake, slope = schedule(t)
-        a, forces = direct_acceleration(models, v, throttle, brake, slope)
+        a, fp_out[k], ff_out[k], fb_out[k] = _forces(models, v, throttle, brake, slope)
         at_rest = v == 0.0 and a <= 0.0
         t_out[k] = t
         v_out[k] = v
         a_out[k] = 0.0 if at_rest else a
-        fp_out[k] = forces.propulsion
-        ff_out[k] = forces.friction
-        fb_out[k] = forces.braking
         if k == steps:
             break
         if at_rest:
@@ -208,9 +208,8 @@ def inverse_actuation(models: ModelSet, v: float, slope: float,
         raise InvalidParameterError(
             f"non-finite operating point: v={v}, slope={slope}, "
             f"desired_accel={desired_accel}")
-    m_eq = equivalent_mass(models.params)
     grade = grade_force(models.params, slope)
-    f_req = m_eq * desired_accel + grade + models.friction.eval(v)
+    f_req = models.m_eq * desired_accel + grade + models.friction.eval(v)
     f_p0 = models.propulsion.eval(v, 0.0)
     if f_req >= f_p0:
         inv = models.propulsion.invert(v, f_req)

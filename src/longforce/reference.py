@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .core import json_object, load_vehicle_params, read_json
 from .dynamics import ModelSet
-from .errors import SchemaError
+from .errors import FitError, SchemaError
 from .spline import Anchor, ForceSurface, Spline1D
 
 
@@ -49,7 +49,7 @@ def load_anchor_file(path: str | Path) -> dict[str, dict[int | None, tuple[Ancho
                 out[kind] = {int(level): parse_list(items)
                              for level, items in json_object(obj, kind).items()}
         return out
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, FitError) as exc:
         raise SchemaError(f"{path}: invalid anchor config: {exc}") from exc
 
 

@@ -401,8 +401,15 @@ class ForceSurface:
             raise FitError("levels and curves must have equal length")
         if not all(a < b for a, b in zip(levels, levels[1:])):
             raise FitError("levels must be strictly increasing")
+        curves = tuple(self.curves)
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "curves", tuple(self.curves))
+        object.__setattr__(self, "curves", curves)
+        # When every curve shares one knot grid, a cross-section needs one
+        # bisect and one set of Hermite basis terms for all of them.
+        shared = all(c.knots_x == curves[0].knots_x for c in curves)
+        object.__setattr__(self, "_grid", curves[0].knots_x if shared else None)
+        object.__setattr__(self, "_rows",
+                           tuple((c.knots_y, c.tangents, c.lower_clamp) for c in curves))
 
     def curve_at(self, level: int) -> Spline1D:
         try:
@@ -411,8 +418,32 @@ class ForceSurface:
             raise KeyError(f"level {level} is not a defining level of this surface") from None
 
     def cross_section(self, v: float) -> list[float]:
-        """Values of every defining curve at speed ``v``, in level order."""
-        return [curve.eval(v) for curve in self.curves]
+        """Values of every defining curve at speed ``v``, in level order.
+
+        On a shared knot grid each value is :meth:`Spline1D.eval`'s Hermite
+        expression and clamp, in the same operation order, so the results
+        are equal bit for bit.
+        """
+        xs = self._grid
+        if xs is None:
+            return [curve.eval(v) for curve in self.curves]
+        if v <= xs[0]:
+            return [ys[0] for ys, _, _ in self._rows]
+        if v >= xs[-1]:
+            return [ys[-1] for ys, _, _ in self._rows]
+        i = bisect_right(xs, v) - 1
+        h = xs[i + 1] - xs[i]
+        t = (v - xs[i]) / h
+        t2 = t * t
+        t3 = t2 * t
+        h01 = -2.0 * t3 + 3.0 * t2
+        h10 = t3 - 2.0 * t2 + t
+        h11 = t3 - t2
+        out = []
+        for ys, ms, clamp in self._rows:
+            y = ys[i] + (ys[i + 1] - ys[i]) * h01 + ms[i] * h * h10 + ms[i + 1] * h * h11
+            out.append(y if y > clamp else clamp)
+        return out
 
     def eval(self, v: float, signal: float) -> float:
         """Surface value at (v, signal); a signal outside the levels is clamped to them."""
@@ -532,6 +563,23 @@ def _curve_from_dict(obj: dict, lower_clamp: float) -> Spline1D:
                     tuple(obj["tangents"]), lower_clamp)
 
 
+def _check_stored_tangents(kind: str, name: str, curve: Spline1D) -> None:
+    """Refuse stored tangents that differ from the limiter's, bit for bit.
+
+    Tangents are derived data: every curve this package writes holds
+    ``limited_tangents(knots_x, knots_y)``, and evaluation reads them as
+    stored, so an edited tangent would change the model silently.
+    """
+    stored = np.array(curve.tangents).view(np.uint64)
+    derived = np.array(limited_tangents(curve.knots_x, curve.knots_y))
+    differ = stored != derived.view(np.uint64)
+    if differ.any():
+        i = int(differ.argmax())
+        raise SchemaError(
+            f"malformed {kind} model: {name} stores tangent {i} as {curve.tangents[i]!r}, "
+            f"but its knots give {derived[i]!r}")
+
+
 def model_to_dict(kind: str, model: Spline1D | ForceSurface,
                   provenance: dict | None = None) -> dict:
     if kind not in MODEL_KINDS:
@@ -562,7 +610,9 @@ def model_from_dict(obj: dict) -> tuple[str, Spline1D | ForceSurface, dict]:
         if kind == "friction":
             if len(curves) != 1:
                 raise SchemaError("a friction model holds exactly one curve")
-            return kind, _curve_from_dict(curves[0], clamp), provenance
+            curve = _curve_from_dict(curves[0], clamp)
+            _check_stored_tangents(kind, "the curve", curve)
+            return kind, curve, provenance
         levels = obj.get("levels")
         if not levels or len(levels) != len(curves):
             raise SchemaError(f"a {kind} model needs matching 'levels' and 'curves' lists")
@@ -571,6 +621,8 @@ def model_from_dict(obj: dict) -> tuple[str, Spline1D | ForceSurface, dict]:
         check_signal_monotone(surface)
     except (KeyError, TypeError, ValueError, OverflowError, FitError) as exc:
         raise SchemaError(f"malformed {kind} model: {exc}") from exc
+    for level, curve in zip(surface.levels, surface.curves):
+        _check_stored_tangents(kind, f"level {level}", curve)
     return kind, surface, provenance
 
 

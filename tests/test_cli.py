@@ -514,7 +514,42 @@ class TestMainInputFiles:
         obj["levels"], obj["curves"] = obj["levels"][1:], obj["curves"][1:]
         path.write_text(json.dumps(obj))
         assert main(cli_argv(command, cli_inputs, str(tmp_path / "out"))) == 2
-        assert ("propulsion surface must include level 0 (the creep curve)"
+        assert (f"{path}: propulsion surface must include level 0 (the creep curve)"
+                in capsys.readouterr().err)
+
+    def test_braking_without_level_zero_names_its_file(self, cli_inputs, tmp_path, capsys):
+        path = cli_inputs["braking"]
+        obj = json.loads(path.read_text())
+        obj["levels"], obj["curves"] = obj["levels"][1:], obj["curves"][1:]
+        path.write_text(json.dumps(obj))
+        assert main(cli_argv("validate", cli_inputs, str(tmp_path / "out"))) == 2
+        assert (f"{path}: braking surface must include level 0 (the regenerative curve)"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0])
+    def test_anchor_weight_not_positive_is_2(self, cli_inputs, tmp_path, capsys, weight):
+        # Used to exit 3, as a numerical failure, without naming the file.
+        path = tmp_path / "anchors.json"
+        obj = json.loads(data_path("anchors_zoe.json").read_text())
+        obj["friction"][0]["weight"] = weight
+        path.write_text(json.dumps(obj))
+        config = json.loads(cli_inputs["config"].read_text())
+        config["anchors"] = str(path)
+        cli_inputs["config"].write_text(json.dumps(config))
+        assert main(cli_argv("fit-friction", cli_inputs, str(tmp_path / "out"))) == 2
+        assert (f"{path}: invalid anchor config: anchor weight must be > 0, got {weight}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["fit-brake", "simulate", "validate"])
+    def test_edited_tangent_is_2(self, cli_inputs, tmp_path, capsys, command):
+        # An edited tangent used to load and change every evaluation silently.
+        path = cli_inputs["propulsion"]
+        obj = json.loads(path.read_text())
+        obj["curves"][2]["tangents"][3] += 50.0
+        path.write_text(json.dumps(obj))
+        assert main(cli_argv(command, cli_inputs, str(tmp_path / "out"))) == 2
+        assert (f"{path}: malformed propulsion model: level {obj['levels'][2]} stores "
+                f"tangent 3 as {obj['curves'][2]['tangents'][3]!r}, but its knots give"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])

@@ -4,7 +4,10 @@
 and ``grade_force`` on an array must equal a per-element loop over the
 scalar ``eval`` / ``direct_acceleration`` / ``grade_force`` bit for bit,
 including the sign of zero, so that vectorised callers (validation,
-extraction, export) give the same results as before.
+extraction, export) give the same results as before. Likewise the scalar
+fast paths: ``ForceSurface.cross_section`` on a shared knot grid must equal
+``Spline1D.eval`` per curve, and ``simulate`` must equal an RK4 loop over
+``direct_acceleration``.
 """
 
 import json
@@ -18,9 +21,9 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from longforce.cli import main  # noqa: E402
-from longforce.core import grade_force  # noqa: E402
+from longforce.core import equivalent_mass, grade_force  # noqa: E402
 from longforce.dynamics import (ModelSet, direct_acceleration,  # noqa: E402
-                                direct_acceleration_many, inverse_actuation)
+                                direct_acceleration_many, inverse_actuation, simulate)
 from longforce.errors import FitError, InvalidParameterError  # noqa: E402
 from longforce.estimation import estimate_acceleration  # noqa: E402
 from longforce.reference import data_path  # noqa: E402
@@ -50,13 +53,18 @@ def assert_same_bits(array, oracle):
 
 
 @st.composite
-def curves(draw, lower_clamp=None):
-    """A curve on its own knot grid, with limited or hand-set tangents."""
+def knot_grids(draw):
     # Knots on a 1 mm/s grid: knots a few ulps apart blow the secants up to
     # inf and NaN, which no fit produces.
     xs = sorted(draw(st.lists(st.integers(0, 45_000), min_size=2, max_size=8,
                               unique=True)))
-    xs = [k / 1000.0 for k in xs]
+    return [k / 1000.0 for k in xs]
+
+
+@st.composite
+def curves(draw, lower_clamp=None, knots=None):
+    """A curve on the given knot grid or its own, with limited or hand-set tangents."""
+    xs = draw(knot_grids()) if knots is None else knots
     ys = draw(st.lists(KNOT_VALUES, min_size=len(xs), max_size=len(xs)))
     clamp = draw(CLAMPS) if lower_clamp is None else lower_clamp
     if draw(st.booleans()):
@@ -67,27 +75,32 @@ def curves(draw, lower_clamp=None):
 
 
 @st.composite
-def surfaces(draw, with_zero=False):
-    """A surface whose levels each carry their own knot grid, as after pruning."""
+def surfaces(draw, with_zero=False, shared_grid=None):
+    """A surface on one knot grid, as fitted, or with one grid per level, as after pruning."""
     levels = set(draw(st.lists(st.integers(0, 255), min_size=1, max_size=6)))
     if with_zero or not levels:
         levels.add(0)
     clamp = draw(CLAMPS)
+    if shared_grid is None:
+        shared_grid = draw(st.booleans())
+    grid = draw(knot_grids()) if shared_grid else None
     chosen = []
     for _ in levels:
         if chosen and draw(st.booleans()):
             chosen.append(chosen[-1])  # a flat span along the signal axis
         else:
-            chosen.append(draw(curves(lower_clamp=clamp)))
+            chosen.append(draw(curves(lower_clamp=clamp, knots=grid)))
     return ForceSurface(tuple(sorted(levels)), tuple(chosen))
 
 
+def speed_for(knots):
+    """A speed inside or outside the knot span, on a knot, a signed zero, or infinite."""
+    return st.one_of(st.floats(-5.0, 60.0, allow_nan=False), st.sampled_from(sorted(knots)),
+                     st.sampled_from([0.0, -0.0, -math.inf, math.inf]))
+
+
 def speeds_for(knots):
-    """Speeds inside and outside the knot span, on the knots, and infinite."""
-    return st.lists(st.one_of(st.floats(-5.0, 60.0, allow_nan=False),
-                              st.sampled_from(sorted(knots)),
-                              st.sampled_from([-math.inf, math.inf])),
-                    min_size=1, max_size=60)
+    return st.lists(speed_for(knots), min_size=1, max_size=60)
 
 
 def finite_signals_for(levels):
@@ -110,6 +123,17 @@ def test_spline_eval_many_matches_scalar(data):
     curve = data.draw(curves())
     xs = data.draw(speeds_for(curve.knots_x))
     assert_same_bits(curve.eval_many(xs), [curve.eval(x) for x in xs])
+
+
+@pytest.mark.parametrize("shared_grid", [True, False])
+@KERNEL
+@given(data=st.data())
+def test_cross_section_matches_per_curve_eval(shared_grid, data):
+    surface = data.draw(surfaces(shared_grid=shared_grid))
+    grids = {curve.knots_x for curve in surface.curves}
+    assert (len(grids) == 1) == (surface._grid is not None)
+    for x in data.draw(st.lists(speed_for(all_knots(surface)), min_size=1, max_size=30)):
+        assert_same_bits(surface.cross_section(x), [curve.eval(x) for curve in surface.curves])
 
 
 @KERNEL
@@ -269,3 +293,65 @@ class TestNonFiniteInputs:
                      "--params", str(data_path("zoe_params.json")), "--log", str(log_path)])
         assert code == 2
         assert "column 'speed' is non-finite at row 1500" in capsys.readouterr().err
+
+
+def _rk4_oracle(models, schedule, v0, dt, duration):
+    """The RK4 loop ``simulate`` runs, with one ``direct_acceleration`` call per stage."""
+    def accel_at(t, v):
+        return direct_acceleration(models, max(v, 0.0), *schedule(t))[0]
+
+    steps = max(int(round(duration / dt)), 0)
+    rows = []
+    v = float(v0)
+    for k in range(steps + 1):
+        t = k * dt
+        a, forces = direct_acceleration(models, v, *schedule(t))
+        at_rest = v == 0.0 and a <= 0.0
+        rows.append((t, v, 0.0 if at_rest else a,
+                     forces.propulsion, forces.friction, forces.braking))
+        if k == steps:
+            break
+        if at_rest:
+            continue
+        k2 = accel_at(t + 0.5 * dt, v + 0.5 * dt * a)
+        k3 = accel_at(t + 0.5 * dt, v + 0.5 * dt * k2)
+        k4 = accel_at(t + dt, v + dt * k3)
+        v = max(v + dt / 6.0 * (a + 2.0 * k2 + 2.0 * k3 + k4), 0.0)
+    return [np.array(col) for col in zip(*rows)]
+
+
+# (end time s, throttle, brake, slope rad): held at rest by the brake, a launch,
+# regen-only coasting, a stop and a wait at rest, then throttle uphill and
+# regen downhill.
+PHASES = [(3.0, 0.0, 120.0, 0.0), (20.0, 100.0, 0.0, 0.0), (30.0, 0.0, 0.0, 0.0),
+          (42.0, 0.0, 160.0, 0.0), (45.0, 0.0, 90.0, 0.0), (60.0, 150.0, 0.0, 0.04),
+          (70.0, 0.0, 0.0, -0.03)]
+
+
+def _phase_schedule(t):
+    for end, throttle, brake, slope in PHASES:
+        if t < end:
+            return throttle, brake, slope
+    return PHASES[-1][1:]
+
+
+def test_simulate_matches_rk4_oracle(gt_models):
+    traj = simulate(gt_models, _phase_schedule, 0.0, 0.01, 70.0)
+    oracle = _rk4_oracle(gt_models, _phase_schedule, 0.0, 0.01, 70.0)
+    for column, expected in zip((traj.t, traj.speed, traj.accel, traj.f_p, traj.f_f, traj.f_b),
+                                oracle):
+        assert_same_bits(column, expected)
+    # Every regime of the direct model was visited.
+    throttle, brake, slope = (np.array(col) for col in zip(*map(_phase_schedule, traj.t)))
+    moving = traj.speed > 0.0
+    assert np.any((traj.speed == 0.0) & (traj.accel == 0.0) & (brake > 0.0))
+    assert np.any(moving & (throttle > 0.0) & (traj.f_b == 0.0))
+    assert np.any(moving & (throttle == 0.0) & (brake == 0.0) & (traj.f_b > 0.0))
+    assert np.any(moving & (brake > 0.0) & (traj.f_b > 0.0))
+    assert np.any(moving & (slope > 0.0)) and np.any(moving & (slope < 0.0))
+
+
+def test_model_set_caches_equivalent_mass(gt_models):
+    models = ModelSet(gt_models.friction, gt_models.propulsion, gt_models.braking,
+                      gt_models.params)
+    assert models.m_eq == equivalent_mass(gt_models.params)

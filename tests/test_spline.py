@@ -355,6 +355,20 @@ class TestSerialization:
         with pytest.raises(SchemaError, match="malformed braking model"):
             model_from_dict(obj)
 
+    @pytest.mark.parametrize("zero", [True, False])
+    @pytest.mark.parametrize("kind, curve, name", [
+        ("friction", 0, "the curve"), ("braking", 0, "level 0"), ("braking", 3, "level 120")])
+    def test_stored_tangents_must_be_the_limiters(self, gt_models, kind, curve, name, zero):
+        obj = model_to_dict(kind, getattr(gt_models, kind))
+        tangents = obj["curves"][curve]["tangents"]
+        # A zero tangent stored as -0.0 (equal as a number), or another one
+        # ulp off: the least edits there are, and both change the model bits.
+        i = next(j for j, m in enumerate(tangents) if (m == 0.0) == zero)
+        tangents[i] = -0.0 if zero else math.nextafter(tangents[i], math.inf)
+        with pytest.raises(SchemaError, match=f"malformed {kind} model: {name} stores "
+                                              f"tangent {i} as "):
+            model_from_dict(obj)
+
     def test_friction_single_curve_enforced(self, gt_models):
         obj = model_to_dict("friction", gt_models.friction)
         obj["curves"] = obj["curves"] * 2
