@@ -1,4 +1,4 @@
-"""Domain types and vehicle parameter handling.
+"""Domain types, vehicle parameter handling, drive-log files and CSV ingest.
 
 Everything downstream works in strict SI units: m/s for speed, N for force,
 kg for mass, rad for slope angles, s for time. Logs recorded in km/h are
@@ -8,10 +8,12 @@ integer signals whose valid ranges are part of the vehicle parameters.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +202,155 @@ def json_object(obj: dict, key: str) -> dict:
     if not isinstance(value, dict):
         raise TypeError(f"{key!r} must be a JSON object, got {type(value).__name__}")
     return value
+
+
+# --- drive log files ----------------------------------------------------------
+
+DRIVELOG_FORMAT = "longforce-drivelog-v1"
+
+
+def save_drive_log(path: str | Path, log: DriveLog, extra_meta: dict | None = None) -> None:
+    """Write ``log`` as a ``longforce-drivelog-v1`` JSON file.
+
+    The bytes are exactly ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``
+    of the object with keys ``brake``, ``format``, ``metadata``,
+    ``slope_rad``, ``speed_mps``, ``t_s`` and ``throttle``, so the format
+    does not depend on how it is written. The data columns are joined from
+    ``repr`` of each value, which is JSON's spelling of an int and of a
+    finite float; this needs every float to be finite, and :class:`DriveLog`
+    refuses non-finite time, speed and slope. Only the metadata goes
+    through ``json.dumps``.
+    """
+    meta = {"gear": log.gear.value, "description": log.description, **(extra_meta or {})}
+    members = {  # in sort_keys order
+        "brake": _json_array(log.brake.tolist()),
+        "format": json.dumps(DRIVELOG_FORMAT),
+        "metadata": json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  "),
+        "slope_rad": _json_array(log.slope.tolist()),
+        "speed_mps": _json_array(log.speed.tolist()),
+        "t_s": _json_array(log.t.tolist()),
+        "throttle": _json_array(log.throttle.tolist()),
+    }
+    body = ",\n  ".join(f'"{name}": {text}' for name, text in members.items())
+    Path(path).write_text("{\n  " + body + "\n}\n", encoding="utf-8")
+
+
+def _json_array(values: list) -> str:
+    """``values`` as ``json.dumps`` spells a list nested one level deep, indent 2."""
+    if not values:
+        return "[]"
+    return "[\n    " + ",\n    ".join(map(repr, values)) + "\n  ]"
+
+
+def load_drive_log(path: str | Path) -> DriveLog:
+    obj = read_json(path)
+    if obj.get("format") != DRIVELOG_FORMAT:
+        raise SchemaError(f"{path}: not a {DRIVELOG_FORMAT} file")
+    try:
+        meta = json_object(obj, "metadata")
+        return DriveLog(
+            t=np.array(obj["t_s"], dtype=float),
+            speed=np.array(obj["speed_mps"], dtype=float),
+            throttle=np.array(obj["throttle"], dtype=np.int64),
+            brake=np.array(obj["brake"], dtype=np.int64),
+            slope=np.array(obj["slope_rad"], dtype=float),
+            gear=Gear(meta.get("gear", "drive")),
+            description=meta.get("description", ""),
+        )
+    except (KeyError, TypeError, ValueError, SchemaError) as exc:
+        raise SchemaError(f"{path}: malformed drive log: {exc}") from exc
+
+
+# --- CSV ingestion ------------------------------------------------------------
+
+INGEST_COLUMNS = ("t", "speed", "throttle", "brake", "slope")
+UNIT_SPECS = ("speed_kmh", "speed_mps")
+_REJECT_REASONS = ("", "unparseable number", "non-finite value", "negative speed",
+                   "non-integer command signal", "command signal out of range")
+_INT64_SPAN = 2.0**63
+
+
+def ingest_csv(csv_path: str | Path, units: str, gear: Gear = Gear.DRIVE,
+               description: str = "") -> tuple[DriveLog, dict]:
+    """Parse a telemetry CSV into a normalized SI DriveLog.
+
+    Rows with unparseable or non-finite values, negative speeds, or command
+    signals that are not integers in the int64 range are rejected (counted,
+    not fatal); non-monotone time stamps are a hard error naming the
+    offending row. Rows are numbered among the CSV data rows, rejected ones
+    included; blank lines are skipped and not numbered, fields past
+    the header are ignored, and a header name given twice names its last
+    column.
+    """
+    if units not in UNIT_SPECS:
+        raise SchemaError(f"unknown unit spec {units!r}; expected one of {UNIT_SPECS}")
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in INGEST_COLUMNS if c not in header]
+        if missing:
+            raise SchemaError(f"{csv_path}: missing column(s) {', '.join(missing)}")
+        records = list(filter(None, reader))
+    last = {name: i for i, name in enumerate(header)}
+    indices = [last[c] for c in INGEST_COLUMNS]
+    # Pad short rows so that a missing field parses as None, which float()
+    # refuses like any other unparseable value.
+    width = max(indices) + 1
+    for k in np.flatnonzero(np.fromiter(map(len, records), np.intp, len(records)) < width):
+        records[k] = records[k] + [None] * (width - len(records[k]))
+    parsed = [_parse_floats(list(map(itemgetter(i), records))) for i in indices]
+    t, speed, throttle, brake, slope = (values for values, _ in parsed)
+    unparseable = np.logical_or.reduce([bad for _, bad in parsed])
+    non_finite = ~np.logical_and.reduce([np.isfinite(values) for values, _ in parsed])
+    if units == "speed_kmh":
+        speed = kmh_to_mps(speed)
+    signals = np.stack([throttle, brake])
+    fractional = (signals != np.trunc(signals)).any(axis=0)
+    out_of_range = ((signals < -_INT64_SPAN) | (signals >= _INT64_SPAN)).any(axis=0)
+    # The first reason that applies, in this order, is the one reported.
+    reasons = np.select([unparseable, non_finite, speed < 0, fractional, out_of_range],
+                        [1, 2, 3, 4, 5], 0)
+    rejected_at = np.flatnonzero(reasons)
+    keep = reasons == 0
+    t = t[keep]
+    late = np.flatnonzero(t[1:] <= t[:-1])
+    if len(late):
+        k = int(late[0]) + 1
+        raise SchemaError(
+            f"{csv_path}: time not strictly increasing at data row "
+            f"{int(np.flatnonzero(keep)[k]) + 1} (t={float(t[k])} after t={float(t[k - 1])})")
+    log = DriveLog(
+        t=t,
+        speed=speed[keep],
+        throttle=throttle[keep].astype(np.int64),
+        brake=brake[keep].astype(np.int64),
+        slope=slope[keep],
+        gear=gear,
+        description=description,
+    )
+    report = {
+        "rows": len(log),
+        "rejected": len(rejected_at),
+        "rejected_rows": [(int(k) + 1, _REJECT_REASONS[reasons[k]])
+                          for k in rejected_at[:20]],
+        "segments": len(log.segments()),
+    }
+    return log, report
+
+
+def _parse_floats(cells: list) -> tuple[np.ndarray, np.ndarray]:
+    """``float()`` of every cell, and a mask of the cells it refuses (read as NaN)."""
+    try:
+        return np.array(list(map(float, cells))), np.zeros(len(cells), dtype=bool)
+    except (TypeError, ValueError):
+        values = np.full(len(cells), np.nan)
+        bad = np.zeros(len(cells), dtype=bool)
+        for k, cell in enumerate(cells):
+            try:
+                values[k] = float(cell)
+            except (TypeError, ValueError):
+                bad[k] = True
+        return values, bad
 
 
 def load_vehicle_params(path: str | Path) -> VehicleParams:

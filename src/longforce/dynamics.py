@@ -155,9 +155,11 @@ def simulate(models: ModelSet, schedule: Schedule, v0: float, dt: float,
     the model covers forward motion only.
     """
     if not 0.0 < dt <= 0.1:
-        raise ValueError(f"dt must be in (0, 0.1] s, got {dt}")
+        raise InvalidParameterError(f"dt must be in (0, 0.1] s, got {dt}")
     if v0 < 0:
-        raise ValueError(f"v0 must be >= 0, got {v0}")
+        raise InvalidParameterError(f"v0 must be >= 0, got {v0}")
+    if not 0.0 <= duration < math.inf:
+        raise InvalidParameterError(f"duration must be finite and >= 0 s, got {duration}")
 
     def accel_at(t: float, v: float) -> float:
         throttle, brake, slope = schedule(t)

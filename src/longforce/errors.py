@@ -11,8 +11,11 @@ class LongforceError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidParameterError(LongforceError):
-    """A vehicle parameter or an operating point is physically invalid or non-finite."""
+class InvalidParameterError(LongforceError, ValueError):
+    """A parameter, setting or operating point is out of range or non-finite.
+
+    Also a ``ValueError``, which callers that predate it catch.
+    """
 
 
 class SchemaError(LongforceError):

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import DriveLog, MAX_SAMPLE_GAP_S
-from .errors import EmptySeriesError
+from .errors import EmptySeriesError, InvalidParameterError
 
 DEFAULT_WINDOW = 21
 DEFAULT_CUTOFF_HZ = 5.0
@@ -95,6 +95,18 @@ def _lowpass_zero_phase(x: np.ndarray, dt: float, cutoff_hz: float) -> np.ndarra
     return 0.5 * (np.array(backward(forward(xs))) + np.array(forward(backward(xs))))
 
 
+def check_estimator(window: int, cutoff_hz: float) -> None:
+    """Refuse settings :func:`estimate_acceleration` cannot use.
+
+    Raises :class:`~longforce.errors.InvalidParameterError` naming the window
+    or the cut-off frequency.
+    """
+    if window < 3 or window % 2 == 0:
+        raise InvalidParameterError(f"window must be an odd integer >= 3, got {window}")
+    if not 0.0 < cutoff_hz < math.inf:
+        raise InvalidParameterError(f"cutoff_hz must be finite and > 0, got {cutoff_hz}")
+
+
 def estimate_acceleration(log: DriveLog, window: int = DEFAULT_WINDOW,
                           cutoff_hz: float = DEFAULT_CUTOFF_HZ,
                           max_gap_s: float = MAX_SAMPLE_GAP_S) -> AccelSeries:
@@ -107,8 +119,7 @@ def estimate_acceleration(log: DriveLog, window: int = DEFAULT_WINDOW,
     samples; if the whole log yields none, raises
     :class:`~longforce.errors.EmptySeriesError`.
     """
-    if window < 3 or window % 2 == 0:
-        raise ValueError(f"window must be an odd integer >= 3, got {window}")
+    check_estimator(window, cutoff_hz)
     n = len(log)
     accel = np.full(n, np.nan)
     valid = np.zeros(n, dtype=bool)
@@ -150,7 +161,9 @@ class BinnedPoints:
 def log_spaced_edges(lo: float = 0.05, hi: float = 40.0, count: int = 40) -> np.ndarray:
     """``count`` log-spaced speed bins between ``lo`` and ``hi`` m/s."""
     if not 0 < lo < hi:
-        raise ValueError("need 0 < lo < hi for log-spaced bin edges")
+        raise InvalidParameterError("need 0 < lo < hi for log-spaced bin edges")
+    if count < 1:
+        raise InvalidParameterError(f"bin count must be >= 1, got {count}")
     return np.geomspace(lo, hi, count + 1)
 
 

@@ -183,14 +183,20 @@ class Spline1D:
         return self.knots_x[0], self.knots_x[-1]
 
     def eval(self, x: float) -> float:
-        """Curve value at speed ``x`` (held-end extrapolation outside the span)."""
+        """Curve value at speed ``x`` (held-end extrapolation outside the span).
+
+        Raises :class:`~longforce.errors.InvalidParameterError` when ``x`` is NaN.
+        """
         xs = self.knots_x
         if x <= xs[0]:
             return self.knots_y[0]
         if x >= xs[-1]:
             return self.knots_y[-1]
         i = bisect_right(xs, x) - 1
-        h = xs[i + 1] - xs[i]
+        try:
+            h = xs[i + 1] - xs[i]
+        except IndexError:  # only NaN passes both end tests
+            raise InvalidParameterError("speed is NaN") from None
         t = (x - xs[i]) / h
         y = _hermite(t, self.knots_y[i], self.knots_y[i + 1],
                      self.tangents[i], self.tangents[i + 1], h)
@@ -422,7 +428,8 @@ class ForceSurface:
 
         On a shared knot grid each value is :meth:`Spline1D.eval`'s Hermite
         expression and clamp, in the same operation order, so the results
-        are equal bit for bit.
+        are equal bit for bit. A NaN ``v`` raises
+        :class:`~longforce.errors.InvalidParameterError`, as in ``eval``.
         """
         xs = self._grid
         if xs is None:
@@ -432,7 +439,10 @@ class ForceSurface:
         if v >= xs[-1]:
             return [ys[-1] for ys, _, _ in self._rows]
         i = bisect_right(xs, v) - 1
-        h = xs[i + 1] - xs[i]
+        try:
+            h = xs[i + 1] - xs[i]
+        except IndexError:  # only NaN passes both end tests
+            raise InvalidParameterError("speed is NaN") from None
         t = (v - xs[i]) / h
         t2 = t * t
         t3 = t2 * t
@@ -446,7 +456,10 @@ class ForceSurface:
         return out
 
     def eval(self, v: float, signal: float) -> float:
-        """Surface value at (v, signal); a signal outside the levels is clamped to them."""
+        """Surface value at (v, signal); a signal outside the levels is clamped to them.
+
+        Raises :class:`~longforce.errors.InvalidParameterError` when either is NaN.
+        """
         levels = self.levels
         if signal <= levels[0]:
             return self.curves[0].eval(v)
@@ -455,7 +468,10 @@ class ForceSurface:
         values = self.cross_section(v)
         tangents = limited_tangents(levels, values)
         i = bisect_right(levels, signal) - 1
-        h = levels[i + 1] - levels[i]
+        try:
+            h = levels[i + 1] - levels[i]
+        except IndexError:  # only NaN passes both end tests
+            raise InvalidParameterError("signal is NaN") from None
         t = (signal - levels[i]) / h
         y = _hermite(t, values[i], values[i + 1], tangents[i], tangents[i + 1], h)
         return max(y, 0.0)
@@ -497,7 +513,9 @@ class ForceSurface:
         maximum return the top level with ``saturated`` set; forces below
         the minimum return the bottom level with ``underflow`` set. Raises
         :class:`~longforce.errors.InversionError` when the cross-section is
-        not monotone non-decreasing in the signal.
+        not monotone non-decreasing in the signal, and
+        :class:`~longforce.errors.InvalidParameterError` when ``v`` or
+        ``force`` is NaN.
         """
         values = self.cross_section(v)
         slack = 1e-9 * max(1.0, max(abs(f) for f in values))
@@ -512,6 +530,8 @@ class ForceSurface:
             return InversionResult(lo, underflow=force < f_lo)
         if force > f_hi:
             return InversionResult(hi, saturated=True)
+        if math.isnan(force):
+            raise InvalidParameterError("force is NaN")
         # Invariant: eval(lo) < force <= eval(hi).
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)

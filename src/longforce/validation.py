@@ -7,13 +7,14 @@ error into summary statistics and a histogram centered on zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DriveLog
 from .dynamics import ModelSet, direct_acceleration_many
-from .errors import EmptyReportError
+from .errors import EmptyReportError, InvalidParameterError
 from .estimation import AccelSeries
 
 DEFAULT_HIST_BIN = 0.1
@@ -70,8 +71,9 @@ def validate(models: ModelSet, log: DriveLog, accel: AccelSeries,
 
 def _histogram(errors: np.ndarray, bin_width: float) -> tuple[tuple[float, int], ...]:
     """Contiguous histogram with bins of the given width centered on zero."""
-    if not bin_width > 0:
-        raise ValueError(f"histogram bin width must be > 0, got {bin_width}")
+    if not 0 < bin_width < math.inf:
+        raise InvalidParameterError("histogram bin width must be finite and > 0, "
+                                    f"got {bin_width}")
     k = np.floor(errors / bin_width + 0.5).astype(int)
     lo, hi = int(k.min()), int(k.max())
     counts = np.bincount(k - lo, minlength=hi - lo + 1)

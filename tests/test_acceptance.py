@@ -12,12 +12,12 @@ import math
 
 import numpy as np
 
-from longforce.cli import (load_pipeline_config, run_fit_brake, run_fit_friction,
-                           run_fit_propulsion, save_drive_log)
-from longforce.core import Gear, VehicleParams, Wheel, equivalent_mass
+from longforce.core import Gear, VehicleParams, Wheel, equivalent_mass, save_drive_log
 from longforce.dynamics import (ModelSet, direct_acceleration, inverse_actuation,
                                 simulate)
 from longforce.estimation import AccelSeries, bin_by_speed, estimate_acceleration
+from longforce.pipeline import (load_pipeline_config, run_fit_brake, run_fit_friction,
+                                run_fit_propulsion)
 from longforce.reference import data_path
 from longforce.spline import ForceSurface, Spline1D, load_model, save_model
 from longforce.validation import validate

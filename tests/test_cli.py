@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from longforce.cli import (ingest_csv, load_drive_log, load_model_set,
-                           load_pipeline_config, main, run_export,
-                           run_fit_brake, run_fit_friction, run_fit_propulsion,
-                           run_reference, run_simulate, run_validate,
-                           save_drive_log)
-from longforce.core import DriveLog, Gear
+from longforce.cli import main
+from longforce.core import DriveLog, Gear, ingest_csv, load_drive_log, save_drive_log
 from longforce.errors import SchemaError
 from longforce.estimation import bin_by_speed
+from longforce.pipeline import (load_model_set, load_pipeline_config, run_export,
+                                run_fit_brake, run_fit_friction, run_fit_propulsion,
+                                run_reference, run_simulate, run_validate)
 from longforce.reference import data_path
 from longforce.spline import load_model
 
@@ -51,6 +50,15 @@ class TestIngest:
         path = tmp_path / "log.csv"
         write_csv(path, ["0.00,10,0,0,0", "0.01,10,0,0,0", "0.01,10,0,0,0"])
         with pytest.raises(SchemaError, match="row 3"):
+            ingest_csv(path, "speed_mps")
+
+    def test_time_order_error_names_the_csv_row(self, tmp_path):
+        # Used to number the row among the kept rows ("data row 4") while
+        # rejected rows are numbered among all CSV data rows.
+        path = tmp_path / "log.csv"
+        write_csv(path, ["0.00,10,0,0,0", "abc,10,0,0,0", "0.01,10,0,0,0",
+                         "0.03,10,0,0,0", "0.025,10,0,0,0"])
+        with pytest.raises(SchemaError, match=r"at data row 5 \(t=0\.025 after t=0\.03\)"):
             ingest_csv(path, "speed_mps")
 
     def test_missing_column_named(self, tmp_path):
@@ -563,6 +571,58 @@ class TestMainInputFiles:
         assert main(cli_argv(command, cli_inputs, str(tmp_path / "out"))) == 2
         assert (f"{path}: malformed propulsion model: level 186 falls below level 150"
                 in capsys.readouterr().err)
+
+
+class TestMainOutOfRange:
+    """An argument or config value out of range ends in exit 2 with a message naming it."""
+
+    @pytest.fixture()
+    def inputs(self, cli_inputs):
+        # A log long enough for the estimator, so validation reaches the histogram.
+        write_csv(cli_inputs["csv"], [f"{0.01 * k:.2f},10,0,0,0" for k in range(100)])
+        assert main(["ingest", str(cli_inputs["csv"]), "--units", "speed_mps",
+                     "--out", str(cli_inputs["log"])]) == 0
+        return cli_inputs
+
+    # Each used to end in a traceback, exit 0 with a wrong result, or exit 3.
+    @pytest.mark.parametrize("command, extra, message", [
+        ("validate", ["--window", "4"], "window must be an odd integer >= 3, got 4"),
+        ("validate", ["--cutoff", "0"], "cutoff_hz must be finite and > 0, got 0.0"),
+        ("validate", ["--cutoff", "-1"], "cutoff_hz must be finite and > 0, got -1.0"),
+        ("validate", ["--cutoff", "nan"], "cutoff_hz must be finite and > 0, got nan"),
+        ("validate", ["--hist-bin", "0"], "histogram bin width must be finite and > 0, got 0.0"),
+        ("validate", ["--hist-bin", "inf"], "histogram bin width must be finite and > 0, got inf"),
+        ("simulate", ["--dt", "0"], "dt must be in (0, 0.1] s, got 0.0"),
+        ("simulate", ["--v0", "-1"], "v0 must be >= 0, got -1.0"),
+        ("simulate", ["--duration", "nan"], "duration must be finite and >= 0 s, got nan"),
+        ("simulate", ["--duration", "-5"], "duration must be finite and >= 0 s, got -5.0"),
+        ("export-plot-data", ["--points", "-1"], "points must be >= 1, got -1")],
+        ids=["window-4", "cutoff-0", "cutoff-neg", "cutoff-nan", "hist-bin-0", "hist-bin-inf",
+             "dt-0", "v0-neg", "duration-nan", "duration-neg", "points-neg"])
+    def test_argument_is_2(self, inputs, tmp_path, capsys, command, extra, message):
+        out = str(tmp_path / "out")
+        if command == "export-plot-data":
+            argv = ["export-plot-data", str(inputs["friction"]), "--out", out]
+        else:
+            argv = cli_argv(command, inputs, out)
+        assert main(argv + extra) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("bins", "count", 0, "bin count must be >= 1, got 0"),
+        ("estimator", "window", 4, "window must be an odd integer >= 3, got 4"),
+        ("estimator", "cutoff_hz", 0, "cutoff_hz must be finite and > 0, got 0.0"),
+        ("estimator", "cutoff_hz", -1, "cutoff_hz must be finite and > 0, got -1.0"),
+        ("knots_mps", "friction", [], "knots_mps for friction must hold >= 2 finite, "
+                                      "strictly increasing speeds, got []")],
+        ids=["bins-count-0", "window-4", "cutoff-0", "cutoff-neg", "knots-empty"])
+    def test_config_value_is_2(self, inputs, tmp_path, capsys, section, key, value, message):
+        path = inputs["config"]
+        obj = json.loads(path.read_text())
+        obj[section][key] = value
+        path.write_text(json.dumps(obj))
+        assert main(cli_argv("fit-friction", inputs, str(tmp_path / "out"))) == 2
+        assert capsys.readouterr().err == f"error: {path}: invalid pipeline config: {message}\n"
 
 
 class TestFitDeterminism:

@@ -7,7 +7,8 @@ including the sign of zero, so that vectorised callers (validation,
 extraction, export) give the same results as before. Likewise the scalar
 fast paths: ``ForceSurface.cross_section`` on a shared knot grid must equal
 ``Spline1D.eval`` per curve, and ``simulate`` must equal an RK4 loop over
-``direct_acceleration``.
+``direct_acceleration``. The scalar inverse must undo the scalar surface
+evaluation on random monotone surfaces.
 """
 
 import json
@@ -24,10 +25,10 @@ from longforce.cli import main  # noqa: E402
 from longforce.core import equivalent_mass, grade_force  # noqa: E402
 from longforce.dynamics import (ModelSet, direct_acceleration,  # noqa: E402
                                 direct_acceleration_many, inverse_actuation, simulate)
-from longforce.errors import FitError, InvalidParameterError  # noqa: E402
+from longforce.errors import FitError, InvalidParameterError, InversionError  # noqa: E402
 from longforce.estimation import estimate_acceleration  # noqa: E402
 from longforce.reference import data_path  # noqa: E402
-from longforce.spline import (ForceSurface, Spline1D,  # noqa: E402
+from longforce.spline import (SIGNAL_TOL, ForceSurface, Spline1D,  # noqa: E402
                               check_signal_monotone)
 from longforce.validation import _histogram, validate  # noqa: E402
 
@@ -215,6 +216,46 @@ def test_single_level_surface_is_its_curve():
         assert_same_bits(surface.eval_many(v, signal), curve.eval_many(v))
 
 
+@st.composite
+def monotone_surfaces(draw):
+    """A surface on one knot grid whose knot values do not decrease from level to level."""
+    levels = sorted(set(draw(st.lists(st.integers(0, 255), min_size=1, max_size=6))))
+    grid = draw(knot_grids())
+    ys = draw(st.lists(KNOT_VALUES, min_size=len(grid), max_size=len(grid)))
+    steps = st.one_of(st.sampled_from([0.0, 0.0, 1e-6, 5.0, 3000.0]), st.floats(0.0, 4000.0))
+    rows = []
+    for _ in levels:
+        rows.append(ys)
+        ys = [y + draw(steps) for y in ys]
+    return ForceSurface(tuple(levels), tuple(Spline1D.interpolate(grid, row) for row in rows))
+
+
+@KERNEL
+@given(st.data())
+def test_invert_undoes_eval(data):
+    # Between knots, curves with non-decreasing knot values can still cross,
+    # so a cross-section may decrease; invert must refuse exactly those.
+    surface = data.draw(monotone_surfaces())
+    levels = surface.levels
+    v = data.draw(speed_for(all_knots(surface)))
+    s = data.draw(st.one_of(st.floats(levels[0], levels[-1]), st.sampled_from(levels)))
+    force = surface.eval(v, s)
+    try:
+        result = surface.invert(v, force)
+    except InversionError:
+        values = surface.cross_section(v)
+        slack = 1e-9 * max(1.0, max(abs(f) for f in values))
+        assert any(b < a - slack for a, b in zip(values, values[1:]))
+        return
+    assert not result.saturated and not result.underflow
+    reached = surface.eval(v, result.signal)
+    assert reached >= force
+    # Where a cross-section is flat to a few ulps, evaluation rounding can dip
+    # by an ulp past s and the bisection may stop there; the force it reaches
+    # is then the target's to rounding.
+    assert result.signal <= s + SIGNAL_TOL or reached - force <= 4 * math.ulp(force)
+
+
 @pytest.fixture(scope="module")
 def mixed_log(gt_models):
     log, _, _ = mixed_drive(gt_models, cycles=1)
@@ -271,6 +312,24 @@ class TestNonFiniteInputs:
             gt_models.propulsion.eval_many(v, 50.0)
         with pytest.raises(InvalidParameterError, match="signal is NaN at row 1"):
             gt_models.propulsion.eval_many(5.0, [0.0, np.nan, 10.0])
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-grid", "per-level-grid"])
+    def test_scalar_eval_names_nan(self, shared):
+        # Each used to raise a bare IndexError, and invert(v, nan) returned
+        # the top level with no flag set.
+        top = [0.0, 1.0, 2.0] if shared else [0.0, 1.5, 3.0]
+        surface = ForceSurface((0, 10), (Spline1D.interpolate([0.0, 1.0, 2.0], [1.0, 2.0, 3.0]),
+                                         Spline1D.interpolate(top, [2.0, 3.0, 4.0])))
+        calls = [(surface.curves[0].eval, (math.nan,), "speed"),
+                 (surface.cross_section, (math.nan,), "speed"),
+                 (surface.eval, (math.nan, 5.0), "speed"),
+                 (surface.eval, (math.nan, 0.0), "speed"),
+                 (surface.eval, (0.5, math.nan), "signal"),
+                 (surface.invert, (math.nan, 2.0), "speed"),
+                 (surface.invert, (0.5, math.nan), "force")]
+        for fn, args, name in calls:
+            with pytest.raises(InvalidParameterError, match=f"^{name} is NaN$"):
+                fn(*args)
 
     def test_validate_cli_exits_2_on_nan_speed(self, mixed_log, tmp_path, capsys):
         # DriveLog refuses a NaN speed, so the file is written as raw JSON;

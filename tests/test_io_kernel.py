@@ -4,7 +4,8 @@
 ``_window_slopes`` work column-wise. Each must equal the straightforward
 per-element implementation kept here as an oracle: the same file bytes, the
 same arrays bit for bit (so 0.0 and -0.0 differ), the same report and the
-same error text.
+same error text. ``_window_slopes`` must also match scipy's Savitzky-Golay
+first derivative on uniform grids, to a tolerance.
 """
 
 import csv
@@ -20,9 +21,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from longforce.cli import (UNIT_SPECS, ingest_csv, load_drive_log,  # noqa: E402
-                           main, save_drive_log)
-from longforce.core import DriveLog, Gear, kmh_to_mps  # noqa: E402
+from longforce.cli import main  # noqa: E402
+from longforce.core import (UNIT_SPECS, DriveLog, Gear, ingest_csv,  # noqa: E402
+                            kmh_to_mps, load_drive_log, save_drive_log)
 from longforce.errors import SchemaError  # noqa: E402
 from longforce.estimation import (_SLOPE_BLOCK_ROWS, _lowpass_zero_phase,  # noqa: E402
                                   _window_slopes)
@@ -48,7 +49,7 @@ def save_drive_log_oracle(path, log, extra_meta=None):
 
 def ingest_csv_oracle(csv_path, units, gear=Gear.DRIVE, description=""):
     """The row-by-row ``csv.DictReader`` loop, plus the int64 range rule."""
-    rows, rejected = [], []
+    rows, row_numbers, rejected = [], [], []
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -80,10 +81,11 @@ def ingest_csv_oracle(csv_path, units, gear=Gear.DRIVE, description=""):
                 rejected.append((i, "command signal out of range"))
                 continue
             rows.append((t, speed, int(throttle), int(brake), slope))
+            row_numbers.append(i)
     for k in range(1, len(rows)):
         if rows[k][0] <= rows[k - 1][0]:
             raise SchemaError(
-                f"{csv_path}: time not strictly increasing at data row {k + 1} "
+                f"{csv_path}: time not strictly increasing at data row {row_numbers[k]} "
                 f"(t={rows[k][0]} after t={rows[k - 1][0]})")
     cols = list(zip(*rows)) if rows else [[], [], [], [], []]
     log = DriveLog(np.array(cols[0], dtype=float), np.array(cols[1], dtype=float),
@@ -267,6 +269,25 @@ class TestEstimatorKernels:
         slopes = _window_slopes(t, v, window)
         assert len(slopes) == rows
         assert same_bits(slopes, window_slopes_oracle(t, v, window))
+
+    @IO
+    @given(rows=st.sampled_from([1, 7, _SLOPE_BLOCK_ROWS + 1]),
+           window=st.sampled_from([3, 21, 51]),
+           t0=st.sampled_from([0.0, 1e3]),
+           dt=st.sampled_from([0.01, 0.002, 0.1]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_window_slopes_match_savgol(self, rows, window, t0, dt, seed):
+        # Savitzky-Golay with polyorder 1 and deriv 1 is the least-squares line
+        # slope over each centered window of a uniform grid (Savitzky & Golay 1964).
+        savgol_filter = pytest.importorskip("scipy.signal").savgol_filter
+        rng = np.random.default_rng(seed)
+        n = rows + window - 1
+        t = t0 + dt * np.arange(n)
+        v = np.abs(np.cumsum(rng.normal(0.0, 0.05, n)))
+        half = (window - 1) // 2
+        expected = savgol_filter(v, window, polyorder=1, deriv=1, delta=dt)[half:n - half]
+        np.testing.assert_allclose(_window_slopes(t, v, window), expected,
+                                   rtol=1e-9, atol=1e-9 * float(v.max()) / dt)
 
     @IO
     @given(x=st.lists(st.one_of(st.floats(-1e6, 1e6), st.just(-0.0)), min_size=1, max_size=60),
