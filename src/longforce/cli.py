@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .core import UNIT_SPECS, Gear, ingest_csv, save_drive_log
 # Not used here: the benchmark harness reads drive logs as cli.load_drive_log.
 from .core import load_drive_log  # noqa: F401
@@ -115,12 +117,15 @@ def run(argv: list[str] | None = None) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        return run(argv)
+        # Input that passes the loaders can still overflow the arithmetic;
+        # that is a numerical failure, reported like any other.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return run(argv)
     except (SchemaError, ProtocolViolationError, InvalidParameterError,
             SegmentSplitRequired, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except LongforceError as exc:
+    except (LongforceError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -22,7 +22,7 @@ from .errors import InvalidParameterError, SchemaError
 
 KMH_PER_MPS = 3.6
 
-#: Default gap (s) above which a log is treated as separate segments.
+#: Gap (s) above which a log is treated as separate segments.
 MAX_SAMPLE_GAP_S = 0.5
 
 
@@ -47,10 +47,12 @@ class Wheel:
     radius_m: float
 
     def __post_init__(self):
-        if not self.radius_m > 0:
-            raise InvalidParameterError(f"wheel radius must be > 0, got {self.radius_m}")
-        if self.inertia_kgm2 < 0:
-            raise InvalidParameterError(f"wheel inertia must be >= 0, got {self.inertia_kgm2}")
+        if not 0 < self.radius_m < math.inf:
+            raise InvalidParameterError(
+                f"wheel radius must be finite and > 0, got {self.radius_m}")
+        if not 0 <= self.inertia_kgm2 < math.inf:
+            raise InvalidParameterError(
+                f"wheel inertia must be finite and >= 0, got {self.inertia_kgm2}")
 
 
 @dataclass(frozen=True)
@@ -71,12 +73,15 @@ class VehicleParams:
     brake_range: tuple[int, int] = (0, 255)
 
     def __post_init__(self):
-        if not self.base_mass_kg > 0:
-            raise InvalidParameterError(f"base mass must be > 0, got {self.base_mass_kg}")
-        if self.payload_mass_kg < 0:
-            raise InvalidParameterError(f"payload mass must be >= 0, got {self.payload_mass_kg}")
-        if not self.gravity_mps2 > 0:
-            raise InvalidParameterError(f"gravity must be > 0, got {self.gravity_mps2}")
+        if not 0 < self.base_mass_kg < math.inf:
+            raise InvalidParameterError(
+                f"base mass must be finite and > 0, got {self.base_mass_kg}")
+        if not 0 <= self.payload_mass_kg < math.inf:
+            raise InvalidParameterError(
+                f"payload mass must be finite and >= 0, got {self.payload_mass_kg}")
+        if not 0 < self.gravity_mps2 < math.inf:
+            raise InvalidParameterError(
+                f"gravity must be finite and > 0, got {self.gravity_mps2}")
         object.__setattr__(self, "wheels", tuple(self.wheels))
         for name, (lo, hi) in (("throttle_range", self.throttle_range),
                                ("brake_range", self.brake_range)):
@@ -158,14 +163,14 @@ class DriveLog:
     def __len__(self) -> int:
         return len(self.t)
 
-    def segments(self, max_gap_s: float = MAX_SAMPLE_GAP_S) -> list[slice]:
-        """Index ranges of contiguous recording, split at gaps > ``max_gap_s``."""
+    def segments(self) -> list[slice]:
+        """Index ranges of contiguous recording, split at gaps > ``MAX_SAMPLE_GAP_S``."""
         n = len(self)
         if n == 0:
             return []
         with np.errstate(over="ignore"):  # an inf gap is a gap
             gaps = np.diff(self.t)
-        breaks = np.flatnonzero(gaps > max_gap_s) + 1
+        breaks = np.flatnonzero(gaps > MAX_SAMPLE_GAP_S) + 1
         starts = [0, *breaks.tolist()]
         ends = [*breaks.tolist(), n]
         return [slice(a, b) for a, b in zip(starts, ends)]
@@ -201,6 +206,22 @@ def json_object(obj: dict, key: str) -> dict:
     value = obj.get(key, {})
     if not isinstance(value, dict):
         raise TypeError(f"{key!r} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def json_numbers(obj: dict, key: str, default=None):
+    """``obj[key]`` (or ``default`` when given and ``key`` is absent), which
+    must be a JSON number or a list of JSON numbers.
+
+    Raises ``TypeError`` naming the key for anything else, booleans and
+    numeric strings included: ``float()`` would read ``true`` as 1.0 and
+    ``"0.29"`` as 0.29.
+    """
+    value = obj[key] if default is None else obj.get(key, default)
+    types = set(map(type, value)) if isinstance(value, list) else {type(value)}
+    if not types <= {int, float}:
+        odd = min(t.__name__ for t in types - {int, float})
+        raise TypeError(f"{key!r} must hold JSON numbers, got {odd}")
     return value
 
 
@@ -249,15 +270,15 @@ def load_drive_log(path: str | Path) -> DriveLog:
     try:
         meta = json_object(obj, "metadata")
         return DriveLog(
-            t=np.array(obj["t_s"], dtype=float),
-            speed=np.array(obj["speed_mps"], dtype=float),
-            throttle=np.array(obj["throttle"], dtype=np.int64),
-            brake=np.array(obj["brake"], dtype=np.int64),
-            slope=np.array(obj["slope_rad"], dtype=float),
+            t=np.array(json_numbers(obj, "t_s"), dtype=float),
+            speed=np.array(json_numbers(obj, "speed_mps"), dtype=float),
+            throttle=np.array(json_numbers(obj, "throttle"), dtype=np.int64),
+            brake=np.array(json_numbers(obj, "brake"), dtype=np.int64),
+            slope=np.array(json_numbers(obj, "slope_rad"), dtype=float),
             gear=Gear(meta.get("gear", "drive")),
             description=meta.get("description", ""),
         )
-    except (KeyError, TypeError, ValueError, SchemaError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, SchemaError) as exc:
         raise SchemaError(f"{path}: malformed drive log: {exc}") from exc
 
 
@@ -357,17 +378,20 @@ def load_vehicle_params(path: str | Path) -> VehicleParams:
     """Load vehicle parameters from a JSON file."""
     obj = read_json(path)
     try:
-        wheels = tuple(Wheel(float(w["inertia_kgm2"]), float(w["radius_m"]))
-                       for w in obj.get("wheels", []))
+        wheels = obj.get("wheels", [])
+        if not isinstance(wheels, list):
+            raise TypeError(f"'wheels' must be a JSON list, got {type(wheels).__name__}")
+        wheels = tuple(Wheel(float(json_numbers(w, "inertia_kgm2")),
+                             float(json_numbers(w, "radius_m"))) for w in wheels)
         return VehicleParams(
-            base_mass_kg=float(obj["base_mass_kg"]),
-            payload_mass_kg=float(obj.get("payload_mass_kg", 0.0)),
-            gravity_mps2=float(obj.get("gravity_mps2", 9.81)),
+            base_mass_kg=float(json_numbers(obj, "base_mass_kg")),
+            payload_mass_kg=float(json_numbers(obj, "payload_mass_kg", 0.0)),
+            gravity_mps2=float(json_numbers(obj, "gravity_mps2", 9.81)),
             wheels=wheels,
-            throttle_range=tuple(obj.get("throttle_range", (0, 186))),
-            brake_range=tuple(obj.get("brake_range", (0, 255))),
+            throttle_range=tuple(json_numbers(obj, "throttle_range", [0, 186])),
+            brake_range=tuple(json_numbers(obj, "brake_range", [0, 255])),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: invalid vehicle parameter config: {exc}") from exc
 
 

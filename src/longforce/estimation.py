@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import DriveLog, MAX_SAMPLE_GAP_S
+from .core import DriveLog
 from .errors import EmptySeriesError, InvalidParameterError
 
 DEFAULT_WINDOW = 21
@@ -108,8 +108,7 @@ def check_estimator(window: int, cutoff_hz: float) -> None:
 
 
 def estimate_acceleration(log: DriveLog, window: int = DEFAULT_WINDOW,
-                          cutoff_hz: float = DEFAULT_CUTOFF_HZ,
-                          max_gap_s: float = MAX_SAMPLE_GAP_S) -> AccelSeries:
+                          cutoff_hz: float = DEFAULT_CUTOFF_HZ) -> AccelSeries:
     """Smooth, zero-phase acceleration estimate for every log sample.
 
     Per segment, the acceleration at sample i is the slope of a
@@ -124,7 +123,7 @@ def estimate_acceleration(log: DriveLog, window: int = DEFAULT_WINDOW,
     accel = np.full(n, np.nan)
     valid = np.zeros(n, dtype=bool)
     half = (window - 1) // 2
-    for seg in log.segments(max_gap_s):
+    for seg in log.segments():
         t = log.t[seg]
         v = log.speed[seg]
         if len(t) < window:
@@ -160,8 +159,8 @@ class BinnedPoints:
 
 def log_spaced_edges(lo: float = 0.05, hi: float = 40.0, count: int = 40) -> np.ndarray:
     """``count`` log-spaced speed bins between ``lo`` and ``hi`` m/s."""
-    if not 0 < lo < hi:
-        raise InvalidParameterError("need 0 < lo < hi for log-spaced bin edges")
+    if not 0 < lo < hi < math.inf:
+        raise InvalidParameterError("need 0 < lo < hi < inf for log-spaced bin edges")
     if count < 1:
         raise InvalidParameterError(f"bin count must be >= 1, got {count}")
     return np.geomspace(lo, hi, count + 1)

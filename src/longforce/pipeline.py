@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (VehicleParams, json_object, kmh_to_mps, load_drive_log,
+from .core import (VehicleParams, json_numbers, json_object, kmh_to_mps, load_drive_log,
                    load_vehicle_params, read_json)
 from .dynamics import ModelSet, load_schedule_csv, simulate
 from .errors import (EmptySeriesError, FitError, InvalidParameterError,
@@ -29,7 +29,7 @@ from .estimation import (DEFAULT_CUTOFF_HZ, DEFAULT_WINDOW, BinnedPoints, bin_by
 from .extraction import (extract_braking, extract_friction, extract_propulsion,
                          split_constant_signal)
 from .reference import load_anchor_file, reference_model_set
-from .spline import (DEFAULT_KNOTS_MPS, Anchor, ForceSurface, Spline1D,
+from .spline import (DEFAULT_KNOTS_MPS, MODEL_KINDS, Anchor, ForceSurface, Spline1D,
                      check_signal_monotone, fit_curve, load_model, load_typed_model,
                      prune_unsupported_knots, save_model)
 from .validation import render_table, report_to_dict, validate
@@ -41,8 +41,8 @@ from .validation import render_table, report_to_dict, validate
 class PipelineConfig:
     """Everything the fit stages need: vehicle, anchors, estimator, bins, knots.
 
-    Knot layouts may differ per model kind; a single list in the config
-    applies to all three.
+    ``knots_mps`` holds one knot layout per model kind. In the config file
+    the layouts may differ per kind, or a single list applies to all three.
     """
 
     params: VehicleParams
@@ -51,12 +51,6 @@ class PipelineConfig:
     cutoff_hz: float
     bin_edges: np.ndarray
     knots_mps: dict[str, tuple[float, ...]]
-
-    def knots_for(self, kind: str) -> tuple[float, ...]:
-        try:
-            return self.knots_mps[kind]
-        except KeyError:
-            raise SchemaError(f"no knot layout configured for {kind!r}") from None
 
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
@@ -67,25 +61,26 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
         params = load_vehicle_params(path.parent / obj["params"])
         anchors = load_anchor_file(path.parent / obj["anchors"])
         est = json_object(obj, "estimator")
-        window = int(est.get("window", DEFAULT_WINDOW))
-        cutoff = float(est.get("cutoff_hz", DEFAULT_CUTOFF_HZ))
+        window = int(json_numbers(est, "window", DEFAULT_WINDOW))
+        cutoff = float(json_numbers(est, "cutoff_hz", DEFAULT_CUTOFF_HZ))
         check_estimator(window, cutoff)
         bins = json_object(obj, "bins")
-        edges = log_spaced_edges(**{arg: cast(bins[key]) for key, arg, cast in (
+        edges = log_spaced_edges(**{arg: cast(json_numbers(bins, key)) for key, arg, cast in (
             ("lo_mps", "lo", float), ("hi_mps", "hi", float), ("count", "count", int))
             if key in bins})
-        layout = obj.get("knots_mps", DEFAULT_KNOTS_MPS)
-        if isinstance(layout, dict):
-            knots = {kind: tuple(float(k) for k in ks) for kind, ks in layout.items()}
-        else:
-            shared = tuple(float(k) for k in layout)
-            knots = {kind: shared for kind in ("friction", "propulsion", "braking")}
+        layout = obj.get("knots_mps", list(DEFAULT_KNOTS_MPS))
+        if not isinstance(layout, dict):
+            layout = dict.fromkeys(MODEL_KINDS, layout)
+        missing = [kind for kind in MODEL_KINDS if kind not in layout]
+        if missing:
+            raise ValueError(f"knots_mps has no layout for {missing[0]}")
+        knots = {kind: tuple(map(float, json_numbers(layout, kind))) for kind in MODEL_KINDS}
         for kind, ks in knots.items():
             if not (len(ks) >= 2 and all(map(math.isfinite, ks))
                     and all(a < b for a, b in zip(ks, ks[1:]))):
                 raise ValueError(f"knots_mps for {kind} must hold >= 2 finite, strictly "
                                  f"increasing speeds, got {list(ks)}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: invalid pipeline config: {exc}") from exc
     return PipelineConfig(params, anchors, window, cutoff, edges, knots)
 
@@ -148,7 +143,7 @@ def run_fit_friction(log_paths: list[str], config: PipelineConfig,
         parts.append(obs.points())
     anchors = config.anchors.get("friction", {}).get(None, ())
     curve, _ = _fit_level_curve(np.concatenate(parts), anchors,
-                                config.knots_for("friction"), config.bin_edges, "friction")
+                                config.knots_mps["friction"], config.bin_edges, "friction")
     save_model(out_path, "friction", curve, _provenance(log_paths))
     return curve
 
@@ -171,7 +166,7 @@ def _fit_surface(kind: str, signal: str, log_paths: list[str], config: PipelineC
     if not points_by_level:
         raise EmptySeriesError(f"no usable constant-{signal} segments in the given logs")
     anchors = config.anchors.get(kind, {})
-    knots = config.knots_for(kind)
+    knots = config.knots_mps[kind]
     levels = sorted(points_by_level)
     curves = []
     for level in levels:

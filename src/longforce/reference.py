@@ -16,7 +16,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .core import json_object, load_vehicle_params, read_json
+from .core import json_numbers, json_object, load_vehicle_params, read_json
 from .dynamics import ModelSet
 from .errors import FitError, SchemaError
 from .spline import Anchor, ForceSurface, Spline1D
@@ -36,8 +36,11 @@ def load_anchor_file(path: str | Path) -> dict[str, dict[int | None, tuple[Ancho
     under the level ``None``.
     """
     def parse_list(items) -> tuple[Anchor, ...]:
-        return tuple(Anchor(float(a["speed_mps"]), float(a["force_n"]),
-                            float(a.get("weight", 1.0))) for a in items)
+        if not isinstance(items, list):
+            raise TypeError(f"anchors must be a JSON list, got {type(items).__name__}")
+        return tuple(Anchor(float(json_numbers(a, "speed_mps")),
+                            float(json_numbers(a, "force_n")),
+                            float(json_numbers(a, "weight", 1.0))) for a in items)
 
     obj = read_json(path)
     try:

@@ -20,13 +20,13 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .core import json_object, read_json
+from .core import json_numbers, json_object, read_json
 from .errors import FitError, InvalidParameterError, InversionError, SchemaError
 
 #: Default knot layout (m/s): log-spaced, dense at low speed where the
@@ -34,6 +34,9 @@ from .errors import FitError, InvalidParameterError, InversionError, SchemaError
 DEFAULT_KNOTS_MPS = (0.1, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0, 15.0, 25.0, 36.0)
 
 SIGNAL_TOL = 1e-3
+
+#: Fall (N) between adjacent levels that :func:`check_signal_monotone` allows.
+MONOTONE_TOL_N = 1e-6
 
 
 def _hermite(t: float, y0: float, y1: float, m0: float, m1: float, h: float) -> float:
@@ -268,8 +271,7 @@ def prune_unsupported_knots(knots: Sequence[float], xs: Sequence[float]) -> tupl
     return tuple(kept)
 
 
-def fit_curve(binned, anchors: Sequence["Anchor"], knots_x: Sequence[float],
-              lower_clamp: float = 0.0) -> Spline1D:
+def fit_curve(binned, anchors: Sequence["Anchor"], knots_x: Sequence[float]) -> Spline1D:
     """Weighted least-squares Hermite fit to binned points plus anchors.
 
     Binned points weigh in with their sample counts, anchors with their
@@ -279,8 +281,8 @@ def fit_curve(binned, anchors: Sequence["Anchor"], knots_x: Sequence[float],
     the knot values are then re-solved with the limited tangents frozen,
     alternating until the shape settles; without this the fit is biased by
     several newtons wherever limiting bends a plateau transition. Fitted
-    values are clamped at ``lower_clamp`` before deriving tangents, so the
-    returned curve cannot overshoot below the clamp.
+    values are clamped at zero before deriving tangents, so the returned
+    curve cannot overshoot below zero.
     """
     knots = [float(k) for k in knots_x]
     n = len(knots)
@@ -350,7 +352,7 @@ def fit_curve(binned, anchors: Sequence["Anchor"], knots_x: Sequence[float],
 
     # Re-solve the knot values under the limited tangents (frozen per pass).
     for _ in range(10):
-        clamped = np.maximum(solution, lower_clamp)
+        clamped = np.maximum(solution, 0.0)
         tangents = np.asarray(limited_tangents(knots, clamped))
         offsets = tan_left * tangents[seg] + tan_right * tangents[seg + 1]
         refined, _, rank2, _ = np.linalg.lstsq(value_basis * sw[:, None],
@@ -361,7 +363,7 @@ def fit_curve(binned, anchors: Sequence["Anchor"], knots_x: Sequence[float],
         solution = refined
         if done:
             break
-    return Spline1D.interpolate(knots, solution, lower_clamp)
+    return Spline1D.interpolate(knots, solution)
 
 
 @dataclass(frozen=True)
@@ -373,8 +375,12 @@ class Anchor:
     weight: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.speed_mps) and math.isfinite(self.force_n)):
+            raise FitError(f"anchor ({self.speed_mps} m/s, {self.force_n} N) is non-finite")
         if not self.weight > 0:
             raise FitError(f"anchor weight must be > 0, got {self.weight}")
+        if self.weight == math.inf:
+            raise FitError("anchor weight must be finite, got inf")
 
 
 @dataclass(frozen=True)
@@ -506,10 +512,10 @@ class ForceSurface:
         out[between] = np.where(0.0 > y, 0.0, y)
         return out
 
-    def invert(self, v: float, force: float, tol: float = SIGNAL_TOL) -> InversionResult:
+    def invert(self, v: float, force: float) -> InversionResult:
         """Smallest signal whose force at speed ``v`` reaches ``force``.
 
-        Bisection to ``tol`` signal units. Forces above the cross-section's
+        Bisection to ``SIGNAL_TOL`` signal units. Forces above the cross-section's
         maximum return the top level with ``saturated`` set; forces below
         the minimum return the bottom level with ``underflow`` set. Raises
         :class:`~longforce.errors.InversionError` when the cross-section is
@@ -533,7 +539,7 @@ class ForceSurface:
         if math.isnan(force):
             raise InvalidParameterError("force is NaN")
         # Invariant: eval(lo) < force <= eval(hi).
-        while hi - lo > tol:
+        while hi - lo > SIGNAL_TOL:
             mid = 0.5 * (lo + hi)
             if self.eval(v, mid) >= force:
                 hi = mid
@@ -542,7 +548,7 @@ class ForceSurface:
         return InversionResult(hi)
 
 
-def check_signal_monotone(surface: ForceSurface, speeds=None, tol_n: float = 1e-6) -> None:
+def check_signal_monotone(surface: ForceSurface, speeds=None) -> None:
     """Verify cross-sections never decrease with the signal; raise FitError if they do.
 
     Checked on a dense speed grid over the union of the curve domains. The
@@ -555,7 +561,7 @@ def check_signal_monotone(surface: ForceSurface, speeds=None, tol_n: float = 1e-
         speeds = np.geomspace(max(lo, 1e-3), hi, 200)
     speeds = np.asarray(speeds, dtype=float).ravel()
     values = np.array([curve.eval_many(speeds) for curve in surface.curves])
-    falls = values[1:] < values[:-1] - tol_n
+    falls = values[1:] < values[:-1] - MONOTONE_TOL_N
     if falls.any():
         k = int(falls.any(axis=0).argmax())
         i = int(falls[:, k].argmax())
@@ -571,33 +577,16 @@ MODEL_KINDS = ("friction", "propulsion", "braking")
 
 
 def _curve_to_dict(curve: Spline1D) -> dict:
-    return {
-        "knots_x_mps": list(curve.knots_x),
-        "knots_y_N": list(curve.knots_y),
-        "tangents": list(curve.tangents),
-    }
+    return {"knots_x_mps": list(curve.knots_x), "knots_y_N": list(curve.knots_y)}
 
 
 def _curve_from_dict(obj: dict, lower_clamp: float) -> Spline1D:
-    return Spline1D(tuple(obj["knots_x_mps"]), tuple(obj["knots_y_N"]),
-                    tuple(obj["tangents"]), lower_clamp)
-
-
-def _check_stored_tangents(kind: str, name: str, curve: Spline1D) -> None:
-    """Refuse stored tangents that differ from the limiter's, bit for bit.
-
-    Tangents are derived data: every curve this package writes holds
-    ``limited_tangents(knots_x, knots_y)``, and evaluation reads them as
-    stored, so an edited tangent would change the model silently.
-    """
-    stored = np.array(curve.tangents).view(np.uint64)
-    derived = np.array(limited_tangents(curve.knots_x, curve.knots_y))
-    differ = stored != derived.view(np.uint64)
-    if differ.any():
-        i = int(differ.argmax())
-        raise SchemaError(
-            f"malformed {kind} model: {name} stores tangent {i} as {curve.tangents[i]!r}, "
-            f"but its knots give {derived[i]!r}")
+    # The knots are checked (under zero tangents) before the tangents are
+    # derived: the limiter divides by zero on repeated knot positions. A
+    # "tangents" key, as earlier versions wrote, is ignored.
+    xs, ys = json_numbers(obj, "knots_x_mps"), json_numbers(obj, "knots_y_N")
+    knots = Spline1D(tuple(xs), tuple(ys), (0.0,) * len(xs), lower_clamp)
+    return replace(knots, tangents=limited_tangents(knots.knots_x, knots.knots_y))
 
 
 def model_to_dict(kind: str, model: Spline1D | ForceSurface,
@@ -609,9 +598,16 @@ def model_to_dict(kind: str, model: Spline1D | ForceSurface,
         out["curves"] = [_curve_to_dict(model)]
         out["lower_clamp_N"] = model.lower_clamp
     else:
+        first = model.curves[0].lower_clamp
+        for level, curve in zip(model.levels, model.curves):
+            if curve.lower_clamp != first:
+                raise SchemaError(
+                    f"a {kind} model file holds one lower clamp, but level "
+                    f"{model.levels[0]} has {float(first)} and level {level} has "
+                    f"{float(curve.lower_clamp)}")
         out["levels"] = list(model.levels)
         out["curves"] = [_curve_to_dict(c) for c in model.curves]
-        out["lower_clamp_N"] = model.curves[0].lower_clamp
+        out["lower_clamp_N"] = first
     out["provenance"] = dict(provenance or {"source_logs": []})
     return out
 
@@ -620,7 +616,7 @@ def model_from_dict(obj: dict) -> tuple[str, Spline1D | ForceSurface, dict]:
     try:
         kind = obj["kind"]
         curves = obj["curves"]
-        clamp = float(obj.get("lower_clamp_N", 0.0))
+        clamp = float(json_numbers(obj, "lower_clamp_N", 0.0))
         provenance = dict(json_object(obj, "provenance"))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed model file: {exc}") from exc
@@ -630,10 +626,8 @@ def model_from_dict(obj: dict) -> tuple[str, Spline1D | ForceSurface, dict]:
         if kind == "friction":
             if len(curves) != 1:
                 raise SchemaError("a friction model holds exactly one curve")
-            curve = _curve_from_dict(curves[0], clamp)
-            _check_stored_tangents(kind, "the curve", curve)
-            return kind, curve, provenance
-        levels = obj.get("levels")
+            return kind, _curve_from_dict(curves[0], clamp), provenance
+        levels = json_numbers(obj, "levels", [])
         if not levels or len(levels) != len(curves):
             raise SchemaError(f"a {kind} model needs matching 'levels' and 'curves' lists")
         surface = ForceSurface(tuple(int(v) for v in levels),
@@ -641,8 +635,6 @@ def model_from_dict(obj: dict) -> tuple[str, Spline1D | ForceSurface, dict]:
         check_signal_monotone(surface)
     except (KeyError, TypeError, ValueError, OverflowError, FitError) as exc:
         raise SchemaError(f"malformed {kind} model: {exc}") from exc
-    for level, curve in zip(surface.levels, surface.curves):
-        _check_stored_tangents(kind, f"level {level}", curve)
     return kind, surface, provenance
 
 

@@ -13,7 +13,7 @@ from longforce.pipeline import (load_model_set, load_pipeline_config, run_export
                                 run_fit_brake, run_fit_friction, run_fit_propulsion,
                                 run_reference, run_simulate, run_validate)
 from longforce.reference import data_path
-from longforce.spline import load_model
+from longforce.spline import limited_tangents, load_model
 
 from conftest import coast_down_log, mixed_drive, protocol_log
 
@@ -125,8 +125,8 @@ class TestIngest:
 class TestPipelineConfig:
     def test_per_kind_knots(self, config_path):
         config = load_pipeline_config(config_path)
-        assert config.knots_for("friction")[0] == 0.1
-        assert len(config.knots_for("propulsion")) >= len(config.knots_for("braking"))
+        assert config.knots_mps["friction"][0] == 0.1
+        assert len(config.knots_mps["propulsion"]) >= len(config.knots_mps["braking"])
         assert config.window == 21 and config.cutoff_hz == 5.0
 
     def test_shared_knot_list(self, tmp_path):
@@ -138,8 +138,8 @@ class TestPipelineConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(obj))
         config = load_pipeline_config(path)
-        assert config.knots_for("friction") == (0.1, 1.0, 10.0, 36.0)
-        assert config.knots_for("braking") == (0.1, 1.0, 10.0, 36.0)
+        assert config.knots_mps["friction"] == (0.1, 1.0, 10.0, 36.0)
+        assert config.knots_mps["braking"] == (0.1, 1.0, 10.0, 36.0)
 
     def test_omitted_knots_fall_back_to_default_layout(self, tmp_path):
         from longforce.spline import DEFAULT_KNOTS_MPS
@@ -147,8 +147,8 @@ class TestPipelineConfig:
         path.write_text(json.dumps({"params": str(data_path("zoe_params.json")),
                                     "anchors": str(data_path("anchors_zoe.json"))}))
         config = load_pipeline_config(path)
-        assert config.knots_for("friction") == DEFAULT_KNOTS_MPS
-        assert config.knots_for("propulsion") == DEFAULT_KNOTS_MPS
+        assert config.knots_mps["friction"] == DEFAULT_KNOTS_MPS
+        assert config.knots_mps["propulsion"] == DEFAULT_KNOTS_MPS
 
     def test_missing_params_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -549,16 +549,28 @@ class TestMainInputFiles:
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["fit-brake", "simulate", "validate"])
-    def test_edited_tangent_is_2(self, cli_inputs, tmp_path, capsys, command):
-        # An edited tangent used to load and change every evaluation silently.
+    def test_edited_tangent_is_ignored(self, gt_models, cli_inputs, tmp_path, capsys,
+                                       monkeypatch, command):
+        # Tangents are derived from the knots on load, so an edited tangent
+        # in a file written by an earlier version changes nothing.
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        save_drive_log(cli_inputs["log"], protocol_log(gt_models, 0, 60, 20.0, 15.0,
+                                                       Gear.DRIVE, cut_below=0.5))
+        out = tmp_path / "out"
+        argv = cli_argv(command, cli_inputs, str(out))
+
+        def outputs():
+            assert main(argv) == 0
+            return capsys.readouterr(), out.read_bytes() if out.exists() else None
+
+        untouched = outputs()
         path = cli_inputs["propulsion"]
         obj = json.loads(path.read_text())
-        obj["curves"][2]["tangents"][3] += 50.0
+        curve = obj["curves"][2]
+        curve["tangents"] = list(limited_tangents(curve["knots_x_mps"], curve["knots_y_N"]))
+        curve["tangents"][3] += 50.0
         path.write_text(json.dumps(obj))
-        assert main(cli_argv(command, cli_inputs, str(tmp_path / "out"))) == 2
-        assert (f"{path}: malformed propulsion model: level {obj['levels'][2]} stores "
-                f"tangent 3 as {obj['curves'][2]['tangents'][3]!r}, but its knots give"
-                in capsys.readouterr().err)
+        assert outputs() == untouched
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     def test_non_monotone_surface_is_2(self, cli_inputs, tmp_path, capsys, command):
@@ -623,6 +635,19 @@ class TestMainOutOfRange:
         path.write_text(json.dumps(obj))
         assert main(cli_argv("fit-friction", inputs, str(tmp_path / "out"))) == 2
         assert capsys.readouterr().err == f"error: {path}: invalid pipeline config: {message}\n"
+
+    def test_config_without_a_kinds_knots_is_2(self, inputs, tmp_path, capsys):
+        # fit-brake used to load, estimate and extract every log, then fail
+        # with a message that named no file. The config is now refused
+        # before any log is read, so an absent log is never reached.
+        path = inputs["config"]
+        obj = json.loads(path.read_text())
+        del obj["knots_mps"]["braking"]
+        path.write_text(json.dumps(obj))
+        inputs["log"] = tmp_path / "absent.json"
+        assert main(cli_argv("fit-brake", inputs, str(tmp_path / "out"))) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: invalid pipeline config: knots_mps has no layout for braking\n")
 
 
 class TestFitDeterminism:

@@ -14,6 +14,13 @@ from longforce.spline import (Anchor, ForceSurface, Spline1D,
                               unsupported_knots)
 
 
+def model_bits(model):
+    """Knots, tangents and clamp of every curve of ``model``, as raw float bits."""
+    curves = model.curves if isinstance(model, ForceSurface) else (model,)
+    return [np.array([*c.knots_x, *c.knots_y, *c.tangents, c.lower_clamp]).tobytes()
+            for c in curves]
+
+
 def binned(centers, values, counts=None):
     centers = np.asarray(centers, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -343,7 +350,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("edit", [
         lambda obj: obj["curves"][0]["knots_y_N"].__setitem__(1, math.nan),
-        lambda obj: obj["curves"][1]["tangents"].__setitem__(0, math.inf),
+        lambda obj: obj["curves"][1]["knots_x_mps"].__setitem__(0, math.inf),
         lambda obj: obj["levels"].__setitem__(1, math.nan),
         lambda obj: obj["levels"].__setitem__(1, math.inf),
         lambda obj: obj["levels"].reverse(),
@@ -359,15 +366,37 @@ class TestSerialization:
     @pytest.mark.parametrize("kind, curve, name", [
         ("friction", 0, "the curve"), ("braking", 0, "level 0"), ("braking", 3, "level 120")])
     def test_stored_tangents_must_be_the_limiters(self, gt_models, kind, curve, name, zero):
-        obj = model_to_dict(kind, getattr(gt_models, kind))
-        tangents = obj["curves"][curve]["tangents"]
-        # A zero tangent stored as -0.0 (equal as a number), or another one
-        # ulp off: the least edits there are, and both change the model bits.
-        i = next(j for j, m in enumerate(tangents) if (m == 0.0) == zero)
-        tangents[i] = -0.0 if zero else math.nextafter(tangents[i], math.inf)
-        with pytest.raises(SchemaError, match=f"malformed {kind} model: {name} stores "
-                                              f"tangent {i} as "):
-            model_from_dict(obj)
+        # Loading derives every tangent from the knots. A stored copy, as
+        # earlier versions wrote, is ignored: absent, one ulp off, a zero
+        # stored as -0.0 (equal as a number) or inf, the model's bits are
+        # those of the saved model.
+        model = getattr(gt_models, kind)
+        obj = model_to_dict(kind, model)
+        stored = obj["curves"][curve]
+        derived = list(limited_tangents(stored["knots_x_mps"], stored["knots_y_N"]))
+        i = next(j for j, m in enumerate(derived) if (m == 0.0) == zero)
+        for tangent in (None, derived[i], -0.0 if zero else math.nextafter(derived[i], math.inf),
+                        math.inf):
+            if tangent is not None:
+                stored["tangents"] = derived[:i] + [tangent] + derived[i + 1:]
+            assert model_bits(model_from_dict(obj)[1]) == model_bits(model), (name, tangent)
+
+    def test_saved_file_holds_no_tangents(self, tmp_path, gt_models):
+        path = tmp_path / "braking.json"
+        save_model(path, "braking", gt_models.braking)
+        curves = json.loads(path.read_text())["curves"]
+        assert [sorted(c) for c in curves] == [["knots_x_mps", "knots_y_N"]] * len(curves)
+
+    def test_mixed_clamp_surface_refused_at_save(self, tmp_path):
+        # model_to_dict used to write curve 0's clamp for every level, so
+        # this file saved and then failed to load.
+        surface = ForceSurface((0, 10), (
+            Spline1D.interpolate([0, 10], [100, 200], lower_clamp=50),
+            Spline1D.interpolate([0, 10], [0, 400])))
+        path = tmp_path / "propulsion.json"
+        with pytest.raises(SchemaError, match="level 0 has 50.0 and level 10 has 0.0"):
+            save_model(path, "propulsion", surface)
+        assert not path.exists()
 
     def test_friction_single_curve_enforced(self, gt_models):
         obj = model_to_dict("friction", gt_models.friction)
