@@ -218,11 +218,32 @@ def json_numbers(obj: dict, key: str, default=None):
     ``"0.29"`` as 0.29.
     """
     value = obj[key] if default is None else obj.get(key, default)
+    _number_types(key, value)
+    return value
+
+
+def json_integers(obj: dict, key: str, default=None):
+    """:func:`json_numbers`, each of which must be a whole number.
+
+    Raises ``ValueError`` naming the key, and the row in a list, for a
+    number with a fraction, which ``int()`` and an int64 cast would drop
+    silently.
+    """
+    value = obj[key] if default is None else obj.get(key, default)
+    if float in _number_types(key, value):
+        for row, number in enumerate(value if isinstance(value, list) else [value]):
+            if isinstance(number, float) and not number.is_integer():
+                where = f" at row {row}" if isinstance(value, list) else ""
+                raise ValueError(f"{key!r} must hold whole numbers, got {number}{where}")
+    return value
+
+
+def _number_types(key: str, value) -> set[type]:
     types = set(map(type, value)) if isinstance(value, list) else {type(value)}
     if not types <= {int, float}:
         odd = min(t.__name__ for t in types - {int, float})
         raise TypeError(f"{key!r} must hold JSON numbers, got {odd}")
-    return value
+    return types
 
 
 # --- drive log files ----------------------------------------------------------
@@ -272,8 +293,8 @@ def load_drive_log(path: str | Path) -> DriveLog:
         return DriveLog(
             t=np.array(json_numbers(obj, "t_s"), dtype=float),
             speed=np.array(json_numbers(obj, "speed_mps"), dtype=float),
-            throttle=np.array(json_numbers(obj, "throttle"), dtype=np.int64),
-            brake=np.array(json_numbers(obj, "brake"), dtype=np.int64),
+            throttle=np.array(json_integers(obj, "throttle"), dtype=np.int64),
+            brake=np.array(json_integers(obj, "brake"), dtype=np.int64),
             slope=np.array(json_numbers(obj, "slope_rad"), dtype=float),
             gear=Gear(meta.get("gear", "drive")),
             description=meta.get("description", ""),

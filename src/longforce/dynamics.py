@@ -153,6 +153,10 @@ def simulate(models: ModelSet, schedule: Schedule, v0: float, dt: float,
     Speed is clamped at zero: when the vehicle is at rest and the net force
     would push it backward, it stays at rest (static friction implicit);
     the model covers forward motion only.
+
+    Per step, the schedule is called once at each of ``t``, ``t + dt/2``
+    (for both mid-step stages) and ``t + dt``; a step at rest, and the last
+    row, call it only at ``t``.
     """
     if not 0.0 < dt <= 0.1:
         raise InvalidParameterError(f"dt must be in (0, 0.1] s, got {dt}")
@@ -160,10 +164,6 @@ def simulate(models: ModelSet, schedule: Schedule, v0: float, dt: float,
         raise InvalidParameterError(f"v0 must be >= 0, got {v0}")
     if not 0.0 <= duration < math.inf:
         raise InvalidParameterError(f"duration must be finite and >= 0 s, got {duration}")
-
-    def accel_at(t: float, v: float) -> float:
-        throttle, brake, slope = schedule(t)
-        return _forces(models, max(v, 0.0), throttle, brake, slope)[0]
 
     steps = max(int(round(duration / dt)), 0)
     t_out = np.empty(steps + 1)
@@ -186,11 +186,12 @@ def simulate(models: ModelSet, schedule: Schedule, v0: float, dt: float,
             break
         if at_rest:
             continue
-        k1 = a
-        k2 = accel_at(t + 0.5 * dt, v + 0.5 * dt * k1)
-        k3 = accel_at(t + 0.5 * dt, v + 0.5 * dt * k2)
-        k4 = accel_at(t + dt, v + dt * k3)
-        v = max(v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0)
+        throttle, brake, slope = schedule(t + 0.5 * dt)
+        k2 = _forces(models, max(v + 0.5 * dt * a, 0.0), throttle, brake, slope)[0]
+        k3 = _forces(models, max(v + 0.5 * dt * k2, 0.0), throttle, brake, slope)[0]
+        throttle, brake, slope = schedule(t + dt)
+        k4 = _forces(models, max(v + dt * k3, 0.0), throttle, brake, slope)[0]
+        v = max(v + dt / 6.0 * (a + 2.0 * k2 + 2.0 * k3 + k4), 0.0)
 
     return Trajectory(t_out, v_out, a_out, fp_out, ff_out, fb_out)
 

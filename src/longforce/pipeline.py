@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (VehicleParams, json_numbers, json_object, kmh_to_mps, load_drive_log,
-                   load_vehicle_params, read_json)
+from .core import (VehicleParams, json_integers, json_numbers, json_object, kmh_to_mps,
+                   load_drive_log, load_vehicle_params, read_json)
 from .dynamics import ModelSet, load_schedule_csv, simulate
 from .errors import (EmptySeriesError, FitError, InvalidParameterError,
                      ProtocolViolationError, SchemaError)
@@ -61,13 +61,13 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
         params = load_vehicle_params(path.parent / obj["params"])
         anchors = load_anchor_file(path.parent / obj["anchors"])
         est = json_object(obj, "estimator")
-        window = int(json_numbers(est, "window", DEFAULT_WINDOW))
+        window = int(json_integers(est, "window", DEFAULT_WINDOW))
         cutoff = float(json_numbers(est, "cutoff_hz", DEFAULT_CUTOFF_HZ))
         check_estimator(window, cutoff)
         bins = json_object(obj, "bins")
-        edges = log_spaced_edges(**{arg: cast(json_numbers(bins, key)) for key, arg, cast in (
-            ("lo_mps", "lo", float), ("hi_mps", "hi", float), ("count", "count", int))
-            if key in bins})
+        edges = log_spaced_edges(**{arg: cast(read(bins, key)) for key, arg, read, cast in (
+            ("lo_mps", "lo", json_numbers, float), ("hi_mps", "hi", json_numbers, float),
+            ("count", "count", json_integers, int)) if key in bins})
         layout = obj.get("knots_mps", list(DEFAULT_KNOTS_MPS))
         if not isinstance(layout, dict):
             layout = dict.fromkeys(MODEL_KINDS, layout)

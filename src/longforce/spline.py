@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import json_numbers, json_object, read_json
+from .core import json_integers, json_numbers, json_object, read_json
 from .errors import FitError, InvalidParameterError, InversionError, SchemaError
 
 #: Default knot layout (m/s): log-spaced, dense at low speed where the
@@ -56,40 +56,41 @@ def limited_tangents(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, .
     locally monotone the tangents are shrunk to satisfy the Fritsch-Carlson
     monotonicity region (alpha^2 + beta^2 <= 9); at local extrema and across
     flat spans they are zeroed. Shrinking never grows a tangent, so one pass
-    suffices.
+    suffices: it limits each segment, left to right, once its right knot's
+    start tangent is known, carrying the secant and left tangent along.
     """
     n = len(xs)
     if n == 1:
         return (0.0,)
-    delta = [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(n - 1)]
-    m = [0.0] * n
-    m[0] = delta[0]
-    m[-1] = delta[-1]
-    for i in range(1, n - 1):
-        if delta[i - 1] * delta[i] <= 0.0:
-            m[i] = 0.0  # local extremum or flat neighbor
+    d = (ys[1] - ys[0]) / (xs[1] - xs[0])
+    left = d
+    m = []
+    for i in range(1, n):
+        if i == n - 1:
+            right = d_next = d
         else:
-            m[i] = (ys[i + 1] - ys[i - 1]) / (xs[i + 1] - xs[i - 1])
-    for i in range(n - 1):
-        if delta[i] == 0.0:
-            m[i] = 0.0
-            m[i + 1] = 0.0
-            continue
-        a = m[i] / delta[i]
-        b = m[i + 1] / delta[i]
-        if a < 0.0:
-            m[i] = 0.0
-            a = 0.0
-        if b < 0.0:
-            m[i + 1] = 0.0
-            b = 0.0
-        r2 = a * a + b * b
-        if r2 > 9.0:
-            # tau is 0 when r2 overflows (a secant far smaller than a tangent);
-            # the tangents are then zero, not 0 * inf.
-            tau = 3.0 / math.sqrt(r2)
-            m[i] = tau * a * delta[i] if tau else 0.0 * delta[i]
-            m[i + 1] = tau * b * delta[i] if tau else 0.0 * delta[i]
+            d_next = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+            right = (0.0 if d * d_next <= 0.0  # local extremum or flat neighbor
+                     else (ys[i + 1] - ys[i - 1]) / (xs[i + 1] - xs[i - 1]))
+        if d == 0.0:
+            left = right = 0.0
+        else:
+            a = left / d
+            b = right / d
+            if a < 0.0:
+                left = a = 0.0
+            if b < 0.0:
+                right = b = 0.0
+            r2 = a * a + b * b
+            if r2 > 9.0:
+                # tau is 0 when r2 overflows (a secant far smaller than a tangent);
+                # the tangents are then zero, not 0 * inf.
+                tau = 3.0 / math.sqrt(r2)
+                left = tau * a * d if tau else 0.0 * d
+                right = tau * b * d if tau else 0.0 * d
+        m.append(left)
+        left, d = right, d_next
+    m.append(left)
     return tuple(m)
 
 
@@ -172,6 +173,11 @@ class Spline1D:
         object.__setattr__(self, "knots_x", xs)
         object.__setattr__(self, "knots_y", ys)
         object.__setattr__(self, "tangents", ms)
+        # Per segment, the factors of _hermite's terms that do not depend on
+        # the speed: (y0, y1 - y0, m0 * h, m1 * h).
+        object.__setattr__(self, "_segments", tuple(
+            (y0, y1 - y0, m0 * (x1 - x0), m1 * (x1 - x0))
+            for x0, x1, y0, y1, m0, m1 in zip(xs, xs[1:], ys, ys[1:], ms, ms[1:])))
 
     @classmethod
     def interpolate(cls, xs: Sequence[float], ys: Sequence[float],
@@ -197,12 +203,15 @@ class Spline1D:
             return self.knots_y[-1]
         i = bisect_right(xs, x) - 1
         try:
-            h = xs[i + 1] - xs[i]
+            y0, dy, m0h, m1h = self._segments[i]
         except IndexError:  # only NaN passes both end tests
             raise InvalidParameterError("speed is NaN") from None
-        t = (x - xs[i]) / h
-        y = _hermite(t, self.knots_y[i], self.knots_y[i + 1],
-                     self.tangents[i], self.tangents[i + 1], h)
+        x0 = xs[i]
+        t = (x - x0) / (xs[i + 1] - x0)
+        t2 = t * t
+        t3 = t2 * t
+        # _hermite's sum, in its operation order
+        y = y0 + dy * (-2.0 * t3 + 3.0 * t2) + m0h * (t3 - 2.0 * t2 + t) + m1h * (t3 - t2)
         return y if y > self.lower_clamp else self.lower_clamp
 
     def eval_many(self, xs) -> np.ndarray:
@@ -417,11 +426,13 @@ class ForceSurface:
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "curves", curves)
         # When every curve shares one knot grid, a cross-section needs one
-        # bisect and one set of Hermite basis terms for all of them.
+        # bisect and one set of Hermite basis terms for all of them; each
+        # segment then holds every curve's terms and clamp.
         shared = all(c.knots_x == curves[0].knots_x for c in curves)
         object.__setattr__(self, "_grid", curves[0].knots_x if shared else None)
-        object.__setattr__(self, "_rows",
-                           tuple((c.knots_y, c.tangents, c.lower_clamp) for c in curves))
+        object.__setattr__(self, "_rows", tuple(
+            tuple(terms + (c.lower_clamp,) for c, terms in zip(curves, segment))
+            for segment in zip(*(c._segments for c in curves))) if shared else None)
 
     def curve_at(self, level: int) -> Spline1D:
         try:
@@ -441,23 +452,24 @@ class ForceSurface:
         if xs is None:
             return [curve.eval(v) for curve in self.curves]
         if v <= xs[0]:
-            return [ys[0] for ys, _, _ in self._rows]
+            return [curve.knots_y[0] for curve in self.curves]
         if v >= xs[-1]:
-            return [ys[-1] for ys, _, _ in self._rows]
+            return [curve.knots_y[-1] for curve in self.curves]
         i = bisect_right(xs, v) - 1
         try:
-            h = xs[i + 1] - xs[i]
+            row = self._rows[i]
         except IndexError:  # only NaN passes both end tests
             raise InvalidParameterError("speed is NaN") from None
-        t = (v - xs[i]) / h
+        x0 = xs[i]
+        t = (v - x0) / (xs[i + 1] - x0)
         t2 = t * t
         t3 = t2 * t
         h01 = -2.0 * t3 + 3.0 * t2
         h10 = t3 - 2.0 * t2 + t
         h11 = t3 - t2
         out = []
-        for ys, ms, clamp in self._rows:
-            y = ys[i] + (ys[i + 1] - ys[i]) * h01 + ms[i] * h * h10 + ms[i + 1] * h * h11
+        for y0, dy, m0h, m1h, clamp in row:
+            y = y0 + dy * h01 + m0h * h10 + m1h * h11
             out.append(y if y > clamp else clamp)
         return out
 
@@ -627,7 +639,7 @@ def model_from_dict(obj: dict) -> tuple[str, Spline1D | ForceSurface, dict]:
             if len(curves) != 1:
                 raise SchemaError("a friction model holds exactly one curve")
             return kind, _curve_from_dict(curves[0], clamp), provenance
-        levels = json_numbers(obj, "levels", [])
+        levels = json_integers(obj, "levels", [])
         if not levels or len(levels) != len(curves):
             raise SchemaError(f"a {kind} model needs matching 'levels' and 'curves' lists")
         surface = ForceSurface(tuple(int(v) for v in levels),

@@ -650,6 +650,63 @@ class TestMainOutOfRange:
             f"error: {path}: invalid pipeline config: knots_mps has no layout for braking\n")
 
 
+class TestFractionalIntegerFields:
+    """A fraction in an integer field is refused (exit 2), naming the file and key.
+
+    Each such value used to load truncated: 39.7 as 39, 21.5 as 21.
+    """
+
+    @pytest.mark.parametrize("column", ["throttle", "brake"])
+    def test_drive_log_command_is_2(self, cli_inputs, tmp_path, capsys, column):
+        path = cli_inputs["log"]
+        obj = json.loads(path.read_text())
+        obj[column][1] = 39.7
+        path.write_text(json.dumps(obj))
+        assert main(cli_argv("fit-friction", cli_inputs, str(tmp_path / "out"))) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed drive log: '{column}' must hold whole numbers, "
+            "got 39.7 at row 1\n")
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("estimator", "window", 21.5), ("bins", "count", 40.5)], ids=["window", "bins-count"])
+    def test_config_value_is_2(self, cli_inputs, tmp_path, capsys, section, key, value):
+        path = cli_inputs["config"]
+        obj = json.loads(path.read_text())
+        obj[section][key] = value
+        path.write_text(json.dumps(obj))
+        assert main(cli_argv("fit-friction", cli_inputs, str(tmp_path / "out"))) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: invalid pipeline config: '{key}' must hold whole numbers, "
+            f"got {value}\n")
+
+    def test_model_level_is_2(self, cli_inputs, tmp_path, capsys):
+        path = cli_inputs["propulsion"]
+        obj = json.loads(path.read_text())
+        obj["levels"][1] = 50.9
+        path.write_text(json.dumps(obj))
+        assert main(cli_argv("simulate", cli_inputs, str(tmp_path / "out"))) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed propulsion model: 'levels' must hold whole numbers, "
+            "got 50.9 at row 1\n")
+
+    def test_whole_floats_still_load(self, cli_inputs, tmp_path):
+        # JSON writers that spell every number as a float stay readable.
+        log = json.loads(cli_inputs["log"].read_text())
+        log["throttle"] = [float(v) for v in log["throttle"]]
+        cli_inputs["log"].write_text(json.dumps(log))
+        config = json.loads(cli_inputs["config"].read_text())
+        config["estimator"]["window"] = 21.0
+        config["bins"]["count"] = 40.0
+        cli_inputs["config"].write_text(json.dumps(config))
+        model = json.loads(cli_inputs["propulsion"].read_text())
+        model["levels"] = [float(v) for v in model["levels"]]
+        cli_inputs["propulsion"].write_text(json.dumps(model))
+        assert load_drive_log(cli_inputs["log"]).throttle.dtype == np.int64
+        loaded = load_pipeline_config(cli_inputs["config"])
+        assert loaded.window == 21 and len(loaded.bin_edges) == 41
+        assert load_model(cli_inputs["propulsion"])[1].levels == (0, 50, 100, 150, 186)
+
+
 class TestFitDeterminism:
     def test_model_files_byte_identical_under_pinned_epoch(
             self, gt_models, config_path, tmp_path, monkeypatch):

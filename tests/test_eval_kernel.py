@@ -7,12 +7,15 @@ including the sign of zero, so that vectorised callers (validation,
 extraction, export) give the same results as before. Likewise the scalar
 fast paths: ``ForceSurface.cross_section`` on a shared knot grid must equal
 ``Spline1D.eval`` per curve, and ``simulate`` must equal an RK4 loop over
-``direct_acceleration``. The scalar inverse must undo the scalar surface
-evaluation on random monotone surfaces.
+``direct_acceleration``. The scalar kernel itself (per-segment Hermite
+terms and the one-loop limiter) must equal copies of the plain per-call
+Hermite and two-pass limiter it replaced. The scalar inverse must undo the
+scalar surface evaluation on random monotone surfaces.
 """
 
 import json
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from longforce.errors import FitError, InvalidParameterError, InversionError  # 
 from longforce.estimation import estimate_acceleration  # noqa: E402
 from longforce.reference import data_path  # noqa: E402
 from longforce.spline import (SIGNAL_TOL, ForceSurface, Spline1D,  # noqa: E402
-                              check_signal_monotone)
+                              check_signal_monotone, limited_tangents)
 from longforce.validation import _histogram, validate  # noqa: E402
 
 from conftest import mixed_drive  # noqa: E402
@@ -180,6 +183,160 @@ def test_direct_model_many_matches_scalar(gt_models, data):
     assert_same_bits(forces.propulsion, [f.propulsion for _, f in oracle])
     assert_same_bits(forces.friction, [f.friction for _, f in oracle])
     assert_same_bits(forces.braking, [f.braking for _, f in oracle])
+
+
+# --- the scalar kernel against the plain form it replaced -------------------------
+# Copies of the evaluation code before segment terms were precomputed: the
+# Hermite sum from knot values and tangents per call, and the limiter as a
+# start-tangent pass followed by a limiting pass.
+
+def _hermite_oracle(t, y0, y1, m0, m1, h):
+    t2 = t * t
+    t3 = t2 * t
+    return (y0 + (y1 - y0) * (-2.0 * t3 + 3.0 * t2)
+            + m0 * h * (t3 - 2.0 * t2 + t)
+            + m1 * h * (t3 - t2))
+
+
+def _limited_tangents_oracle(xs, ys):
+    n = len(xs)
+    if n == 1:
+        return (0.0,)
+    delta = [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(n - 1)]
+    m = [0.0] * n
+    m[0] = delta[0]
+    m[-1] = delta[-1]
+    for i in range(1, n - 1):
+        if delta[i - 1] * delta[i] <= 0.0:
+            m[i] = 0.0
+        else:
+            m[i] = (ys[i + 1] - ys[i - 1]) / (xs[i + 1] - xs[i - 1])
+    for i in range(n - 1):
+        if delta[i] == 0.0:
+            m[i] = 0.0
+            m[i + 1] = 0.0
+            continue
+        a = m[i] / delta[i]
+        b = m[i + 1] / delta[i]
+        if a < 0.0:
+            m[i] = 0.0
+            a = 0.0
+        if b < 0.0:
+            m[i + 1] = 0.0
+            b = 0.0
+        r2 = a * a + b * b
+        if r2 > 9.0:
+            tau = 3.0 / math.sqrt(r2)
+            m[i] = tau * a * delta[i] if tau else 0.0 * delta[i]
+            m[i + 1] = tau * b * delta[i] if tau else 0.0 * delta[i]
+    return tuple(m)
+
+
+def _curve_eval_oracle(curve, x):
+    xs = curve.knots_x
+    if x <= xs[0]:
+        return curve.knots_y[0]
+    if x >= xs[-1]:
+        return curve.knots_y[-1]
+    i = bisect_right(xs, x) - 1
+    h = xs[i + 1] - xs[i]
+    t = (x - xs[i]) / h
+    y = _hermite_oracle(t, curve.knots_y[i], curve.knots_y[i + 1],
+                        curve.tangents[i], curve.tangents[i + 1], h)
+    return y if y > curve.lower_clamp else curve.lower_clamp
+
+
+def _cross_section_oracle(surface, v):
+    xs = surface.curves[0].knots_x
+    if any(curve.knots_x != xs for curve in surface.curves):
+        return [_curve_eval_oracle(curve, v) for curve in surface.curves]
+    if v <= xs[0]:
+        return [curve.knots_y[0] for curve in surface.curves]
+    if v >= xs[-1]:
+        return [curve.knots_y[-1] for curve in surface.curves]
+    i = bisect_right(xs, v) - 1
+    h = xs[i + 1] - xs[i]
+    t = (v - xs[i]) / h
+    t2 = t * t
+    t3 = t2 * t
+    h01 = -2.0 * t3 + 3.0 * t2
+    h10 = t3 - 2.0 * t2 + t
+    h11 = t3 - t2
+    out = []
+    for curve in surface.curves:
+        ys, ms, clamp = curve.knots_y, curve.tangents, curve.lower_clamp
+        y = ys[i] + (ys[i + 1] - ys[i]) * h01 + ms[i] * h * h10 + ms[i + 1] * h * h11
+        out.append(y if y > clamp else clamp)
+    return out
+
+
+def _surface_eval_oracle(surface, v, signal):
+    levels = surface.levels
+    if signal <= levels[0]:
+        return _curve_eval_oracle(surface.curves[0], v)
+    if signal >= levels[-1]:
+        return _curve_eval_oracle(surface.curves[-1], v)
+    values = _cross_section_oracle(surface, v)
+    tangents = _limited_tangents_oracle(levels, values)
+    i = bisect_right(levels, signal) - 1
+    h = levels[i + 1] - levels[i]
+    t = (signal - levels[i]) / h
+    y = _hermite_oracle(t, values[i], values[i + 1], tangents[i], tangents[i + 1], h)
+    return max(y, 0.0)
+
+
+# Overflowing secants (1e308 apart) and signed zeros, beside the usual values.
+LIMITER_VALUES = st.one_of(KNOT_VALUES, st.sampled_from([1e308, -1e308, -0.0, 1e-300]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_limited_tangents_matches_two_pass_oracle(data):
+    n = data.draw(st.integers(1, 7))
+    xs = data.draw(st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(-10.0, 50.0)),
+                            min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        xs = sorted(xs)  # repeated positions stay: both must refuse them alike
+    ys = data.draw(st.lists(LIMITER_VALUES, min_size=n, max_size=n))
+    try:
+        expected = _limited_tangents_oracle(xs, ys)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            limited_tangents(xs, ys)
+        return
+    assert_same_bits(limited_tangents(xs, ys), expected)
+
+
+def inner_speeds(data, knots, n):
+    """``n`` speeds spread over the knot span, where most segment rounding happens.
+
+    Drawn from a seeded generator, so that each example covers many
+    unremarkable points besides the edge cases Hypothesis favours.
+    """
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    return rng.uniform(min(knots), max(knots), n).tolist()
+
+
+@KERNEL
+@given(st.data())
+def test_curve_eval_matches_hermite_oracle(data):
+    curve = data.draw(curves())
+    xs = data.draw(speeds_for(curve.knots_x)) + inner_speeds(data, curve.knots_x, 100)
+    assert_same_bits([curve.eval(x) for x in xs], [_curve_eval_oracle(curve, x) for x in xs])
+
+
+@pytest.mark.parametrize("shared_grid", [True, False], ids=["shared-grid", "mixed-grids"])
+@KERNEL
+@given(data=st.data())
+def test_surface_matches_hermite_oracle(shared_grid, data):
+    surface = data.draw(surfaces(shared_grid=shared_grid))
+    knots = all_knots(surface)
+    speeds = data.draw(st.lists(speed_for(knots), min_size=1, max_size=10))
+    signals = data.draw(st.lists(signals_for(surface.levels), min_size=1, max_size=4))
+    for v in speeds + inner_speeds(data, knots, 10):
+        assert_same_bits(surface.cross_section(v), _cross_section_oracle(surface, v))
+        assert_same_bits([surface.eval(v, s) for s in signals],
+                         [_surface_eval_oracle(surface, v, s) for s in signals])
 
 
 def _monotone_check_loop(surface, speeds, tol_n=1e-6):
@@ -355,7 +512,11 @@ class TestNonFiniteInputs:
 
 
 def _rk4_oracle(models, schedule, v0, dt, duration):
-    """The RK4 loop ``simulate`` runs, with one ``direct_acceleration`` call per stage."""
+    """The RK4 loop ``simulate`` runs, with one ``direct_acceleration`` call per stage.
+
+    Each stage asks the schedule for its own commands, so a moving step
+    makes four schedule calls where ``simulate`` makes three.
+    """
     def accel_at(t, v):
         return direct_acceleration(models, max(v, 0.0), *schedule(t))[0]
 
@@ -414,3 +575,23 @@ def test_model_set_caches_equivalent_mass(gt_models):
     models = ModelSet(gt_models.friction, gt_models.propulsion, gt_models.braking,
                       gt_models.params)
     assert models.m_eq == equivalent_mass(gt_models.params)
+
+
+def test_schedule_calls_per_step(gt_models):
+    # A moving step asks at t, t + dt/2 and t + dt; a step at rest only at t.
+    calls = []
+
+    def recording(t):
+        calls.append(t)
+        return _phase_schedule(t)
+
+    dt = 0.01
+    traj = simulate(gt_models, recording, 0.0, dt, 70.0)
+    at_rest = (traj.speed == 0.0) & (traj.accel == 0.0)
+    expected = []
+    for k, t in enumerate(traj.t.tolist()):
+        expected.append(t)
+        if k < len(traj) - 1 and not at_rest[k]:
+            expected += [t + 0.5 * dt, t + dt]
+    assert calls == expected
+    assert at_rest.any() and not at_rest.all()
