@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParameterError, SchemaError
+from .errors import FitError, InvalidParameterError, SchemaError
 
 KMH_PER_MPS = 3.6
 
@@ -197,6 +198,16 @@ def read_json(path: str | Path) -> dict:
     return obj
 
 
+@contextmanager
+def file_values(path: str | Path, what: str):
+    """Turn the error a value read from the file at ``path`` raises into
+    ``SchemaError("<path>: <what>: <reason>")``; every file loader checks its values here."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError, FitError, SchemaError) as exc:
+        raise SchemaError(f"{path}: {what}: {exc}") from exc
+
+
 def json_object(obj: dict, key: str) -> dict:
     """The JSON object ``obj[key]``, or ``{}`` when ``key`` is absent.
 
@@ -288,7 +299,7 @@ def load_drive_log(path: str | Path) -> DriveLog:
     obj = read_json(path)
     if obj.get("format") != DRIVELOG_FORMAT:
         raise SchemaError(f"{path}: not a {DRIVELOG_FORMAT} file")
-    try:
+    with file_values(path, "malformed drive log"):
         meta = json_object(obj, "metadata")
         return DriveLog(
             t=np.array(json_numbers(obj, "t_s"), dtype=float),
@@ -299,8 +310,6 @@ def load_drive_log(path: str | Path) -> DriveLog:
             gear=Gear(meta.get("gear", "drive")),
             description=meta.get("description", ""),
         )
-    except (KeyError, TypeError, ValueError, OverflowError, SchemaError) as exc:
-        raise SchemaError(f"{path}: malformed drive log: {exc}") from exc
 
 
 # --- CSV ingestion ------------------------------------------------------------
@@ -398,7 +407,7 @@ def _parse_floats(cells: list) -> tuple[np.ndarray, np.ndarray]:
 def load_vehicle_params(path: str | Path) -> VehicleParams:
     """Load vehicle parameters from a JSON file."""
     obj = read_json(path)
-    try:
+    with file_values(path, "invalid vehicle parameter config"):
         wheels = obj.get("wheels", [])
         if not isinstance(wheels, list):
             raise TypeError(f"'wheels' must be a JSON list, got {type(wheels).__name__}")
@@ -412,8 +421,6 @@ def load_vehicle_params(path: str | Path) -> VehicleParams:
             throttle_range=tuple(json_numbers(obj, "throttle_range", [0, 186])),
             brake_range=tuple(json_numbers(obj, "brake_range", [0, 255])),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{path}: invalid vehicle parameter config: {exc}") from exc
 
 
 def grade_force(params: VehicleParams, slope_rad: float | np.ndarray) -> float | np.ndarray:

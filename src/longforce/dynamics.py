@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import VehicleParams, equivalent_mass, grade_force
+from .core import VehicleParams, equivalent_mass, file_values, grade_force
 from .errors import InvalidParameterError, SchemaError
 from .spline import ForceSurface, Spline1D
 
@@ -241,7 +241,8 @@ def step_hold_schedule(rows: list[tuple[float, float, float, float]]) -> Schedul
 
 
 def load_schedule_csv(path: str | Path) -> Schedule:
-    """Schedule from a CSV with columns t_s, throttle, brake, slope_rad."""
+    """Schedule from a CSV with columns t_s, throttle, brake, slope_rad; each
+    value must be finite, and throttle and brake >= 0."""
     required = ("t_s", "throttle", "brake", "slope_rad")
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -251,9 +252,12 @@ def load_schedule_csv(path: str | Path) -> Schedule:
         if missing:
             raise SchemaError(f"{path}: schedule is missing column(s) {', '.join(missing)}")
         for i, row in enumerate(reader):
-            try:
-                rows.append((float(row["t_s"]), float(row["throttle"]),
-                             float(row["brake"]), float(row["slope_rad"])))
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"{path}: bad schedule row {i + 1}: {exc}") from exc
+            with file_values(path, f"bad schedule row {i + 1}"):
+                values = tuple(float(row[c]) for c in required)
+                for name, value in zip(required, values):
+                    if not math.isfinite(value):
+                        raise ValueError(f"{name} is non-finite: {value}")
+                    if value < 0 and name in ("throttle", "brake"):
+                        raise ValueError(f"{name} must be >= 0, got {value}")
+                rows.append(values)
     return step_hold_schedule(rows)

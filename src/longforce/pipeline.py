@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (VehicleParams, json_integers, json_numbers, json_object, kmh_to_mps,
-                   load_drive_log, load_vehicle_params, read_json)
+from .core import (VehicleParams, file_values, json_integers, json_numbers, json_object,
+                   kmh_to_mps, load_drive_log, load_vehicle_params, read_json)
 from .dynamics import ModelSet, load_schedule_csv, simulate
 from .errors import (EmptySeriesError, FitError, InvalidParameterError,
                      ProtocolViolationError, SchemaError)
@@ -57,9 +57,8 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
     """The config at ``path``; a value the stages cannot use is a SchemaError naming the file."""
     path = Path(path)
     obj = read_json(path)
-    try:
-        params = load_vehicle_params(path.parent / obj["params"])
-        anchors = load_anchor_file(path.parent / obj["anchors"])
+    with file_values(path, "invalid pipeline config"):
+        params_path, anchors_path = (path.parent / obj[key] for key in ("params", "anchors"))
         est = json_object(obj, "estimator")
         window = int(json_integers(est, "window", DEFAULT_WINDOW))
         cutoff = float(json_numbers(est, "cutoff_hz", DEFAULT_CUTOFF_HZ))
@@ -80,9 +79,9 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
                     and all(a < b for a, b in zip(ks, ks[1:]))):
                 raise ValueError(f"knots_mps for {kind} must hold >= 2 finite, strictly "
                                  f"increasing speeds, got {list(ks)}")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{path}: invalid pipeline config: {exc}") from exc
-    return PipelineConfig(params, anchors, window, cutoff, edges, knots)
+    # Read outside the block, so that their errors name their own file once.
+    return PipelineConfig(load_vehicle_params(params_path), load_anchor_file(anchors_path),
+                          window, cutoff, edges, knots)
 
 
 def _provenance(source_logs: list[str]) -> dict:
@@ -198,9 +197,6 @@ def run_fit_brake(log_paths: list[str], friction_path: str | Path,
     """Fit one braking curve per constant brake level and assemble the surface."""
     friction = load_typed_model(friction_path, "friction")
     propulsion = load_typed_model(propulsion_path, "propulsion")
-    if 0 not in propulsion.levels:
-        raise SchemaError(f"{propulsion_path}: propulsion surface must include level 0 "
-                          "(the creep curve)")
     creep = propulsion.curve_at(0)
     return _fit_surface("braking", "brake", log_paths, config, out_path,
                         lambda part, accel: extract_braking(part, accel, friction, creep,
@@ -248,15 +244,10 @@ def run_export(model_path: str | Path, out_path: str | Path,
 # --- simulation & validation ---------------------------------------------------
 
 def load_model_set(friction_path, propulsion_path, braking_path, params_path) -> ModelSet:
-    friction = load_typed_model(friction_path, "friction")
-    propulsion = load_typed_model(propulsion_path, "propulsion")
-    braking = load_typed_model(braking_path, "braking")
-    params = load_vehicle_params(params_path)
-    try:
-        return ModelSet(friction, propulsion, braking, params)
-    except ValueError as exc:
-        path = propulsion_path if 0 not in propulsion.levels else braking_path
-        raise SchemaError(f"{path}: {exc}") from exc
+    return ModelSet(load_typed_model(friction_path, "friction"),
+                    load_typed_model(propulsion_path, "propulsion"),
+                    load_typed_model(braking_path, "braking"),
+                    load_vehicle_params(params_path))
 
 
 def run_simulate(models: ModelSet, schedule_path: str | Path, v0: float, dt: float,

@@ -16,9 +16,8 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .core import json_numbers, json_object, load_vehicle_params, read_json
+from .core import file_values, json_numbers, json_object, load_vehicle_params, read_json
 from .dynamics import ModelSet
-from .errors import FitError, SchemaError
 from .spline import Anchor, ForceSurface, Spline1D
 
 
@@ -43,7 +42,7 @@ def load_anchor_file(path: str | Path) -> dict[str, dict[int | None, tuple[Ancho
                             float(json_numbers(a, "weight", 1.0))) for a in items)
 
     obj = read_json(path)
-    try:
+    with file_values(path, "invalid anchor config"):
         out = {}
         if "friction" in obj:
             out["friction"] = {None: parse_list(obj["friction"])}
@@ -52,8 +51,6 @@ def load_anchor_file(path: str | Path) -> dict[str, dict[int | None, tuple[Ancho
                 out[kind] = {int(level): parse_list(items)
                              for level, items in json_object(obj, kind).items()}
         return out
-    except (KeyError, TypeError, ValueError, FitError) as exc:
-        raise SchemaError(f"{path}: invalid anchor config: {exc}") from exc
 
 
 def _curve_from_anchors(anchors) -> Spline1D:

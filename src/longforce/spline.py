@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import json_integers, json_numbers, json_object, read_json
+from .core import file_values, json_integers, json_numbers, json_object, read_json
 from .errors import FitError, InvalidParameterError, InversionError, SchemaError
 
 #: Default knot layout (m/s): log-spaced, dense at low speed where the
@@ -144,7 +144,7 @@ class Spline1D:
 
     Evaluation reproduces the knot values exactly, is C1 inside the knot
     span, holds the end values constant outside it, and never returns less
-    than ``lower_clamp``.
+    than ``lower_clamp``, which is finite and >= 0, as every force is.
     """
 
     knots_x: tuple[float, ...]
@@ -164,6 +164,8 @@ class Spline1D:
                 raise FitError(f"{name} {bad[0]} is non-finite: {values[bad[0]]}")
         if not math.isfinite(self.lower_clamp):
             raise FitError(f"lower clamp is non-finite: {self.lower_clamp}")
+        if self.lower_clamp < 0:
+            raise FitError(f"lower clamp must be >= 0, got {self.lower_clamp}")
         if not all(a < b for a, b in zip(xs, xs[1:])):
             raise FitError("knot positions must be strictly increasing")
         if len(ys) != len(xs) or len(ms) != len(xs):
@@ -625,28 +627,24 @@ def model_to_dict(kind: str, model: Spline1D | ForceSurface,
 
 
 def model_from_dict(obj: dict) -> tuple[str, Spline1D | ForceSurface, dict]:
-    try:
-        kind = obj["kind"]
-        curves = obj["curves"]
-        clamp = float(json_numbers(obj, "lower_clamp_N", 0.0))
-        provenance = dict(json_object(obj, "provenance"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed model file: {exc}") from exc
+    """The kind, model and provenance held in a model file's object; a bad value
+    raises as it is found, and :func:`load_model` names the file."""
+    kind = obj["kind"]
+    curves = obj["curves"]
+    clamp = float(json_numbers(obj, "lower_clamp_N", 0.0))
+    provenance = dict(json_object(obj, "provenance"))
     if kind not in MODEL_KINDS:
         raise SchemaError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-    try:
-        if kind == "friction":
-            if len(curves) != 1:
-                raise SchemaError("a friction model holds exactly one curve")
-            return kind, _curve_from_dict(curves[0], clamp), provenance
-        levels = json_integers(obj, "levels", [])
-        if not levels or len(levels) != len(curves):
-            raise SchemaError(f"a {kind} model needs matching 'levels' and 'curves' lists")
-        surface = ForceSurface(tuple(int(v) for v in levels),
-                               tuple(_curve_from_dict(c, clamp) for c in curves))
-        check_signal_monotone(surface)
-    except (KeyError, TypeError, ValueError, OverflowError, FitError) as exc:
-        raise SchemaError(f"malformed {kind} model: {exc}") from exc
+    if kind == "friction":
+        if len(curves) != 1:
+            raise SchemaError("a friction model holds exactly one curve")
+        return kind, _curve_from_dict(curves[0], clamp), provenance
+    levels = json_integers(obj, "levels", [])
+    if not levels or len(levels) != len(curves):
+        raise SchemaError(f"a {kind} model needs matching 'levels' and 'curves' lists")
+    surface = ForceSurface(tuple(int(v) for v in levels),
+                           tuple(_curve_from_dict(c, clamp) for c in curves))
+    check_signal_monotone(surface)
     return kind, surface, provenance
 
 
@@ -658,17 +656,21 @@ def save_model(path: str | Path, kind: str, model: Spline1D | ForceSurface,
 
 
 def load_model(path: str | Path) -> tuple[str, Spline1D | ForceSurface, dict]:
-    """The kind, model and provenance stored at ``path``; a schema error names the path."""
+    """The kind, model and provenance stored at ``path``; a bad value is a SchemaError naming it."""
     obj = read_json(path)
-    try:
+    kind = obj.get("kind")
+    with file_values(path, f"malformed {kind} model" if kind in MODEL_KINDS
+                     else "malformed model file"):
         return model_from_dict(obj)
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def load_typed_model(path: str | Path, kind: str) -> Spline1D | ForceSurface:
-    """The model stored at ``path``, which must be a ``kind`` model."""
+    """The model stored at ``path``, which must be a ``kind`` model; a surface
+    must hold level 0 (the creep or regenerative curve), which every reader needs."""
     got, model, _ = load_model(path)
     if got != kind:
         raise SchemaError(f"{path}: expected a {kind} model, got {got}")
+    if kind != "friction" and 0 not in model.levels:
+        curve = "creep" if kind == "propulsion" else "regenerative"
+        raise SchemaError(f"{path}: {kind} surface must include level 0 (the {curve} curve)")
     return model

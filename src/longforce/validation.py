@@ -18,6 +18,8 @@ from .errors import EmptyReportError, InvalidParameterError
 from .estimation import AccelSeries
 
 DEFAULT_HIST_BIN = 0.1
+#: Most histogram bins a bin width may ask for over the errors' range.
+MAX_HIST_BINS = 100_000
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,10 @@ def _histogram(errors: np.ndarray, bin_width: float) -> tuple[tuple[float, int],
     if not 0 < bin_width < math.inf:
         raise InvalidParameterError("histogram bin width must be finite and > 0, "
                                     f"got {bin_width}")
+    span = float(errors.max()) - float(errors.min())
+    if span / bin_width >= MAX_HIST_BINS:
+        raise InvalidParameterError(f"histogram bin width {bin_width} gives more than "
+                                    f"{MAX_HIST_BINS} bins over an error span of {span:g}")
     k = np.floor(errors / bin_width + 0.5).astype(int)
     lo, hi = int(k.min()), int(k.max())
     counts = np.bincount(k - lo, minlength=hi - lo + 1)

@@ -12,7 +12,7 @@ from longforce.estimation import bin_by_speed
 from longforce.pipeline import (load_model_set, load_pipeline_config, run_export,
                                 run_fit_brake, run_fit_friction, run_fit_propulsion,
                                 run_reference, run_simulate, run_validate)
-from longforce.reference import data_path
+from longforce.reference import data_path, load_anchor_file
 from longforce.spline import limited_tangents, load_model
 
 from conftest import coast_down_log, mixed_drive, protocol_log
@@ -705,6 +705,74 @@ class TestFractionalIntegerFields:
         loaded = load_pipeline_config(cli_inputs["config"])
         assert loaded.window == 21 and len(loaded.bin_edges) == 41
         assert load_model(cli_inputs["propulsion"])[1].levels == (0, 50, 100, 150, 186)
+
+
+HUGE_INT = 10**400  # a JSON integer literal that float() refuses with OverflowError
+
+
+class TestInputBoundary:
+    """A value the program cannot use, in any file it reads, is exit 2 naming that file."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda obj: obj.__setitem__("lower_clamp_N", HUGE_INT),
+        lambda obj: obj["curves"][0]["knots_y_N"].__setitem__(1, HUGE_INT)],
+        ids=["clamp", "knot"])
+    def test_huge_integer_in_model_is_2(self, cli_inputs, tmp_path, capsys, edit):
+        # The clamp used to exit 3 with "int too large to convert to float",
+        # naming no file.
+        path = cli_inputs["friction"]
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        assert main(cli_argv("simulate", cli_inputs, str(tmp_path / "out"))) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed friction model: int too large to convert to float\n")
+
+    def test_huge_integer_in_anchors_names_the_anchor_file(self, cli_inputs, tmp_path,
+                                                            capsys):
+        # Used to name the pipeline config; load_anchor_file raised a bare
+        # OverflowError.
+        path = tmp_path / "anchors.json"
+        obj = json.loads(data_path("anchors_zoe.json").read_text())
+        obj["friction"][0]["force_n"] = HUGE_INT
+        path.write_text(json.dumps(obj))
+        config = json.loads(cli_inputs["config"].read_text())
+        config["anchors"] = str(path)
+        cli_inputs["config"].write_text(json.dumps(config))
+        message = f"{path}: invalid anchor config: int too large to convert to float"
+        with pytest.raises(SchemaError) as exc:
+            load_anchor_file(path)
+        assert str(exc.value) == message
+        assert main(cli_argv("fit-friction", cli_inputs, str(tmp_path / "out"))) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    # A NaN time and a negative throttle or brake used to exit 0 (a negative
+    # throttle turns regenerative braking off and gives creep force); a NaN
+    # slope exited 2 naming neither the file nor the row.
+    @pytest.mark.parametrize("row, message", [
+        ("nan,0,0,0", "t_s is non-finite: nan"),
+        ("1,0,0,nan", "slope_rad is non-finite: nan"),
+        ("1,inf,0,0", "throttle is non-finite: inf"),
+        ("1,-80,0,0", "throttle must be >= 0, got -80.0"),
+        ("1,0,-5,0", "brake must be >= 0, got -5.0")],
+        ids=["t-nan", "slope-nan", "throttle-inf", "throttle-neg", "brake-neg"])
+    def test_bad_schedule_row_is_2(self, cli_inputs, tmp_path, capsys, row, message):
+        path = cli_inputs["schedule"]
+        path.write_text(f"t_s,throttle,brake,slope_rad\n0,0,0,0\n{row}\n")
+        assert main(cli_argv("simulate", cli_inputs, str(tmp_path / "out"))) == 2
+        assert capsys.readouterr().err == f"error: {path}: bad schedule row 2: {message}\n"
+
+    def test_negative_clamp_model_is_2(self, cli_inputs, tmp_path, capsys):
+        # Such a surface used to load and evaluate to -35 N at throttle 0,
+        # then to 0 N between the levels.
+        path = cli_inputs["propulsion"]
+        path.write_text(json.dumps({
+            "kind": "propulsion", "levels": [0, 100], "lower_clamp_N": -50,
+            "curves": [{"knots_x_mps": [0, 10], "knots_y_N": [-40, -30]},
+                       {"knots_x_mps": [0, 10], "knots_y_N": [-20, -10]}]}))
+        assert main(cli_argv("simulate", cli_inputs, str(tmp_path / "out"))) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed propulsion model: lower clamp must be >= 0, got -50.0\n")
 
 
 class TestFitDeterminism:

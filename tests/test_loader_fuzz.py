@@ -39,7 +39,7 @@ FUZZ = settings(max_examples=60, deadline=None)
 SCHEMA_MUTATIONS = ("drop", "retype")
 VALUE_MUTATIONS = ("non-finite", "empty", "huge")
 NON_FINITE = (math.nan, math.inf, -math.inf)
-HUGE = (1e308, -1e308, 10**30)
+HUGE = (1e308, -1e308, 10**30, 10**400)
 
 # Keys a file may lack (dropping one may give any exit code), and members
 # whose content is free (any mutation may give 0), as paths where "*"

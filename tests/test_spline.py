@@ -89,6 +89,14 @@ class TestSpline1D:
         with pytest.raises(FitError, match="lower clamp is non-finite"):
             Spline1D((0.0, 1.0), (5.0, 6.0), (0.0, 0.0), lower_clamp=value)
 
+    def test_negative_lower_clamp_rejected(self):
+        # Forces are never negative; a surface of such curves used to jump
+        # from its clamp at the first level to 0 N between levels.
+        with pytest.raises(FitError, match="lower clamp must be >= 0, got -50.0"):
+            Spline1D((0.0, 1.0), (5.0, 6.0), (0.0, 0.0), lower_clamp=-50.0)
+        with pytest.raises(FitError, match="lower clamp must be >= 0, got -50.0"):
+            Spline1D.interpolate([0.0, 10.0], [-40.0, -30.0], lower_clamp=-50.0)
+
     def test_eval_many_matches_eval(self):
         s = Spline1D.interpolate([0.0, 2.0, 4.0], [1.0, 5.0, 3.0])
         xs = np.linspace(-1, 5, 50)
@@ -356,11 +364,16 @@ class TestSerialization:
         lambda obj: obj["levels"].reverse(),
         lambda obj: obj["curves"][-1].update(  # top level below the one beneath it
             knots_y_N=[0.5 * y for y in obj["curves"][-1]["knots_y_N"]])])
-    def test_bad_values_rejected_as_schema_error(self, gt_models, edit):
+    def test_bad_values_rejected_as_schema_error(self, tmp_path, gt_models, edit):
+        # model_from_dict raises the error that refuses the value; load_model
+        # turns it into a SchemaError naming the file.
         obj = model_to_dict("braking", gt_models.braking)
         edit(obj)
-        with pytest.raises(SchemaError, match="malformed braking model"):
-            model_from_dict(obj)
+        path = tmp_path / "braking.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SchemaError) as exc:
+            load_model(path)
+        assert str(exc.value).startswith(f"{path}: malformed braking model: ")
 
     @pytest.mark.parametrize("zero", [True, False])
     @pytest.mark.parametrize("kind, curve, name", [

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from longforce.core import DriveLog, Gear
-from longforce.errors import EmptyReportError
+from longforce.errors import EmptyReportError, InvalidParameterError
 from longforce.estimation import AccelSeries
-from longforce.validation import render_table, report_to_dict, validate
+from longforce.validation import MAX_HIST_BINS, render_table, report_to_dict, validate
 
 from conftest import mixed_drive
 
@@ -58,6 +58,18 @@ class TestValidate:
         widths = np.diff(centers)
         assert np.allclose(widths, report.hist_bin_width)
         assert any(abs(c) < 1e-12 for c in centers)  # centered on zero
+
+    def test_bin_width_giving_too_many_bins_is_refused(self, gt_models):
+        # The errors span 2 m/s^2: a width of 1e-6 asks for 2e6 bins, which
+        # used to be allocated (a width of 1e-9 asked numpy for 15 GiB).
+        n = 50
+        t = np.arange(n) * 0.01
+        log = DriveLog(t, np.full(n, 10.0), np.zeros(n, dtype=np.int64),
+                       np.zeros(n, dtype=np.int64), np.zeros(n), gear=Gear.DRIVE)
+        accel = AccelSeries(t.copy(), np.linspace(-1.0, 1.0, n), np.ones(n, dtype=bool))
+        assert len(validate(gt_models, log, accel, hist_bin=1e-4).histogram) < MAX_HIST_BINS
+        with pytest.raises(InvalidParameterError, match="histogram bin width 1e-06 gives"):
+            validate(gt_models, log, accel, hist_bin=1e-6)
 
     def test_mean_shifts_with_offset_std_unchanged(self, gt_models, drive):
         log, traj = drive
