@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
@@ -72,6 +72,8 @@ class VehicleParams:
     wheels: tuple[Wheel, ...] = ()
     throttle_range: tuple[int, int] = (0, 186)
     brake_range: tuple[int, int] = (0, 255)
+    #: The weight m*g in N, computed once for :func:`grade_force`.
+    weight_n: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.base_mass_kg < math.inf:
@@ -90,6 +92,7 @@ class VehicleParams:
                 raise InvalidParameterError(f"{name} must be an integer interval with min < max")
         object.__setattr__(self, "throttle_range", (int(self.throttle_range[0]), int(self.throttle_range[1])))
         object.__setattr__(self, "brake_range", (int(self.brake_range[0]), int(self.brake_range[1])))
+        object.__setattr__(self, "weight_n", total_mass(self) * self.gravity_mps2)
 
 
 def total_mass(params: VehicleParams) -> float:
@@ -436,4 +439,4 @@ def grade_force(params: VehicleParams, slope_rad: float | np.ndarray) -> float |
                           count=slope_rad.size).reshape(slope_rad.shape)
     else:
         sin = math.sin(slope_rad)
-    return total_mass(params) * params.gravity_mps2 * sin
+    return params.weight_n * sin

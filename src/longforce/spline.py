@@ -58,20 +58,35 @@ def limited_tangents(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, .
     flat spans they are zeroed. Shrinking never grows a tangent, so one pass
     suffices: it limits each segment, left to right, once its right knot's
     start tangent is known, carrying the secant and left tangent along.
+    Tangent ``j`` is final once segment ``j`` is limited, so a caller that
+    needs only the first tangents can stop the pass there
+    (:meth:`ForceSurface.eval` does); this runs it to the end.
     """
-    n = len(xs)
-    if n == 1:
-        return (0.0,)
-    d = (ys[1] - ys[0]) / (xs[1] - xs[0])
+    spans = [b - a for a, b in zip(xs, xs[1:])]
+    spans2 = [b - a for a, b in zip(xs, xs[2:])]
+    return tuple(_limited_pass(ys, spans, spans2, len(xs) - 1))
+
+
+def _limited_pass(ys: Sequence[float], spans: Sequence[float], spans2: Sequence[float],
+                  stop: int) -> list[float]:
+    """Tangents 0 to ``stop`` of :func:`limited_tangents`, each final.
+
+    ``spans[j]`` is ``xs[j + 1] - xs[j]`` and ``spans2[j]`` is
+    ``xs[j + 2] - xs[j]``; the pass stops after segment ``stop``.
+    """
+    last = len(spans)
+    if last == 0:
+        return [0.0]
+    d = (ys[1] - ys[0]) / spans[0]
     left = d
     m = []
-    for i in range(1, n):
-        if i == n - 1:
+    for i in range(1, last + 1):
+        if i == last:
             right = d_next = d
         else:
-            d_next = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+            d_next = (ys[i + 1] - ys[i]) / spans[i]
             right = (0.0 if d * d_next <= 0.0  # local extremum or flat neighbor
-                     else (ys[i + 1] - ys[i - 1]) / (xs[i + 1] - xs[i - 1]))
+                     else (ys[i + 1] - ys[i - 1]) / spans2[i - 1])
         if d == 0.0:
             left = right = 0.0
         else:
@@ -89,9 +104,11 @@ def limited_tangents(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, .
                 left = tau * a * d if tau else 0.0 * d
                 right = tau * b * d if tau else 0.0 * d
         m.append(left)
+        if i > stop:
+            return m
         left, d = right, d_next
     m.append(left)
-    return tuple(m)
+    return m
 
 
 def _limited_tangents_many(xs: Sequence[float], ys: np.ndarray) -> np.ndarray:
@@ -427,6 +444,9 @@ class ForceSurface:
         curves = tuple(self.curves)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "curves", curves)
+        # The level spans the limiter divides by along the signal axis.
+        object.__setattr__(self, "_spans", tuple(b - a for a, b in zip(levels, levels[1:])))
+        object.__setattr__(self, "_spans2", tuple(b - a for a, b in zip(levels, levels[2:])))
         # When every curve shares one knot grid, a cross-section needs one
         # bisect and one set of Hermite basis terms for all of them; each
         # segment then holds every curve's terms and clamp.
@@ -486,15 +506,23 @@ class ForceSurface:
         if signal >= levels[-1]:
             return self.curves[-1].eval(v)
         values = self.cross_section(v)
-        tangents = limited_tangents(levels, values)
+        spans = self._spans
         i = bisect_right(levels, signal) - 1
         try:
-            h = levels[i + 1] - levels[i]
+            h = spans[i]
         except IndexError:  # only NaN passes both end tests
             raise InvalidParameterError("signal is NaN") from None
+        # Tangents i and i + 1 are final once segment i + 1 is limited.
+        m = _limited_pass(values, spans, self._spans2, i + 1)
         t = (signal - levels[i]) / h
-        y = _hermite(t, values[i], values[i + 1], tangents[i], tangents[i + 1], h)
-        return max(y, 0.0)
+        t2 = t * t
+        t3 = t2 * t
+        y0 = values[i]
+        # _hermite's sum, in its operation order, then max(y, 0.0)
+        y = (y0 + (values[i + 1] - y0) * (-2.0 * t3 + 3.0 * t2)
+             + m[i] * h * (t3 - 2.0 * t2 + t)
+             + m[i + 1] * h * (t3 - t2))
+        return 0.0 if 0.0 > y else y
 
     def eval_many(self, v, signal) -> np.ndarray:
         """Surface values at arrays of (speed, signal), equal to :meth:`eval` bit for bit.

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DriveLog
+from .core import _INT64_SPAN, DriveLog
 from .dynamics import ModelSet, direct_acceleration_many
 from .errors import EmptyReportError, InvalidParameterError
 from .estimation import AccelSeries
@@ -80,6 +80,11 @@ def _histogram(errors: np.ndarray, bin_width: float) -> tuple[tuple[float, int],
     if span / bin_width >= MAX_HIST_BINS:
         raise InvalidParameterError(f"histogram bin width {bin_width} gives more than "
                                     f"{MAX_HIST_BINS} bins over an error span of {span:g}")
+    # The bin indices are cast to int64, which must hold them.
+    reach = float(np.abs(errors).max())
+    if reach / bin_width >= _INT64_SPAN:
+        raise InvalidParameterError(f"histogram bin width {bin_width} puts an error of "
+                                    f"{reach:g} beyond the int64 bin indices")
     k = np.floor(errors / bin_width + 0.5).astype(int)
     lo, hi = int(k.min()), int(k.max())
     counts = np.bincount(k - lo, minlength=hi - lo + 1)
