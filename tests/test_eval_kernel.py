@@ -32,7 +32,7 @@ from longforce.errors import FitError, InvalidParameterError, InversionError  # 
 from longforce.estimation import estimate_acceleration  # noqa: E402
 from longforce.reference import data_path  # noqa: E402
 from longforce.spline import (SIGNAL_TOL, ForceSurface, Spline1D,  # noqa: E402
-                              check_signal_monotone, limited_tangents)
+                              _limited_pass, check_signal_monotone, limited_tangents)
 from longforce.validation import _histogram, validate  # noqa: E402
 
 from conftest import mixed_drive  # noqa: E402
@@ -44,6 +44,8 @@ KERNEL = settings(max_examples=200, deadline=None)
 # (the alpha^2 + beta^2 > 9 rescale) come up often.
 KNOT_VALUES = st.one_of(st.sampled_from([0.0, 0.0, 5.0, 5.0, 120.0, 3000.0]),
                         st.floats(-200.0, 4000.0, allow_nan=False))
+# Overflowing secants (1e308 apart) and signed zeros, beside the usual values.
+LIMITER_VALUES = st.one_of(KNOT_VALUES, st.sampled_from([1e308, -1e308, -0.0, 1e-300]))
 CLAMPS = st.sampled_from([0.0, 0.0, 40.0])
 
 
@@ -66,22 +68,25 @@ def knot_grids(draw):
 
 
 @st.composite
-def curves(draw, lower_clamp=None, knots=None):
+def curves(draw, lower_clamp=None, knots=None, values=KNOT_VALUES):
     """A curve on the given knot grid or its own, with limited or hand-set tangents."""
     xs = draw(knot_grids()) if knots is None else knots
-    ys = draw(st.lists(KNOT_VALUES, min_size=len(xs), max_size=len(xs)))
+    ys = draw(st.lists(values, min_size=len(xs), max_size=len(xs)))
     clamp = draw(CLAMPS) if lower_clamp is None else lower_clamp
     if draw(st.booleans()):
-        return Spline1D.interpolate(xs, ys, clamp)
+        try:
+            return Spline1D.interpolate(xs, ys, clamp)
+        except FitError:  # a 1e308 knot a millimetre from a small one: infinite tangent
+            pass
     # Unlimited tangents can overshoot below the clamp between knots.
     ms = draw(st.lists(st.floats(-5000.0, 5000.0), min_size=len(xs), max_size=len(xs)))
     return Spline1D(tuple(xs), tuple(max(y, clamp) for y in ys), tuple(ms), clamp)
 
 
 @st.composite
-def surfaces(draw, with_zero=False, shared_grid=None):
+def surfaces(draw, with_zero=False, shared_grid=None, values=KNOT_VALUES):
     """A surface on one knot grid, as fitted, or with one grid per level, as after pruning."""
-    levels = set(draw(st.lists(st.integers(0, 255), min_size=1, max_size=6)))
+    levels = set(draw(st.lists(st.integers(0, 255), min_size=1, max_size=9)))
     if with_zero or not levels:
         levels.add(0)
     clamp = draw(CLAMPS)
@@ -93,7 +98,7 @@ def surfaces(draw, with_zero=False, shared_grid=None):
         if chosen and draw(st.booleans()):
             chosen.append(chosen[-1])  # a flat span along the signal axis
         else:
-            chosen.append(draw(curves(lower_clamp=clamp, knots=grid)))
+            chosen.append(draw(curves(lower_clamp=clamp, knots=grid, values=values)))
     return ForceSurface(tuple(sorted(levels)), tuple(chosen))
 
 
@@ -285,10 +290,6 @@ def _surface_eval_oracle(surface, v, signal):
     return max(y, 0.0)
 
 
-# Overflowing secants (1e308 apart) and signed zeros, beside the usual values.
-LIMITER_VALUES = st.one_of(KNOT_VALUES, st.sampled_from([1e308, -1e308, -0.0, 1e-300]))
-
-
 @settings(max_examples=500, deadline=None)
 @given(st.data())
 def test_limited_tangents_matches_two_pass_oracle(data):
@@ -305,6 +306,11 @@ def test_limited_tangents_matches_two_pass_oracle(data):
             limited_tangents(xs, ys)
         return
     assert_same_bits(limited_tangents(xs, ys), expected)
+    # Stopped after segment ``stop``, the pass already holds tangents 0 to ``stop``.
+    spans = [b - a for a, b in zip(xs, xs[1:])]
+    spans2 = [b - a for a, b in zip(xs, xs[2:])]
+    for stop in range(n):
+        assert_same_bits(_limited_pass(ys, spans, spans2, stop), expected[:stop + 1])
 
 
 def inner_speeds(data, knots, n):
@@ -329,14 +335,41 @@ def test_curve_eval_matches_hermite_oracle(data):
 @KERNEL
 @given(data=st.data())
 def test_surface_matches_hermite_oracle(shared_grid, data):
-    surface = data.draw(surfaces(shared_grid=shared_grid))
+    # The oracle runs the limiter over every level; eval stops it after the
+    # segment past its own, so a signal inside every segment checks each stop.
+    surface = data.draw(surfaces(shared_grid=shared_grid, values=LIMITER_VALUES))
     knots = all_knots(surface)
+    levels = surface.levels
     speeds = data.draw(st.lists(speed_for(knots), min_size=1, max_size=10))
-    signals = data.draw(st.lists(signals_for(surface.levels), min_size=1, max_size=4))
+    signals = data.draw(st.lists(signals_for(levels), min_size=1, max_size=4))
+    signals += [0.5 * (a + b) for a, b in zip(levels, levels[1:])]
     for v in speeds + inner_speeds(data, knots, 10):
         assert_same_bits(surface.cross_section(v), _cross_section_oracle(surface, v))
         assert_same_bits([surface.eval(v, s) for s in signals],
                          [_surface_eval_oracle(surface, v, s) for s in signals])
+
+
+def test_limiting_past_the_next_segment_leaves_eval_unchanged():
+    # Curves flat in speed, so the cross-section is the level values. Level 3's
+    # start tangent, the secant (3000.1 - 200) / 20, is 14 000 times segment
+    # 3's secant of 0.01, so the limiter rescales tangents 3 and 4. Raising level 4
+    # to 5800 makes that tangent equal its secant, unlimited. A signal in
+    # segment 0 or 1 stops the pass before segment 3: the two surfaces must
+    # agree there, and with the oracle that limits every segment.
+    levels = (0, 10, 20, 30, 40)
+
+    def flat_surface(values):
+        return ForceSurface(levels, tuple(Spline1D.interpolate([0.0, 50.0], [y, y])
+                                          for y in values))
+
+    limited, unlimited = (0.0, 100.0, 200.0, 3000.0, 3000.1), (0.0, 100.0, 200.0, 3000.0, 5800.0)
+    assert limited_tangents(levels, limited)[3] < (3000.1 - 200.0) / 20
+    assert limited_tangents(levels, unlimited)[3] == (5800.0 - 200.0) / 20
+    a, b = flat_surface(limited), flat_surface(unlimited)
+    for signal in (2.5, 5.0, 9.0, 10.5, 15.0, 19.5):
+        assert_same_bits(a.eval(10.0, signal), b.eval(10.0, signal))
+        assert_same_bits(a.eval(10.0, signal), _surface_eval_oracle(a, 10.0, signal))
+    assert a.eval(10.0, 35.0) != b.eval(10.0, 35.0)
 
 
 def _monotone_check_loop(surface, speeds, tol_n=1e-6):
@@ -461,6 +494,17 @@ class TestNonFiniteInputs:
         with pytest.raises(InvalidParameterError, match="at row 4"):
             direct_acceleration_many(gt_models, v, throttle, brake, slope)
 
+    @pytest.mark.parametrize("slope", [math.inf, -math.inf, math.nan])
+    def test_simulate_names_a_non_finite_mid_step_slope(self, gt_models, slope):
+        # Both mid-step stages take one grade force; math.sin refuses an
+        # infinite slope, which must still be named as the operating point.
+        def schedule(t):
+            return 50.0, 0.0, slope if t > 0.0 else 0.0
+
+        with pytest.raises(InvalidParameterError,
+                           match=f"non-finite operating point: v=.*, slope={slope}"):
+            simulate(gt_models, schedule, 5.0, 0.01, 1.0)
+
     def test_eval_many_names_nan_row(self, gt_models):
         v = np.array([1.0, 2.0, np.nan, 4.0])
         with pytest.raises(InvalidParameterError, match="speed is NaN at row 2"):
@@ -540,11 +584,15 @@ def _rk4_oracle(models, schedule, v0, dt, duration):
     return [np.array(col) for col in zip(*rows)]
 
 
-# (end time s, throttle, brake, slope rad): held at rest by the brake, a launch,
-# regen-only coasting, a stop and a wait at rest, then throttle uphill and
-# regen downhill.
-PHASES = [(3.0, 0.0, 120.0, 0.0), (20.0, 100.0, 0.0, 0.0), (30.0, 0.0, 0.0, 0.0),
-          (42.0, 0.0, 160.0, 0.0), (45.0, 0.0, 90.0, 0.0), (60.0, 150.0, 0.0, 0.04),
+# (end time s, throttle, brake, slope rad): held at rest by the brake, a launch
+# through a throttle inside every propulsion segment (levels 0/50/100/150/186),
+# regen-only coasting, a stop through a brake inside every braking segment
+# (levels 0/40/80/120/160) and a wait at rest, then throttle uphill and regen
+# downhill.
+PHASES = [(3.0, 0.0, 120.0, 0.0), (10.0, 30.0, 0.0, 0.0), (16.0, 70.0, 0.0, 0.0),
+          (22.0, 127.0, 0.0, 0.02), (28.0, 170.0, 0.0, 0.0), (32.0, 0.0, 0.0, 0.0),
+          (36.0, 0.0, 20.0, 0.0), (40.0, 0.0, 60.0, -0.02), (44.0, 0.0, 100.0, 0.0),
+          (50.0, 0.0, 140.0, 0.0), (53.0, 0.0, 90.0, 0.0), (63.0, 150.0, 0.0, 0.04),
           (70.0, 0.0, 0.0, -0.03)]
 
 
@@ -569,6 +617,11 @@ def test_simulate_matches_rk4_oracle(gt_models):
     assert np.any(moving & (throttle == 0.0) & (brake == 0.0) & (traj.f_b > 0.0))
     assert np.any(moving & (brake > 0.0) & (traj.f_b > 0.0))
     assert np.any(moving & (slope > 0.0)) and np.any(moving & (slope < 0.0))
+    # Every segment between defining levels was evaluated on the move.
+    for level in (30.0, 70.0, 127.0, 170.0):
+        assert np.any(moving & (throttle == level))
+    for level in (20.0, 60.0, 100.0, 140.0):
+        assert np.any(moving & (brake == level))
 
 
 def test_model_set_caches_equivalent_mass(gt_models):

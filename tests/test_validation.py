@@ -4,7 +4,8 @@ import pytest
 from longforce.core import DriveLog, Gear
 from longforce.errors import EmptyReportError, InvalidParameterError
 from longforce.estimation import AccelSeries
-from longforce.validation import MAX_HIST_BINS, render_table, report_to_dict, validate
+from longforce.validation import (MAX_HIST_BINS, _histogram, render_table, report_to_dict,
+                                  validate)
 
 from conftest import mixed_drive
 
@@ -70,6 +71,13 @@ class TestValidate:
         assert len(validate(gt_models, log, accel, hist_bin=1e-4).histogram) < MAX_HIST_BINS
         with pytest.raises(InvalidParameterError, match="histogram bin width 1e-06 gives"):
             validate(gt_models, log, accel, hist_bin=1e-6)
+        # Equal errors span no bins at all, but at a width of 1e-300 their bin
+        # index overflows the int64 cast (it used to give one bin at -0.0).
+        same = AccelSeries(t.copy(), np.full(n, 0.05), np.ones(n, dtype=bool))
+        with pytest.raises(InvalidParameterError, match="beyond the int64 bin indices"):
+            validate(gt_models, log, same, hist_bin=1e-300)
+        with pytest.raises(InvalidParameterError, match="beyond the int64 bin indices"):
+            _histogram(np.array([0.05, 0.05]), 1e-300)
 
     def test_mean_shifts_with_offset_std_unchanged(self, gt_models, drive):
         log, traj = drive
