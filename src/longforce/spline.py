@@ -444,9 +444,12 @@ class ForceSurface:
         curves = tuple(self.curves)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "curves", curves)
-        # The level spans the limiter divides by along the signal axis.
-        object.__setattr__(self, "_spans", tuple(b - a for a, b in zip(levels, levels[1:])))
-        object.__setattr__(self, "_spans2", tuple(b - a for a, b in zip(levels, levels[2:])))
+        # The level spans the limiter divides by along the signal axis, as the
+        # floats float-by-int arithmetic would convert them to, once.
+        object.__setattr__(self, "_spans",
+                           tuple(float(b - a) for a, b in zip(levels, levels[1:])))
+        object.__setattr__(self, "_spans2",
+                           tuple(float(b - a) for a, b in zip(levels, levels[2:])))
         # When every curve shares one knot grid, a cross-section needs one
         # bisect and one set of Hermite basis terms for all of them; each
         # segment then holds every curve's terms and clamp.
