@@ -444,8 +444,8 @@ class ForceSurface:
         curves = tuple(self.curves)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "curves", curves)
-        # The level spans the limiter divides by along the signal axis, as the
-        # floats float-by-int arithmetic would convert them to, once.
+        # The level spans the limiter divides by along the signal axis. Stored
+        # as floats: Python converts an int operand on every operation.
         object.__setattr__(self, "_spans",
                            tuple(float(b - a) for a, b in zip(levels, levels[1:])))
         object.__setattr__(self, "_spans2",
