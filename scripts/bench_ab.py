@@ -2,17 +2,21 @@
 """Compare the benchmark of a base commit against HEAD in alternating pairs.
 
     python3 scripts/bench_ab.py BASE_REF --out BENCH_<n>.json \\
-        [--workload simulate ...] [--seeds 11 29] [--pairs 5] [--seconds 30]
+        [--workload simulate ...] [--seeds 11 29]
 
 Both sides run from a clean copy of their committed tree (``git archive``),
 so uncommitted changes are not measured. For each workload and seed, pair k
-runs ``bench/run.py --trace 0`` once on each side, the base first in odd
-pairs and HEAD first in even ones, so that a drift of the host's speed
-favours neither side. The script prints, per workload, seed and end-to-end
-metric, each side's median and quartiles, HEAD's median over the base's and
-the pairs HEAD won; a pair is won when HEAD's value is better in the
-direction ``BENCHMARK.json`` gives. It writes every raw result line, with the
-summary, to ``--out``.
+of ``PAIRS`` runs ``bench/run.py --trace 0`` once on each side, for the
+``run_seconds`` that ``BENCHMARK.json`` sets, the base first in odd pairs and
+HEAD first in even ones, so that a drift of the host's speed favours neither
+side. A run fails when it crashes, when it reports a wrong answer
+(``correct`` false), or, on HEAD, when more of its operations failed than in
+its base partner; a pair with a failed run is left out of every figure. The
+script prints, per workload, seed and end-to-end metric, each side's median
+and quartiles, HEAD's median over the base's and the pairs HEAD won; a pair
+is won when HEAD's value is better in the direction ``BENCHMARK.json`` gives.
+It writes every raw result line, with the summary, to ``--out``, and exits 1
+if any run failed.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("identify", "simulate", "control")
+PAIRS = 10   # alternating pairs per workload and seed
 
 
 def git(*args: str) -> str:
@@ -46,14 +51,26 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``--trace 0`` run in ``tree``: its details and result lines, or its error."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", f"{seconds:g}", "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or len(lines) < 2:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-2000:]}"}
     details = json.loads(lines[-2])["details"]
-    return {"inputs_sha256": details["inputs_sha256"], "quality": details["quality"],
-            "environment": details["environment"], "result": json.loads(lines[-1])}
+    run = {"inputs_sha256": details["inputs_sha256"], "quality": details["quality"],
+           "units": details["units"], "environment": details["environment"],
+           "result": json.loads(lines[-1])}
+    if not run["result"]["correct"]:
+        run["error"] = f"wrong answer: {details['problems']}"
+    return run
+
+
+def mark_failed_operations(base: dict, head: dict) -> None:
+    """Mark ``head`` failed when more of its operations failed than in ``base``."""
+    if "result" in base and "result" in head and "error" not in head:
+        if head["result"]["failed"] > base["result"]["failed"]:
+            head["error"] = (f"{head['result']['failed']} failed operations, "
+                             f"{base['result']['failed']} at the base")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -68,14 +85,13 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
     medians and the pairs HEAD won; and whether inputs and quality matched."""
     summary = {}
     for key in dict.fromkeys((r["workload"], r["seed"]) for r in runs):
-        group = [r for r in runs if (r["workload"], r["seed"]) == key and "result" in r]
+        group = [r for r in runs if (r["workload"], r["seed"]) == key]
         pairs = {}
         for r in group:
             pairs.setdefault(r["pair"], {})[r["side"]] = r
-        pairs = [p for p in pairs.values() if len(p) == 2]
-        entry = {"pairs": len(pairs),
-                 "failed_runs": sum(1 for r in runs
-                                    if (r["workload"], r["seed"]) == key and "error" in r)}
+        pairs = [p for p in pairs.values()
+                 if len(p) == 2 and not any("error" in r for r in p.values())]
+        entry = {"pairs": len(pairs), "failed_runs": sum(1 for r in group if "error" in r)}
         for name, direction in better.items() if pairs else ():
             sides = {side: [p[side]["result"]["metrics"][name]["value"] for p in pairs]
                      for side in ("base", "head")}
@@ -121,13 +137,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="a workload to run (repeatable; default: all three)")
     parser.add_argument("--seeds", type=int, nargs="+", default=[11, 29])
-    parser.add_argument("--pairs", type=int, default=5, help="pairs per workload and seed")
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     refs = {"base": git("rev-parse", "--verify", f"{args.base}^{{commit}}"),
             "head": git("rev-parse", "HEAD")}
@@ -139,14 +152,19 @@ def main(argv: list[str] | None = None) -> int:
             export(sha, trees[side])
         for workload in args.workload or WORKLOADS:
             for seed in args.seeds:
-                for pair in range(1, args.pairs + 1):
+                for pair in range(1, PAIRS + 1):
                     order = ("base", "head") if pair % 2 else ("head", "base")
+                    sides = {}
                     for side in order:
-                        run = {"side": side, "pair": pair, "workload": workload, "seed": seed,
-                               **bench(trees[side], workload, seed, args.seconds)}
+                        sides[side] = {"side": side, "pair": pair, "workload": workload,
+                                       "seed": seed,
+                                       **bench(trees[side], workload, seed, seconds)}
+                    mark_failed_operations(sides["base"], sides["head"])
+                    for side in order:
+                        run = sides[side]
                         runs.append(run)
-                        value = (run["result"]["metrics"]["ops_per_s"]["value"]
-                                 if "result" in run else run["error"])
+                        value = (run["error"] if "error" in run
+                                 else run["result"]["metrics"]["ops_per_s"]["value"])
                         print(f"{workload} seed {seed} pair {pair} {side}: ops_per_s {value}",
                               file=sys.stderr, flush=True)
 
@@ -157,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
         "change": git("log", "-1", "--format=%s", refs["head"]),
         "base": refs["base"], "head": refs["head"],
         "command": f"python3 bench/run.py --workload <workload> --seed <seed> "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
         "protocol": "alternating base/HEAD pairs (odd pairs base first), each side from a "
                     "clean copy of its committed tree",
         "host": {k: hosts[0][k] for k in ("python", "numpy", "cpu", "nproc")} if hosts else {},
@@ -166,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"\nwrote {args.out}")
-    return 0 if all("result" in r for r in runs) else 1
+    return 1 if any("error" in r for r in runs) else 0
 
 
 if __name__ == "__main__":
