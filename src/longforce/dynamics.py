@@ -74,16 +74,9 @@ class ActuationCommand:
             raise ValueError("throttle and brake must never both be nonzero")
 
 
-def _grade(models: ModelSet, slope: float) -> float:
-    """``grade_force`` at ``slope``, or NaN when ``slope`` is infinite (``math.sin``
-    refuses it), so that :func:`_forces` names the operating point instead."""
-    return grade_force(models.params, slope) if math.isfinite(slope) else math.nan
-
-
-def _forces(models: ModelSet, v: float, throttle: float, brake: float, slope: float,
-            grade: float) -> tuple[float, float, float, float]:
-    """``(accel, f_p, f_f, f_b)`` at one operating point, ``grade`` being
-    ``_grade(models, slope)``; see :func:`direct_acceleration`."""
+def _forces(models: ModelSet, v: float, throttle: float, brake: float,
+            slope: float) -> tuple[float, float, float, float]:
+    """``(accel, f_p, f_f, f_b)`` at one operating point; see :func:`direct_acceleration`."""
     if not math.isfinite(v + throttle + brake + slope):
         raise InvalidParameterError(
             f"non-finite operating point: v={v}, throttle={throttle}, brake={brake}, "
@@ -91,7 +84,7 @@ def _forces(models: ModelSet, v: float, throttle: float, brake: float, slope: fl
     f_f = models.friction.eval(v)
     f_p = models.propulsion.eval(v, throttle)
     f_b = models.braking.eval(v, brake) if throttle == 0.0 or brake > 0.0 else 0.0
-    accel = (f_p - grade - f_f - f_b) / models.m_eq
+    accel = (f_p - grade_force(models.params, slope) - f_f - f_b) / models.m_eq
     return accel, f_p, f_f, f_b
 
 
@@ -103,7 +96,7 @@ def direct_acceleration(models: ModelSet, v: float, throttle: float, brake: floa
     level 0 is the regenerative curve); with throttle applied regen is
     deactivated, so only an explicit brake command produces braking force.
     """
-    accel, f_p, f_f, f_b = _forces(models, v, throttle, brake, slope, _grade(models, slope))
+    accel, f_p, f_f, f_b = _forces(models, v, throttle, brake, slope)
     return accel, ForceBreakdown(f_p, f_f, f_b)
 
 
@@ -162,8 +155,8 @@ def simulate(models: ModelSet, schedule: Schedule, v0: float, dt: float,
     the model covers forward motion only.
 
     Per step, the schedule is called once at each of ``t``, ``t + dt/2``
-    (for both mid-step stages, which also share one grade force) and
-    ``t + dt``; a step at rest, and the last row, call it only at ``t``.
+    (for both mid-step stages) and ``t + dt``; a step at rest, and the last
+    row, call it only at ``t``.
     """
     if not 0.0 < dt <= 0.1:
         raise InvalidParameterError(f"dt must be in (0, 0.1] s, got {dt}")
@@ -184,8 +177,7 @@ def simulate(models: ModelSet, schedule: Schedule, v0: float, dt: float,
     for k in range(steps + 1):
         t = k * dt
         throttle, brake, slope = schedule(t)
-        a, fp_out[k], ff_out[k], fb_out[k] = _forces(models, v, throttle, brake, slope,
-                                                     _grade(models, slope))
+        a, fp_out[k], ff_out[k], fb_out[k] = _forces(models, v, throttle, brake, slope)
         at_rest = v == 0.0 and a <= 0.0
         t_out[k] = t
         v_out[k] = v
@@ -195,12 +187,10 @@ def simulate(models: ModelSet, schedule: Schedule, v0: float, dt: float,
         if at_rest:
             continue
         throttle, brake, slope = schedule(t + 0.5 * dt)
-        grade = _grade(models, slope)
-        k2 = _forces(models, max(v + 0.5 * dt * a, 0.0), throttle, brake, slope, grade)[0]
-        k3 = _forces(models, max(v + 0.5 * dt * k2, 0.0), throttle, brake, slope, grade)[0]
+        k2 = _forces(models, max(v + 0.5 * dt * a, 0.0), throttle, brake, slope)[0]
+        k3 = _forces(models, max(v + 0.5 * dt * k2, 0.0), throttle, brake, slope)[0]
         throttle, brake, slope = schedule(t + dt)
-        k4 = _forces(models, max(v + dt * k3, 0.0), throttle, brake, slope,
-                     _grade(models, slope))[0]
+        k4 = _forces(models, max(v + dt * k3, 0.0), throttle, brake, slope)[0]
         v = max(v + dt / 6.0 * (a + 2.0 * k2 + 2.0 * k3 + k4), 0.0)
 
     return Trajectory(t_out, v_out, a_out, fp_out, ff_out, fb_out)

@@ -496,8 +496,8 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize("slope", [math.inf, -math.inf, math.nan])
     def test_simulate_names_a_non_finite_mid_step_slope(self, gt_models, slope):
-        # Both mid-step stages take one grade force; math.sin refuses an
-        # infinite slope, which must still be named as the operating point.
+        # math.sin refuses an infinite slope; a non-finite slope at the
+        # mid-step stages must still be named as the operating point.
         def schedule(t):
             return 50.0, 0.0, slope if t > 0.0 else 0.0
 
