@@ -14,6 +14,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -263,6 +264,8 @@ def _number_types(key: str, value) -> set[type]:
 # --- drive log files ----------------------------------------------------------
 
 DRIVELOG_FORMAT = "longforce-drivelog-v1"
+#: Rows that CSV ingest and the drive-log writer hold as Python objects at a time.
+_BLOCK_ROWS = 4096
 
 
 def save_drive_log(path: str | Path, log: DriveLog, extra_meta: dict | None = None) -> None:
@@ -271,31 +274,43 @@ def save_drive_log(path: str | Path, log: DriveLog, extra_meta: dict | None = No
     The bytes are exactly ``json.dumps(obj, indent=2, sort_keys=True) + "\n"``
     of the object with keys ``brake``, ``format``, ``metadata``,
     ``slope_rad``, ``speed_mps``, ``t_s`` and ``throttle``, so the format
-    does not depend on how it is written. The data columns are joined from
-    ``repr`` of each value, which is JSON's spelling of an int and of a
-    finite float; this needs every float to be finite, and :class:`DriveLog`
-    refuses non-finite time, speed and slope. Only the metadata goes
-    through ``json.dumps``.
+    does not depend on how it is written. The file is written member by
+    member in that key order, and each data column ``_BLOCK_ROWS`` values at
+    a time, so that only one block is held as text. The data columns are
+    joined from ``repr`` of each value, which is JSON's spelling of an int
+    and of a finite float; this needs every float to be finite, and
+    :class:`DriveLog` refuses non-finite time, speed and slope. Only the
+    metadata goes through ``json.dumps``.
     """
     meta = {"gear": log.gear.value, "description": log.description, **(extra_meta or {})}
-    members = {  # in sort_keys order
-        "brake": _json_array(log.brake.tolist()),
-        "format": json.dumps(DRIVELOG_FORMAT),
-        "metadata": json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  "),
-        "slope_rad": _json_array(log.slope.tolist()),
-        "speed_mps": _json_array(log.speed.tolist()),
-        "t_s": _json_array(log.t.tolist()),
-        "throttle": _json_array(log.throttle.tolist()),
-    }
-    body = ",\n  ".join(f'"{name}": {text}' for name, text in members.items())
-    Path(path).write_text("{\n  " + body + "\n}\n", encoding="utf-8")
+    # The metadata is spelled before the file is opened, so that a value
+    # json.dumps refuses leaves no partial file.
+    members = {"brake": log.brake, "format": json.dumps(DRIVELOG_FORMAT),
+               "metadata": json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  "),
+               "slope_rad": log.slope, "speed_mps": log.speed, "t_s": log.t,
+               "throttle": log.throttle}
+    with open(path, "w", encoding="utf-8") as fh:
+        separator = "{\n  "
+        for name, value in sorted(members.items()):
+            fh.write(f'{separator}"{name}": ')
+            if isinstance(value, str):
+                fh.write(value)
+            else:
+                _write_json_array(fh, value)
+            separator = ",\n  "
+        fh.write("\n}\n")
 
 
-def _json_array(values: list) -> str:
-    """``values`` as ``json.dumps`` spells a list nested one level deep, indent 2."""
-    if not values:
-        return "[]"
-    return "[\n    " + ",\n    ".join(map(repr, values)) + "\n  ]"
+def _write_json_array(fh, column: np.ndarray) -> None:
+    """Write ``column`` as ``json.dumps`` spells a list nested one level deep, indent 2."""
+    if not len(column):
+        fh.write("[]")
+        return
+    separator = "[\n    "
+    for lo in range(0, len(column), _BLOCK_ROWS):
+        fh.write(separator + ",\n    ".join(map(repr, column[lo:lo + _BLOCK_ROWS].tolist())))
+        separator = ",\n    "
+    fh.write("\n  ]")
 
 
 def load_drive_log(path: str | Path) -> DriveLog:
@@ -334,7 +349,8 @@ def ingest_csv(csv_path: str | Path, units: str, gear: Gear = Gear.DRIVE,
     offending row. Rows are numbered among the CSV data rows, rejected ones
     included; blank lines are skipped and not numbered, fields past
     the header are ignored, and a header name given twice names its last
-    column.
+    column. The rows are read and parsed ``_BLOCK_ROWS`` (4096) at a time,
+    so only one block is held as Python strings.
     """
     if units not in UNIT_SPECS:
         raise SchemaError(f"unknown unit spec {units!r}; expected one of {UNIT_SPECS}")
@@ -344,21 +360,20 @@ def ingest_csv(csv_path: str | Path, units: str, gear: Gear = Gear.DRIVE,
         missing = [c for c in INGEST_COLUMNS if c not in header]
         if missing:
             raise SchemaError(f"{csv_path}: missing column(s) {', '.join(missing)}")
-        records = list(filter(None, reader))
-    last = {name: i for i, name in enumerate(header)}
-    indices = [last[c] for c in INGEST_COLUMNS]
-    # Pad short rows so that a missing field parses as None, which float()
-    # refuses like any other unparseable value.
-    width = max(indices) + 1
-    for k in np.flatnonzero(np.fromiter(map(len, records), np.intp, len(records)) < width):
-        records[k] = records[k] + [None] * (width - len(records[k]))
-    parsed = [_parse_floats(list(map(itemgetter(i), records))) for i in indices]
-    t, speed, throttle, brake, slope = (values for values, _ in parsed)
-    unparseable = np.logical_or.reduce([bad for _, bad in parsed])
-    non_finite = ~np.logical_and.reduce([np.isfinite(values) for values, _ in parsed])
+        last = {name: i for i, name in enumerate(header)}
+        indices = [last[c] for c in INGEST_COLUMNS]
+        records = filter(None, reader)
+        blocks = [_parse_block([], indices)]
+        while block := list(islice(records, _BLOCK_ROWS)):
+            blocks.append(_parse_block(block, indices))
+    values = np.concatenate([columns for columns, _ in blocks], axis=1)
+    unparseable = np.concatenate([bad for _, bad in blocks])
+    del blocks  # the parsed blocks are copied into values
+    t, speed, throttle, brake, slope = values
+    non_finite = ~np.isfinite(values).all(axis=0)
     if units == "speed_kmh":
         speed = kmh_to_mps(speed)
-    signals = np.stack([throttle, brake])
+    signals = values[2:4]
     fractional = (signals != np.trunc(signals)).any(axis=0)
     out_of_range = ((signals < -_INT64_SPAN) | (signals >= _INT64_SPAN)).any(axis=0)
     # The first reason that applies, in this order, is the one reported.
@@ -390,6 +405,19 @@ def ingest_csv(csv_path: str | Path, units: str, gear: Gear = Gear.DRIVE,
         "segments": len(log.segments()),
     }
     return log, report
+
+
+def _parse_block(records: list[list[str]], indices: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``indices`` columns of ``records`` as a float array of one row per
+    column, and a mask of the records holding a cell ``float()`` refuses."""
+    # Pad short rows so that a missing field parses as None, which float()
+    # refuses like any other unparseable value.
+    width = max(indices) + 1
+    for k in np.flatnonzero(np.fromiter(map(len, records), np.intp, len(records)) < width):
+        records[k] = records[k] + [None] * (width - len(records[k]))
+    parsed = [_parse_floats(list(map(itemgetter(i), records))) for i in indices]
+    return (np.array([values for values, _ in parsed]),
+            np.logical_or.reduce([bad for _, bad in parsed]))
 
 
 def _parse_floats(cells: list) -> tuple[np.ndarray, np.ndarray]:

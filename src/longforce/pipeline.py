@@ -207,6 +207,8 @@ def run_fit_brake(log_paths: list[str], friction_path: str | Path,
 
 #: Speed range (km/h) of the exported grid.
 EXPORT_LO_KMH, EXPORT_HI_KMH = 0.1, 130.0
+#: Most grid points per level ``run_export`` writes.
+MAX_EXPORT_POINTS = 1_000_000
 
 
 def run_export(model_path: str | Path, out_path: str | Path,
@@ -215,6 +217,8 @@ def run_export(model_path: str | Path, out_path: str | Path,
     """Dense per-level evaluation grid as CSV (speed_kmh, force_N, level)."""
     if points < 1:
         raise InvalidParameterError(f"points must be >= 1, got {points}")
+    if points > MAX_EXPORT_POINTS:
+        raise InvalidParameterError(f"points must be <= {MAX_EXPORT_POINTS}, got {points}")
     kind, model, _ = load_model(model_path)
     grid = np.geomspace if log_axes else np.linspace
     grid_kmh = grid(EXPORT_LO_KMH, EXPORT_HI_KMH, points)

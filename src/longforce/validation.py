@@ -20,6 +20,8 @@ from .estimation import AccelSeries
 DEFAULT_HIST_BIN = 0.1
 #: Most histogram bins a bin width may ask for over the errors' range.
 MAX_HIST_BINS = 100_000
+#: Samples ``validate`` passes to the direct model at a time.
+_VALIDATE_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,13 @@ def validate(models: ModelSet, log: DriveLog, accel: AccelSeries,
     idx = np.flatnonzero(keep)
     if len(idx) == 0:
         raise EmptyReportError("no valid samples to compare")
-    model_a, _ = direct_acceleration_many(models, log.speed[idx], log.throttle[idx],
-                                          log.brake[idx], log.slope[idx])
+    # Rows are independent, so blocks of them give the same bits as one call
+    # while bounding the size of its temporaries.
+    model_a = np.concatenate([
+        direct_acceleration_many(models, log.speed[rows], log.throttle[rows],
+                                 log.brake[rows], log.slope[rows])[0]
+        for rows in (idx[lo:lo + _VALIDATE_BLOCK_ROWS]
+                     for lo in range(0, len(idx), _VALIDATE_BLOCK_ROWS))])
     errors = accel.accel[idx] - model_a
     distance = float(np.trapezoid(log.speed, log.t)) if len(log) > 1 else 0.0
     return ErrorReport(

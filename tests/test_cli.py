@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from longforce.cli import main
 from longforce.core import DriveLog, Gear, ingest_csv, load_drive_log, save_drive_log
 from longforce.errors import SchemaError
 from longforce.estimation import bin_by_speed
-from longforce.pipeline import (load_model_set, load_pipeline_config, run_export,
-                                run_fit_brake, run_fit_friction, run_fit_propulsion,
+from longforce.pipeline import (MAX_EXPORT_POINTS, load_model_set, load_pipeline_config,
+                                run_export, run_fit_brake, run_fit_friction, run_fit_propulsion,
                                 run_reference, run_simulate, run_validate)
 from longforce.reference import data_path, load_anchor_file
 from longforce.spline import limited_tangents, load_model
@@ -100,6 +101,25 @@ class TestIngest:
             log, _ = ingest_csv(csv_path, "speed_kmh", Gear.DRIVE, "demo")
             save_drive_log(out, log, {"source_csv": str(csv_path)})
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_memory_per_row_is_bounded(self, tmp_path):
+        # Ingest and save used to hold every CSV row as Python strings and
+        # the whole document as text: 526 B per row at their peak on this CSV
+        # (CPython 3.11). Block by block they need 84 B. Rows beyond 20 000
+        # may add at most 240 B each to the peak.
+        def peak(n):
+            csv_path = tmp_path / f"{n}.csv"
+            write_csv(csv_path, [f"{0.01 * k:.2f},{28.8343 + k % 977 / 100:.4f},{k % 187},"
+                                 f"{k % 256},{k % 1000 * 1e-6:.6f}" for k in range(n)])
+            tracemalloc.start()
+            try:
+                log, _ = ingest_csv(csv_path, "speed_kmh")
+                save_drive_log(tmp_path / f"{n}.json", log, {"source_csv": str(csv_path)})
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert (peak(80_000) - peak(20_000)) / 60_000 <= 240
 
     def test_drive_log_round_trip(self, tmp_path):
         n = 50
@@ -608,9 +628,13 @@ class TestMainOutOfRange:
         ("simulate", ["--v0", "-1"], "v0 must be >= 0, got -1.0"),
         ("simulate", ["--duration", "nan"], "duration must be finite and >= 0 s, got nan"),
         ("simulate", ["--duration", "-5"], "duration must be finite and >= 0 s, got -5.0"),
-        ("export-plot-data", ["--points", "-1"], "points must be >= 1, got -1")],
+        ("export-plot-data", ["--points", "-1"], "points must be >= 1, got -1"),
+        # Used to allocate the whole grid before writing a row; a large
+        # enough value ended in MemoryError or an out-of-memory kill.
+        ("export-plot-data", ["--points", str(MAX_EXPORT_POINTS + 1)],
+         f"points must be <= {MAX_EXPORT_POINTS}, got {MAX_EXPORT_POINTS + 1}")],
         ids=["window-4", "cutoff-0", "cutoff-neg", "cutoff-nan", "hist-bin-0", "hist-bin-inf",
-             "dt-0", "v0-neg", "duration-nan", "duration-neg", "points-neg"])
+             "dt-0", "v0-neg", "duration-nan", "duration-neg", "points-neg", "points-huge"])
     def test_argument_is_2(self, inputs, tmp_path, capsys, command, extra, message):
         out = str(tmp_path / "out")
         if command == "export-plot-data":

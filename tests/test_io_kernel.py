@@ -12,6 +12,7 @@ import csv
 import json
 import math
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from longforce import core  # noqa: E402
 from longforce.cli import main  # noqa: E402
 from longforce.core import (UNIT_SPECS, DriveLog, Gear, ingest_csv,  # noqa: E402
                             kmh_to_mps, load_drive_log, save_drive_log)
@@ -29,6 +31,9 @@ from longforce.estimation import (_SLOPE_BLOCK_ROWS, _lowpass_zero_phase,  # noq
                                   _window_slopes)
 
 IO = settings(max_examples=150, deadline=None)
+#: Block sizes to run the block-wise kernels with: tiny ones put block
+#: boundaries everywhere, the default keeps its own path covered.
+BLOCKS = st.sampled_from([1, 2, 3, core._BLOCK_ROWS])
 
 
 # --- oracles ------------------------------------------------------------------
@@ -161,10 +166,12 @@ def drive_logs(draw):
 class TestSaveDriveLog:
     @IO
     @given(log=drive_logs(),
-           extra=st.one_of(st.none(), st.dictionaries(TEXT, JSON_VALUES, max_size=4)))
-    def test_bytes_equal_json_dumps(self, tmp_path_factory, log, extra):
+           extra=st.one_of(st.none(), st.dictionaries(TEXT, JSON_VALUES, max_size=4)),
+           block=BLOCKS)
+    def test_bytes_equal_json_dumps(self, tmp_path_factory, log, extra, block):
         out = tmp_path_factory.mktemp("save")
-        save_drive_log(out / "new.json", log, extra)
+        with patch.object(core, "_BLOCK_ROWS", block):
+            save_drive_log(out / "new.json", log, extra)
         save_drive_log_oracle(out / "old.json", log, extra)
         assert (out / "new.json").read_bytes() == (out / "old.json").read_bytes()
 
@@ -224,11 +231,16 @@ def ingest_outcome(fn, path, units):
 
 class TestIngestCsv:
     @IO
-    @given(text=telemetry_csvs(), units=st.sampled_from(UNIT_SPECS))
-    def test_matches_dictreader_loop(self, tmp_path_factory, text, units):
+    @given(text=telemetry_csvs(), units=st.sampled_from(UNIT_SPECS), block=BLOCKS)
+    def test_matches_dictreader_loop(self, tmp_path_factory, text, units, block):
         path = tmp_path_factory.mktemp("ingest") / "log.csv"
         path.write_text(text, encoding="utf-8")
-        new = ingest_outcome(ingest_csv, path, units)
+        self.assert_matches_oracle(path, units, block)
+
+    @staticmethod
+    def assert_matches_oracle(path, units, block):
+        with patch.object(core, "_BLOCK_ROWS", block):
+            new = ingest_outcome(ingest_csv, path, units)
         old = ingest_outcome(ingest_csv_oracle, path, units)
         if isinstance(old, str):
             assert new == old
@@ -238,6 +250,40 @@ class TestIngestCsv:
         for col in ("t", "speed", "throttle", "brake", "slope"):
             assert same_bits(getattr(log, col), getattr(log_old, col)), col
         assert (log.gear, log.description) == (log_old.gear, log_old.description)
+
+    # Each case below puts the rows of one kind at a block boundary of two rows.
+    def ingest_in_blocks_of_2(self, tmp_path, lines):
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(["t,speed,throttle,brake,slope", *lines]) + "\n")
+        self.assert_matches_oracle(path, "speed_mps", 2)
+        with patch.object(core, "_BLOCK_ROWS", 2):
+            return ingest_csv(path, "speed_mps")
+
+    def test_header_only(self, tmp_path):
+        log, report = self.ingest_in_blocks_of_2(tmp_path, [])
+        assert len(log) == 0
+        assert report == {"rows": 0, "rejected": 0, "rejected_rows": [], "segments": 0}
+
+    def test_blank_block_does_not_end_the_read(self, tmp_path):
+        log, report = self.ingest_in_blocks_of_2(
+            tmp_path, ["0.00,10,0,0,0", "0.01,10,0,0,0", "", "", "", "", "",
+                       "0.02,10,0,0,0", "abc,10,0,0,0"])
+        assert log.t.tolist() == [0.0, 0.01, 0.02]
+        assert report["rejected_rows"] == [(4, "unparseable number")]
+
+    def test_time_reversal_on_a_blocks_first_row_names_the_data_row(self, tmp_path):
+        with pytest.raises(SchemaError, match=r"at data row 3 \(t=0\.005 after t=0\.01\)"):
+            self.ingest_in_blocks_of_2(tmp_path, ["0.00,10,0,0,0", "0.01,10,0,0,0",
+                                                  "0.005,10,0,0,0", "0.02,10,0,0,0"])
+
+    def test_rejected_rows_across_a_block_boundary_keep_data_row_numbers(self, tmp_path):
+        log, report = self.ingest_in_blocks_of_2(
+            tmp_path, ["0.00,10,0,0,0", "0.01,-1,0,0,0", "0.02,10,0.5,0,0", "0.03,10,0,0,0",
+                       "0.04,nan,0,0,0"])
+        assert log.t.tolist() == [0.0, 0.03]
+        assert report["rejected_rows"] == [(2, "negative speed"),
+                                           (3, "non-integer command signal"),
+                                           (5, "non-finite value")]
 
     def test_out_of_range_signal_is_rejected_row(self, tmp_path, capsys):
         path = tmp_path / "log.csv"

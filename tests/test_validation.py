@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from longforce import validation
 from longforce.core import DriveLog, Gear
+from longforce.dynamics import direct_acceleration_many
 from longforce.errors import EmptyReportError, InvalidParameterError
 from longforce.estimation import AccelSeries
 from longforce.validation import (MAX_HIST_BINS, _histogram, render_table, report_to_dict,
@@ -120,6 +122,32 @@ class TestValidate:
         include[: len(log) // 2] = False
         report = validate(gt_models, log, exact_series(traj), include=include)
         assert report.count == int(include.sum())
+
+    def test_blocks_give_the_same_bits(self, gt_models, drive, monkeypatch):
+        # Rows are independent, so passing them to the direct model in blocks
+        # must not change a bit of any prediction or statistic. The repr of
+        # a float spells its bits, -0.0 included.
+        log, traj = drive
+        rng = np.random.default_rng(35)
+        accel = exact_series(traj, rng.normal(0.0, 0.35, len(traj)))
+        include = rng.random(len(log)) < 0.9
+        predicted = []
+
+        def recorded(*args):
+            model_a, forces = direct_acceleration_many(*args)
+            predicted.append(model_a)
+            return model_a, forces
+
+        monkeypatch.setattr(validation, "direct_acceleration_many", recorded)
+        runs = []
+        for block in (len(log), 7):
+            monkeypatch.setattr(validation, "_VALIDATE_BLOCK_ROWS", block)
+            predicted.clear()
+            report = validate(gt_models, log, accel, include=include)
+            runs.append((len(predicted), repr(report), np.concatenate(predicted).tobytes()))
+        (calls_whole, *whole), (calls_blocked, *blocked) = runs
+        assert calls_whole == 1 and calls_blocked > 1
+        assert blocked == whole
 
     def test_empty_comparison_raises(self, gt_models, drive):
         log, traj = drive
