@@ -62,8 +62,8 @@ def validate(models: ModelSet, log: DriveLog, accel: AccelSeries,
     model_a = np.concatenate([
         direct_acceleration_many(models, log.speed[rows], log.throttle[rows],
                                  log.brake[rows], log.slope[rows])[0]
-        for rows in (idx[lo:lo + _VALIDATE_BLOCK_ROWS]
-                     for lo in range(0, len(idx), _VALIDATE_BLOCK_ROWS))])
+        for rows in np.split(idx, np.arange(_VALIDATE_BLOCK_ROWS, len(idx),
+                                            _VALIDATE_BLOCK_ROWS))])
     errors = accel.accel[idx] - model_a
     distance = float(np.trapezoid(log.speed, log.t)) if len(log) > 1 else 0.0
     return ErrorReport(
