@@ -15,6 +15,9 @@ its base partner; a pair with a failed run is left out of every figure. The
 script prints, per workload, seed and end-to-end metric, each side's median
 and quartiles, HEAD's median over the base's and the pairs HEAD won; a pair
 is won when HEAD's value is better in the direction ``BENCHMARK.json`` gives.
+Beside the metrics it gives each side's median and quartiles of the work
+units completed, from the same pairs: a ``peak_rss_mb`` that grows with the
+units run can be checked against them.
 It writes every raw result line, with the summary, to ``--out``, and exits 1
 if any run failed.
 """
@@ -82,7 +85,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def summarise(runs: list[dict], better: dict[str, str]) -> dict:
     """Per workload and seed: each metric's quartiles per side, the ratio of
-    medians and the pairs HEAD won; and whether inputs and quality matched."""
+    medians and the pairs HEAD won; the quartiles of the units completed per
+    side; and whether inputs and quality matched."""
     summary = {}
     for key in dict.fromkeys((r["workload"], r["seed"]) for r in runs):
         group = [r for r in runs if (r["workload"], r["seed"]) == key]
@@ -92,6 +96,10 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
         pairs = [p for p in pairs.values()
                  if len(p) == 2 and not any("error" in r for r in p.values())]
         entry = {"pairs": len(pairs), "failed_runs": sum(1 for r in group if "error" in r)}
+        if pairs:
+            entry["units"] = {side: dict(zip(("q1", "median", "q3"),
+                                             quartiles([p[side]["units"] for p in pairs])))
+                              for side in ("base", "head")}
         for name, direction in better.items() if pairs else ():
             sides = {side: [p[side]["result"]["metrics"][name]["value"] for p in pairs]
                      for side in ("base", "head")}
@@ -123,10 +131,16 @@ def print_summary(summary: dict, better: dict[str, str]) -> None:
             if name not in entry:
                 continue
             s = entry[name]
-            b, h = s["base"], s["head"]
-            print(f"  {name:<12} {b['q1']:>12.6g} {b['median']:>12.6g} {b['q3']:>12.6g}"
-                  f" {h['q1']:>12.6g} {h['median']:>12.6g} {h['q3']:>12.6g}"
-                  f" {s['head_over_base']:>9.4f} {s['pairs_won']:>4}")
+            print(_quartile_row(name, s["base"], s["head"])
+                  + f" {s['head_over_base']:>9.4f} {s['pairs_won']:>4}")
+        if "units" in entry:
+            b, h = entry["units"]["base"], entry["units"]["head"]
+            print(_quartile_row("units", b, h) + f" {h['median'] / b['median']:>9.4f}")
+
+
+def _quartile_row(name: str, base: dict, head: dict) -> str:
+    return (f"  {name:<12} {base['q1']:>12.6g} {base['median']:>12.6g} {base['q3']:>12.6g}"
+            f" {head['q1']:>12.6g} {head['median']:>12.6g} {head['q3']:>12.6g}")
 
 
 def main(argv: list[str] | None = None) -> int:

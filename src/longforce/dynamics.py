@@ -77,7 +77,10 @@ class ActuationCommand:
 def _forces(models: ModelSet, v: float, throttle: float, brake: float,
             slope: float) -> tuple[float, float, float, float]:
     """``(accel, f_p, f_f, f_b)`` at one operating point; see :func:`direct_acceleration`."""
-    if not math.isfinite(v + throttle + brake + slope):
+    # The sum is one test on the hot path; it also overflows on finite values
+    # near the float limits, which then pass the per-value test.
+    if not math.isfinite(v + throttle + brake + slope) and not all(
+            map(math.isfinite, (v, throttle, brake, slope))):
         raise InvalidParameterError(
             f"non-finite operating point: v={v}, throttle={throttle}, brake={brake}, "
             f"slope={slope}")
@@ -111,7 +114,7 @@ def direct_acceleration_many(models: ModelSet, v, throttle, brake,
     """
     v, throttle, brake, slope = np.broadcast_arrays(
         *(np.asarray(col, dtype=float).ravel() for col in (v, throttle, brake, slope)))
-    finite = np.isfinite(v + throttle + brake + slope)
+    finite = np.isfinite(v) & np.isfinite(throttle) & np.isfinite(brake) & np.isfinite(slope)
     if not finite.all():
         k = int(finite.argmin())
         raise InvalidParameterError(
@@ -207,7 +210,8 @@ def inverse_actuation(models: ModelSet, v: float, slope: float,
     the creep force with brakes at very low speed. Saturation and underflow
     flags propagate from the surface inversions.
     """
-    if not math.isfinite(v + slope + desired_accel):
+    if not math.isfinite(v + slope + desired_accel) and not all(
+            map(math.isfinite, (v, slope, desired_accel))):
         raise InvalidParameterError(
             f"non-finite operating point: v={v}, slope={slope}, "
             f"desired_accel={desired_accel}")

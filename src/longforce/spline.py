@@ -508,7 +508,12 @@ class ForceSurface:
             return self.curves[0].eval(v)
         if signal >= levels[-1]:
             return self.curves[-1].eval(v)
-        values = self.cross_section(v)
+        return self._along_signal(self.cross_section(v), signal)
+
+    def _along_signal(self, values: list[float], signal: float) -> float:
+        """Value at ``signal`` of the section ``values`` (a :meth:`cross_section`),
+        for a signal strictly between the first and last level; NaN raises."""
+        levels = self.levels
         spans = self._spans
         i = bisect_right(levels, signal) - 1
         try:
@@ -559,14 +564,20 @@ class ForceSurface:
         return out
 
     def invert(self, v: float, force: float) -> InversionResult:
-        """Smallest signal whose force at speed ``v`` reaches ``force``.
+        """A signal whose force at speed ``v`` reaches ``force``, the smallest to ``SIGNAL_TOL``.
 
-        Bisection to ``SIGNAL_TOL`` signal units. Forces above the cross-section's
-        maximum return the top level with ``saturated`` set; forces below
-        the minimum return the bottom level with ``underflow`` set. Raises
-        :class:`~longforce.errors.InversionError` when the cross-section is
-        not monotone non-decreasing in the signal, and
-        :class:`~longforce.errors.InvalidParameterError` when ``v`` or
+        Bisection on the one cross-section at ``v``, read once per call: each
+        step evaluates it as ``eval(v, mid)`` would, bit for bit. It returns
+        the upper end of the last bracket, a signal where ``eval(v, signal)
+        >= force``, within ``SIGNAL_TOL`` signal units of the smallest such
+        signal on a section that is monotone at the ulp level. On a section
+        flat to a few ulps, rounding can dip below ``force`` past that
+        smallest signal, and the bisection then stops later. Forces above
+        the cross-section's maximum return the top level with ``saturated``
+        set; forces below the minimum return the bottom level with
+        ``underflow`` set. Raises :class:`~longforce.errors.InversionError`
+        when the cross-section is not monotone non-decreasing in the signal,
+        and :class:`~longforce.errors.InvalidParameterError` when ``v`` or
         ``force`` is NaN.
         """
         values = self.cross_section(v)
@@ -584,10 +595,12 @@ class ForceSurface:
             return InversionResult(hi, saturated=True)
         if math.isnan(force):
             raise InvalidParameterError("force is NaN")
-        # Invariant: eval(lo) < force <= eval(hi).
+        # Invariant: eval(lo) < force <= eval(hi). Every mid lies strictly
+        # between the first and last level, where eval(v, mid) is exactly
+        # _along_signal(cross_section(v), mid).
         while hi - lo > SIGNAL_TOL:
             mid = 0.5 * (lo + hi)
-            if self.eval(v, mid) >= force:
+            if self._along_signal(values, mid) >= force:
                 hi = mid
             else:
                 lo = mid

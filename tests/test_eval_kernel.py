@@ -10,12 +10,14 @@ fast paths: ``ForceSurface.cross_section`` on a shared knot grid must equal
 ``direct_acceleration``. The scalar kernel itself (per-segment Hermite
 terms and the one-loop limiter) must equal copies of the plain per-call
 Hermite and two-pass limiter it replaced. The scalar inverse must undo the
-scalar surface evaluation on random monotone surfaces.
+scalar surface evaluation on random monotone surfaces, and equal, bit for
+bit, the bisection over the public ``eval`` that it replaced.
 """
 
 import json
 import math
 from bisect import bisect_right
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -25,13 +27,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from longforce.cli import main  # noqa: E402
-from longforce.core import equivalent_mass, grade_force  # noqa: E402
+from longforce.core import DriveLog, equivalent_mass, grade_force  # noqa: E402
 from longforce.dynamics import (ModelSet, direct_acceleration,  # noqa: E402
                                 direct_acceleration_many, inverse_actuation, simulate)
 from longforce.errors import FitError, InvalidParameterError, InversionError  # noqa: E402
-from longforce.estimation import estimate_acceleration  # noqa: E402
+from longforce.estimation import AccelSeries, estimate_acceleration  # noqa: E402
 from longforce.reference import data_path  # noqa: E402
-from longforce.spline import (SIGNAL_TOL, ForceSurface, Spline1D,  # noqa: E402
+from longforce.spline import (SIGNAL_TOL, ForceSurface, InversionResult, Spline1D,  # noqa: E402
                               _limited_pass, check_signal_monotone, limited_tangents)
 from longforce.validation import _histogram, validate  # noqa: E402
 
@@ -446,6 +448,113 @@ def test_invert_undoes_eval(data):
     assert result.signal <= s + SIGNAL_TOL or reached - force <= 4 * math.ulp(force)
 
 
+# --- invert against the bisection over the public eval -----------------------------
+
+def _invert_by_eval(surface, v, force):
+    """``ForceSurface.invert`` as it was, bisecting with ``surface.eval``."""
+    values = surface.cross_section(v)
+    slack = 1e-9 * max(1.0, max(abs(f) for f in values))
+    for i in range(len(values) - 1):
+        if values[i + 1] < values[i] - slack:
+            raise InversionError(
+                f"cross-section at v={v:.3f} m/s decreases between levels "
+                f"{surface.levels[i]} and {surface.levels[i + 1]}; inversion unsupported")
+    lo, hi = float(surface.levels[0]), float(surface.levels[-1])
+    f_lo, f_hi = values[0], values[-1]
+    if force <= f_lo:
+        return InversionResult(lo, underflow=force < f_lo)
+    if force > f_hi:
+        return InversionResult(hi, saturated=True)
+    if math.isnan(force):
+        raise InvalidParameterError("force is NaN")
+    while hi - lo > SIGNAL_TOL:
+        mid = 0.5 * (lo + hi)
+        if surface.eval(v, mid) >= force:
+            hi = mid
+        else:
+            lo = mid
+    return InversionResult(hi)
+
+
+def _outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except (InversionError, InvalidParameterError) as err:
+        return type(err), str(err)
+    return (np.float64(result.signal).view(np.uint64), result.saturated, result.underflow)
+
+
+def assert_invert_matches_oracle(surface, v, forces):
+    for force in forces:
+        assert _outcome(surface.invert, v, force) == _outcome(_invert_by_eval, surface, v, force)
+
+
+def forces_for(data, surface, v):
+    """Forces below, at and above each section value, and inside every segment."""
+    values = surface.cross_section(v)
+    forces = [math.nan, -math.inf, math.inf]
+    for f in values:
+        forces += [f, math.nextafter(f, -math.inf), math.nextafter(f, math.inf),
+                   f - 1.0, f + 1.0]
+    for a, b in zip(surface.levels, surface.levels[1:]):
+        s = data.draw(st.floats(a, b, exclude_min=True, exclude_max=True))
+        forces.append(surface.eval(v, s))
+    return forces
+
+
+@pytest.mark.parametrize("shared_grid", [True, False], ids=["shared-grid", "mixed-grids"])
+@KERNEL
+@given(data=st.data())
+def test_invert_matches_bisection_over_eval(shared_grid, data):
+    surface = data.draw(surfaces(shared_grid=shared_grid))
+    v = data.draw(speed_for(all_knots(surface)))
+    assert_invert_matches_oracle(surface, v, forces_for(data, surface, v))
+
+
+@KERNEL
+@given(st.data())
+def test_invert_matches_bisection_over_eval_on_monotone_surfaces(data):
+    surface = data.draw(monotone_surfaces())
+    v = data.draw(speed_for(all_knots(surface)))
+    assert_invert_matches_oracle(surface, v, forces_for(data, surface, v))
+
+
+@KERNEL
+@given(st.data())
+def test_invert_matches_bisection_over_eval_on_one_level(data):
+    surface = ForceSurface((data.draw(st.integers(0, 255)),), (data.draw(curves()),))
+    v = data.draw(speed_for(all_knots(surface)))
+    assert_invert_matches_oracle(surface, v, forces_for(data, surface, v))
+
+
+def test_invert_matches_bisection_over_eval_on_an_ulp_flat_section():
+    # The section of the ulp-flat case in test_invert_undoes_eval's comment,
+    # where the bisection stops past the smallest signal that reaches the force.
+    surface = ForceSurface((0, 3, 126, 130), tuple(
+        Spline1D.interpolate([0.0, 0.001], [y, y]) for y in (0.0, 3000.0, 3000.000001,
+                                                           3000.000001)))
+    force = surface.eval(0.0, 124.0)
+    assert surface.invert(0.0, force).signal > 124.0 + SIGNAL_TOL
+    assert_invert_matches_oracle(surface, 0.0, [force, 3000.0000005, 1500.0])
+
+
+@pytest.mark.parametrize("kind", ["propulsion", "braking"])
+def test_invert_reads_one_cross_section_and_no_public_eval(gt_models, kind):
+    surface = getattr(gt_models, kind)
+    v = 12.0
+    values = surface.cross_section(v)
+    force = 0.5 * (values[0] + values[-1])
+    with patch.object(ForceSurface, "cross_section", autospec=True,
+                      side_effect=ForceSurface.cross_section) as section, \
+            patch.object(ForceSurface, "eval", autospec=True,
+                         side_effect=ForceSurface.eval) as public_eval:
+        result = surface.invert(v, force)
+    assert section.call_count == 1
+    assert public_eval.call_count == 0
+    assert not (result.saturated or result.underflow)
+    assert _outcome(surface.invert, v, force) == _outcome(_invert_by_eval, surface, v, force)
+
+
 @pytest.fixture(scope="module")
 def mixed_log(gt_models):
     log, _, _ = mixed_drive(gt_models, cycles=1)
@@ -493,6 +602,37 @@ class TestNonFiniteInputs:
             col[4] = value
         with pytest.raises(InvalidParameterError, match="at row 4"):
             direct_acceleration_many(gt_models, v, throttle, brake, slope)
+        # A finite row whose sum overflows, before the NaN, is not the one named.
+        v[2] = slope[2] = 1e308
+        with pytest.raises(InvalidParameterError, match="at row 4"):
+            direct_acceleration_many(gt_models, v, throttle, brake, slope)
+
+    @pytest.mark.parametrize("throttle, brake", [(50.0, 0.0), (0.0, 40.0), (0.0, 0.0)])
+    def test_finite_values_whose_sum_overflows_are_accepted(self, gt_models, throttle, brake):
+        # 1e308 + 1e308 is inf, but each value of the operating point is finite.
+        accel, forces = direct_acceleration(gt_models, 1e308, throttle, brake, 1e308)
+        columns = [np.full(6, x) for x in (10.0, 50.0, 0.0, 0.01)]
+        for col, value in zip(columns, (1e308, throttle, brake, 1e308)):
+            col[3] = value
+        many, breakdown = direct_acceleration_many(gt_models, *columns)
+        assert_same_bits(many[3], accel)
+        assert_same_bits([breakdown.propulsion[3], breakdown.friction[3], breakdown.braking[3]],
+                         [forces.propulsion, forces.friction, forces.braking])
+        command = inverse_actuation(gt_models, 1e308, 1e308, 0.5)
+        assert math.isfinite(command.throttle) and math.isfinite(command.brake)
+
+    def test_validate_accepts_finite_values_whose_sum_overflows(self, gt_models, mixed_log):
+        # One sample of speed and slope 1e308, as DriveLog accepts, against a
+        # hand-built acceleration series: validate returns a report.
+        part = slice(0, 3000)
+        speed, slope = mixed_log.speed[part].copy(), mixed_log.slope[part].copy()
+        speed[1500] = slope[1500] = 1e308
+        log = DriveLog(mixed_log.t[part], speed, mixed_log.throttle[part],
+                       mixed_log.brake[part], slope)
+        accel = AccelSeries(log.t.copy(), np.zeros(len(log)), np.ones(len(log), dtype=bool))
+        report = validate(gt_models, log, accel)
+        assert report.count == len(log)
+        assert math.isfinite(report.std_dev)
 
     @pytest.mark.parametrize("slope", [math.inf, -math.inf, math.nan])
     def test_simulate_names_a_non_finite_mid_step_slope(self, gt_models, slope):
