@@ -83,6 +83,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def quartile_stats(values: list[float]) -> dict[str, float]:
+    return dict(zip(("q1", "median", "q3"), quartiles(values)))
+
+
 def summarise(runs: list[dict], better: dict[str, str]) -> dict:
     """Per workload and seed: each metric's quartiles per side, the ratio of
     medians and the pairs HEAD won; the quartiles of the units completed per
@@ -97,16 +101,12 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
                  if len(p) == 2 and not any("error" in r for r in p.values())]
         entry = {"pairs": len(pairs), "failed_runs": sum(1 for r in group if "error" in r)}
         if pairs:
-            entry["units"] = {side: dict(zip(("q1", "median", "q3"),
-                                             quartiles([p[side]["units"] for p in pairs])))
+            entry["units"] = {side: quartile_stats([p[side]["units"] for p in pairs])
                               for side in ("base", "head")}
         for name, direction in better.items() if pairs else ():
             sides = {side: [p[side]["result"]["metrics"][name]["value"] for p in pairs]
                      for side in ("base", "head")}
-            stats = {}
-            for side, values in sides.items():
-                q1, median, q3 = quartiles(values)
-                stats[side] = {"q1": q1, "median": median, "q3": q3}
+            stats = {side: quartile_stats(values) for side, values in sides.items()}
             sign = 1.0 if direction == "higher" else -1.0
             stats["head_over_base"] = stats["head"]["median"] / stats["base"]["median"]
             stats["pairs_won"] = sum(1 for b, h in zip(sides["base"], sides["head"])
