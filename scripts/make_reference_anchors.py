@@ -88,8 +88,6 @@ def main() -> None:
         "payload_mass_kg": 200.0,
         "gravity_mps2": 9.81,
         "wheels": [{"inertia_kgm2": 0.86, "radius_m": 0.29} for _ in range(4)],
-        "throttle_range": [0, 186],
-        "brake_range": [0, 255],
     }
 
     anchors = {

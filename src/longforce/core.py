@@ -3,7 +3,8 @@
 Everything downstream works in strict SI units: m/s for speed, N for force,
 kg for mass, rad for slope angles, s for time. Logs recorded in km/h are
 converted exactly once, at ingestion. Throttle and brake are dimensionless
-integer signals whose valid ranges are part of the vehicle parameters.
+integer signals; a force surface clamps a command outside its defining
+levels to its end levels.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class Wheel:
 
 @dataclass(frozen=True)
 class VehicleParams:
-    """Masses, gravity, wheel inertias and command-signal ranges.
+    """Masses, gravity and wheel inertias.
 
     ``base_mass_kg`` is the curb mass; ``payload_mass_kg`` covers equipment
     and occupants during the recorded tests. The wheel list feeds the
@@ -71,8 +72,6 @@ class VehicleParams:
     payload_mass_kg: float = 0.0
     gravity_mps2: float = 9.81
     wheels: tuple[Wheel, ...] = ()
-    throttle_range: tuple[int, int] = (0, 186)
-    brake_range: tuple[int, int] = (0, 255)
     #: The weight m*g in N, computed once for :func:`grade_force`.
     weight_n: float = field(init=False, repr=False, compare=False)
 
@@ -87,12 +86,6 @@ class VehicleParams:
             raise InvalidParameterError(
                 f"gravity must be finite and > 0, got {self.gravity_mps2}")
         object.__setattr__(self, "wheels", tuple(self.wheels))
-        for name, (lo, hi) in (("throttle_range", self.throttle_range),
-                               ("brake_range", self.brake_range)):
-            if int(lo) != lo or int(hi) != hi or not lo < hi:
-                raise InvalidParameterError(f"{name} must be an integer interval with min < max")
-        object.__setattr__(self, "throttle_range", (int(self.throttle_range[0]), int(self.throttle_range[1])))
-        object.__setattr__(self, "brake_range", (int(self.brake_range[0]), int(self.brake_range[1])))
         object.__setattr__(self, "weight_n", total_mass(self) * self.gravity_mps2)
 
 
@@ -436,7 +429,11 @@ def _parse_floats(cells: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_vehicle_params(path: str | Path) -> VehicleParams:
-    """Load vehicle parameters from a JSON file."""
+    """Load vehicle parameters from a JSON file.
+
+    Keys it does not read are ignored, among them the ``throttle_range`` and
+    ``brake_range`` that earlier versions wrote.
+    """
     obj = read_json(path)
     with file_values(path, "invalid vehicle parameter config"):
         wheels = obj.get("wheels", [])
@@ -449,8 +446,6 @@ def load_vehicle_params(path: str | Path) -> VehicleParams:
             payload_mass_kg=float(json_numbers(obj, "payload_mass_kg", 0.0)),
             gravity_mps2=float(json_numbers(obj, "gravity_mps2", 9.81)),
             wheels=wheels,
-            throttle_range=tuple(json_numbers(obj, "throttle_range", [0, 186])),
-            brake_range=tuple(json_numbers(obj, "brake_range", [0, 255])),
         )
 
 

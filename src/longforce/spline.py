@@ -61,7 +61,12 @@ def limited_tangents(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, .
     Tangent ``j`` is final once segment ``j`` is limited, so a caller that
     needs only the first tangents can stop the pass there
     (:meth:`ForceSurface.eval` does); this runs it to the end.
+
+    The knot positions must be strictly increasing; anything else raises
+    :class:`~longforce.errors.FitError`.
     """
+    if not all(a < b for a, b in zip(xs, xs[1:])):
+        raise FitError("knot positions must be strictly increasing")
     spans = [b - a for a, b in zip(xs, xs[1:])]
     spans2 = [b - a for a, b in zip(xs, xs[2:])]
     return tuple(_limited_pass(ys, spans, spans2, len(xs) - 1))
@@ -72,7 +77,7 @@ def _limited_pass(ys: Sequence[float], spans: Sequence[float], spans2: Sequence[
     """Tangents 0 to ``stop`` of :func:`limited_tangents`, each final.
 
     ``spans[j]`` is ``xs[j + 1] - xs[j]`` and ``spans2[j]`` is
-    ``xs[j + 2] - xs[j]``; the pass stops after segment ``stop``.
+    ``xs[j + 2] - xs[j]``, all > 0; the pass stops after segment ``stop``.
     """
     last = len(spans)
     if last == 0:
@@ -90,12 +95,9 @@ def _limited_pass(ys: Sequence[float], spans: Sequence[float], spans2: Sequence[
         if d == 0.0:
             left = right = 0.0
         else:
+            # a, b >= 0 or NaN: increasing positions give tangents the secants' sign
             a = left / d
             b = right / d
-            if a < 0.0:
-                left = a = 0.0
-            if b < 0.0:
-                right = b = 0.0
             r2 = a * a + b * b
             if r2 > 9.0:
                 # tau is 0 when r2 overflows (a secant far smaller than a tangent);
@@ -124,25 +126,21 @@ def _limited_tangents_many(xs: Sequence[float], ys: np.ndarray) -> np.ndarray:
     if n == 1:
         return m
     x = np.asarray(xs, dtype=float)
-    delta = (ys[1:] - ys[:-1]) / (x[1:] - x[:-1])[:, None]
-    m[0] = delta[0]
-    m[-1] = delta[-1]
-    secant = (ys[2:] - ys[:-2]) / (x[2:] - x[:-2])[:, None]
-    m[1:-1] = np.where(delta[:-1] * delta[1:] <= 0.0, 0.0, secant)
     with np.errstate(all="ignore"):  # Python float arithmetic does not warn either
+        delta = (ys[1:] - ys[:-1]) / (x[1:] - x[:-1])[:, None]
+        m[0] = delta[0]
+        m[-1] = delta[-1]
+        secant = (ys[2:] - ys[:-2]) / (x[2:] - x[:-2])[:, None]
+        m[1:-1] = np.where(delta[:-1] * delta[1:] <= 0.0, 0.0, secant)
         for i in range(n - 1):
             d = delta[i]
-            a = m[i] / d
+            a = m[i] / d  # >= 0 or NaN, as in _limited_pass
             b = m[i + 1] / d
-            left = np.where(a < 0.0, 0.0, m[i])
-            right = np.where(b < 0.0, 0.0, m[i + 1])
-            a = np.where(a < 0.0, 0.0, a)
-            b = np.where(b < 0.0, 0.0, b)
             r2 = a * a + b * b
             tau = 3.0 / np.sqrt(r2)
             steep = r2 > 9.0
-            left = np.where(steep, np.where(tau != 0.0, tau * a * d, 0.0 * d), left)
-            right = np.where(steep, np.where(tau != 0.0, tau * b * d, 0.0 * d), right)
+            left = np.where(steep, np.where(tau != 0.0, tau * a * d, 0.0 * d), m[i])
+            right = np.where(steep, np.where(tau != 0.0, tau * b * d, 0.0 * d), m[i + 1])
             flat = d == 0.0
             m[i] = np.where(flat, 0.0, left)
             m[i + 1] = np.where(flat, 0.0, right)
@@ -201,7 +199,11 @@ class Spline1D:
     @classmethod
     def interpolate(cls, xs: Sequence[float], ys: Sequence[float],
                     lower_clamp: float = 0.0) -> "Spline1D":
-        """Monotone-limited Hermite interpolant through the given points."""
+        """Monotone-limited Hermite interpolant through the given points.
+
+        The positions ``xs`` must be strictly increasing; anything else raises
+        :class:`~longforce.errors.FitError`.
+        """
         ys = [max(float(y), lower_clamp) for y in ys]
         return cls(tuple(float(x) for x in xs), tuple(ys),
                    limited_tangents(xs, ys), lower_clamp)
@@ -641,7 +643,7 @@ def _curve_to_dict(curve: Spline1D) -> dict:
 
 def _curve_from_dict(obj: dict, lower_clamp: float) -> Spline1D:
     # The knots are checked (under zero tangents) before the tangents are
-    # derived: the limiter divides by zero on repeated knot positions. A
+    # derived, so that a bad curve is refused with the curve's own message. A
     # "tangents" key, as earlier versions wrote, is ignored.
     xs, ys = json_numbers(obj, "knots_x_mps"), json_numbers(obj, "knots_y_N")
     knots = Spline1D(tuple(xs), tuple(ys), (0.0,) * len(xs), lower_clamp)

@@ -71,12 +71,6 @@ class TestParamValidation:
         with pytest.raises(InvalidParameterError):
             VehicleParams(1000.0, gravity_mps2=0.0)
 
-    def test_bad_signal_range(self):
-        with pytest.raises(InvalidParameterError):
-            VehicleParams(1000.0, throttle_range=(10, 10))
-        with pytest.raises(InvalidParameterError):
-            VehicleParams(1000.0, brake_range=(5, 1))
-
     def test_negative_wheel_inertia(self):
         with pytest.raises(InvalidParameterError):
             Wheel(-0.1, 0.3)
@@ -89,16 +83,26 @@ class TestParamsFile:
             "payload_mass_kg": 200.0,
             "gravity_mps2": 9.81,
             "wheels": [{"inertia_kgm2": 0.86, "radius_m": 0.29}] * 4,
-            "throttle_range": [0, 186],
-            "brake_range": [0, 255],
         }
         path = tmp_path / "params.json"
         path.write_text(json.dumps(obj))
         params = load_vehicle_params(path)
         assert total_mass(params) == 1680.0
-        assert params.throttle_range == (0, 186)
-        assert params.brake_range == (0, 255)
         assert len(params.wheels) == 4
+
+    @pytest.mark.parametrize("ranges", [
+        {"throttle_range": [0, 186], "brake_range": [0, 255]},
+        {"throttle_range": [10, 10], "brake_range": "x"},
+    ], ids=["valid", "malformed"])
+    def test_signal_range_keys_are_ignored(self, tmp_path, ranges):
+        # Earlier versions read and checked these keys; a surface clamps a
+        # command to its own levels, so files that still carry them load alike.
+        obj = {"base_mass_kg": 1480.0, "payload_mass_kg": 200.0,
+               "wheels": [{"inertia_kgm2": 0.86, "radius_m": 0.29}] * 4}
+        without, with_ranges = tmp_path / "without.json", tmp_path / "with.json"
+        without.write_text(json.dumps(obj))
+        with_ranges.write_text(json.dumps({**obj, **ranges}))
+        assert load_vehicle_params(with_ranges) == load_vehicle_params(without)
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "params.json"

@@ -34,7 +34,8 @@ from longforce.errors import FitError, InvalidParameterError, InversionError  # 
 from longforce.estimation import AccelSeries, estimate_acceleration  # noqa: E402
 from longforce.reference import data_path  # noqa: E402
 from longforce.spline import (SIGNAL_TOL, ForceSurface, InversionResult, Spline1D,  # noqa: E402
-                              _limited_pass, check_signal_monotone, limited_tangents)
+                              _limited_pass, _limited_tangents_many, check_signal_monotone,
+                              limited_tangents)
 from longforce.validation import _histogram, validate  # noqa: E402
 
 from conftest import mixed_drive  # noqa: E402
@@ -150,7 +151,8 @@ def test_cross_section_matches_per_curve_eval(shared_grid, data):
 @KERNEL
 @given(st.data())
 def test_surface_eval_many_matches_scalar(data):
-    surface = data.draw(surfaces())
+    # Level values 1e308 apart overflow the limiter's secant products, as in eval.
+    surface = data.draw(surfaces(values=LIMITER_VALUES))
     v = data.draw(speeds_for(all_knots(surface)))
     signal = data.draw(st.lists(signals_for(surface.levels), min_size=len(v),
                                 max_size=len(v)))
@@ -292,27 +294,47 @@ def _surface_eval_oracle(surface, v, signal):
     return max(y, 0.0)
 
 
+POSITIONS = st.one_of(st.integers(-3, 3).map(float), st.floats(-10.0, 50.0))
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.data())
 def test_limited_tangents_matches_two_pass_oracle(data):
     n = data.draw(st.integers(1, 7))
-    xs = data.draw(st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(-10.0, 50.0)),
-                            min_size=n, max_size=n))
+    xs = data.draw(st.lists(POSITIONS, min_size=n, max_size=n))
     if data.draw(st.booleans()):
-        xs = sorted(xs)  # repeated positions stay: both must refuse them alike
+        xs = sorted(xs)  # repeated positions stay, and are refused
     ys = data.draw(st.lists(LIMITER_VALUES, min_size=n, max_size=n))
-    try:
-        expected = _limited_tangents_oracle(xs, ys)
-    except ZeroDivisionError:
-        with pytest.raises(ZeroDivisionError):
+    if not all(a < b for a, b in zip(xs, xs[1:])):
+        with pytest.raises(FitError, match="strictly increasing"):
             limited_tangents(xs, ys)
         return
-    assert_same_bits(limited_tangents(xs, ys), expected)
-    # Stopped after segment ``stop``, the pass already holds tangents 0 to ``stop``.
+    assert_same_bits(limited_tangents(xs, ys), _limited_tangents_oracle(xs, ys))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_limiter_on_increasing_positions_matches_two_pass_oracle(data):
+    # The oracle zeroes a negative ratio of start tangent to secant; the kernel
+    # has no such branch, because on increasing positions none arises. Spans
+    # that overflow to inf and values 1e308 apart put that to the test.
+    xs = sorted(data.draw(st.lists(
+        st.one_of(POSITIONS, st.sampled_from([-math.inf, -1e308, 1e308, math.inf])),
+        min_size=1, max_size=7, unique=True)))
+    n = len(xs)
+    columns = data.draw(st.lists(st.lists(LIMITER_VALUES, min_size=n, max_size=n),
+                                 min_size=1, max_size=4))
     spans = [b - a for a, b in zip(xs, xs[1:])]
     spans2 = [b - a for a, b in zip(xs, xs[2:])]
-    for stop in range(n):
-        assert_same_bits(_limited_pass(ys, spans, spans2, stop), expected[:stop + 1])
+    many = _limited_tangents_many(xs, np.array(columns, dtype=float).T)
+    for j, ys in enumerate(columns):
+        expected = _limited_tangents_oracle(xs, ys)
+        assert_same_bits(limited_tangents(xs, ys), expected)
+        # Stopped after segment ``stop``, the pass already holds tangents 0 to ``stop``.
+        for stop in range(n):
+            assert_same_bits(_limited_pass(ys, spans, spans2, stop), expected[:stop + 1])
+        # ForceSurface.eval_many runs the array form, one column per sample.
+        assert_same_bits(many[:, j], expected)
 
 
 def inner_speeds(data, knots, n):

@@ -49,8 +49,7 @@ OPTIONAL = {
     "config": [("estimator",), ("estimator", "*"), ("bins",), ("bins", "*"), ("knots_mps",)],
     "anchors": [("*",), ("propulsion", "*"), ("braking", "*"), ("*", "*", "weight"),
                 ("*", "*", "*", "weight")],
-    "params": [("payload_mass_kg",), ("gravity_mps2",), ("wheels",), ("throttle_range",),
-               ("brake_range",)],
+    "params": [("payload_mass_kg",), ("gravity_mps2",), ("wheels",)],
     "model": [("lower_clamp_N",), ("provenance",)],
 }
 FREE = {
