@@ -151,7 +151,7 @@ def test_cross_section_matches_per_curve_eval(shared_grid, data):
 @KERNEL
 @given(st.data())
 def test_surface_eval_many_matches_scalar(data):
-    # Level values 1e308 apart overflow the limiter's secant products, as in eval.
+    # Level values 1e308 apart overflow the limiter's secant products, in eval_many as in eval.
     surface = data.draw(surfaces(values=LIMITER_VALUES))
     v = data.draw(speeds_for(all_knots(surface)))
     signal = data.draw(st.lists(signals_for(surface.levels), min_size=len(v),
