@@ -113,8 +113,9 @@ class DriveLog:
     The sample rate is nominally 100 Hz; gaps larger than
     ``MAX_SAMPLE_GAP_S`` split the log into segments during processing
     (see :meth:`segments`). Only forward motion is modeled, so speeds are
-    non-negative. Time, speed and slope must be finite: a single NaN would
-    spread through the acceleration filter into every fitted force.
+    non-negative, as are throttle and brake. Time, speed and slope must be
+    finite: a single NaN would spread through the acceleration filter into
+    every fitted force.
     """
 
     t: np.ndarray
@@ -147,9 +148,9 @@ class DriveLog:
         if not increasing.all():
             bad = int(np.argmin(increasing)) + 1
             raise SchemaError(f"time must be strictly increasing; violated at row {bad}")
-        if n and float(speed.min()) < 0:
-            bad = int(np.argmin(speed))
-            raise SchemaError(f"speed must be >= 0; violated at row {bad}")
+        for name, col in (("speed", speed), ("throttle", throttle), ("brake", brake)):
+            if n and col.min() < 0:
+                raise SchemaError(f"{name} must be >= 0; violated at row {int(np.argmin(col))}")
         for col in (t, speed, throttle, brake, slope):
             col.setflags(write=False)
         object.__setattr__(self, "t", t)
@@ -328,7 +329,8 @@ def load_drive_log(path: str | Path) -> DriveLog:
 INGEST_COLUMNS = ("t", "speed", "throttle", "brake", "slope")
 UNIT_SPECS = ("speed_kmh", "speed_mps")
 _REJECT_REASONS = ("", "unparseable number", "non-finite value", "negative speed",
-                   "non-integer command signal", "command signal out of range")
+                   "non-integer command signal", "command signal out of range",
+                   "negative command signal")
 _INT64_SPAN = 2.0**63
 
 
@@ -337,9 +339,9 @@ def ingest_csv(csv_path: str | Path, units: str, gear: Gear = Gear.DRIVE,
     """Parse a telemetry CSV into a normalized SI DriveLog.
 
     Rows with unparseable or non-finite values, negative speeds, or command
-    signals that are not integers in the int64 range are rejected (counted,
-    not fatal); non-monotone time stamps are a hard error naming the
-    offending row. Rows are numbered among the CSV data rows, rejected ones
+    signals that are not non-negative integers in the int64 range are
+    rejected (counted, not fatal); non-monotone time stamps are a hard error
+    naming the offending row. Rows are numbered among the CSV data rows, rejected ones
     included; blank lines are skipped and not numbered, fields past
     the header are ignored, and a header name given twice names its last
     column. The rows are read and parsed ``_BLOCK_ROWS`` (4096) at a time,
@@ -370,8 +372,9 @@ def ingest_csv(csv_path: str | Path, units: str, gear: Gear = Gear.DRIVE,
     fractional = (signals != np.trunc(signals)).any(axis=0)
     out_of_range = ((signals < -_INT64_SPAN) | (signals >= _INT64_SPAN)).any(axis=0)
     # The first reason that applies, in this order, is the one reported.
-    reasons = np.select([unparseable, non_finite, speed < 0, fractional, out_of_range],
-                        [1, 2, 3, 4, 5], 0)
+    negative = (signals < 0).any(axis=0)
+    reasons = np.select([unparseable, non_finite, speed < 0, fractional, out_of_range, negative],
+                        [1, 2, 3, 4, 5, 6], 0)
     rejected_at = np.flatnonzero(reasons)
     keep = reasons == 0
     t = t[keep]

@@ -42,10 +42,6 @@ class ModelSet:
     m_eq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if 0 not in self.propulsion.levels:
-            raise ValueError("propulsion surface must include level 0 (the creep curve)")
-        if 0 not in self.braking.levels:
-            raise ValueError("braking surface must include level 0 (the regenerative curve)")
         object.__setattr__(self, "m_eq", equivalent_mass(self.params))
 
 

@@ -197,7 +197,7 @@ def run_fit_brake(log_paths: list[str], friction_path: str | Path,
     """Fit one braking curve per constant brake level and assemble the surface."""
     friction = load_typed_model(friction_path, "friction")
     propulsion = load_typed_model(propulsion_path, "propulsion")
-    creep = propulsion.curve_at(0)
+    creep = propulsion.curves[0]
     return _fit_surface("braking", "brake", log_paths, config, out_path,
                         lambda part, accel: extract_braking(part, accel, friction, creep,
                                                             config.params))

@@ -56,7 +56,7 @@ def load_anchor_file(path: str | Path) -> dict[str, dict[int | None, tuple[Ancho
 def _curve_from_anchors(anchors) -> Spline1D:
     xs = [a.speed_mps for a in anchors]
     ys = [a.force_n for a in anchors]
-    return Spline1D.interpolate(xs, ys, lower_clamp=0.0)
+    return Spline1D.interpolate(xs, ys)
 
 
 def _surface_from_anchors(by_level: dict[int, tuple[Anchor, ...]]) -> ForceSurface:

@@ -2,7 +2,7 @@
 
 Force models are piecewise-cubic Hermite curves over speed. Tangents are
 limited with the Fritsch-Carlson criterion wherever the knot values are
-locally monotone, which makes overshoot below the lower clamp structurally
+locally monotone, which makes overshoot below zero structurally
 impossible: between two knots the curve stays inside the knot value range.
 That matters because propulsion and braking forces can never be negative,
 and the hand-shaped low-speed regions must not grow spurious wiggles.
@@ -35,9 +35,6 @@ DEFAULT_KNOTS_MPS = (0.1, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0, 15.0, 25.0, 36.0)
 
 SIGNAL_TOL = 1e-3
 
-#: Fall (N) between adjacent levels that :func:`check_signal_monotone` allows.
-MONOTONE_TOL_N = 1e-6
-
 
 def _hermite(t: float, y0: float, y1: float, m0: float, m1: float, h: float) -> float:
     # grouped as y0 + (y1-y0)*h01 so flat segments evaluate exactly flat
@@ -62,11 +59,13 @@ def limited_tangents(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, .
     needs only the first tangents can stop the pass there
     (:meth:`ForceSurface.eval` does); this runs it to the end.
 
-    The knot positions must be strictly increasing; anything else raises
-    :class:`~longforce.errors.FitError`.
+    The knot positions must be strictly increasing, with one value each;
+    anything else raises :class:`~longforce.errors.FitError`.
     """
     if not all(a < b for a, b in zip(xs, xs[1:])):
         raise FitError("knot positions must be strictly increasing")
+    if len(ys) != len(xs):
+        raise FitError(f"need one value per knot position, got {len(ys)} for {len(xs)}")
     spans = [b - a for a, b in zip(xs, xs[1:])]
     spans2 = [b - a for a, b in zip(xs, xs[2:])]
     return tuple(_limited_pass(ys, spans, spans2, len(xs) - 1))
@@ -159,7 +158,8 @@ class Spline1D:
 
     Evaluation reproduces the knot values exactly, is C1 inside the knot
     span, holds the end values constant outside it, and never returns less
-    than ``lower_clamp``, which is finite and >= 0, as every force is.
+    than 0, as no force is negative. ``lower_clamp`` must be 0: model files
+    store it, and callers may still pass it.
     """
 
     knots_x: tuple[float, ...]
@@ -177,16 +177,14 @@ class Spline1D:
             bad = [i for i, value in enumerate(values) if not math.isfinite(value)]
             if bad:
                 raise FitError(f"{name} {bad[0]} is non-finite: {values[bad[0]]}")
-        if not math.isfinite(self.lower_clamp):
-            raise FitError(f"lower clamp is non-finite: {self.lower_clamp}")
-        if self.lower_clamp < 0:
-            raise FitError(f"lower clamp must be >= 0, got {self.lower_clamp}")
+        if self.lower_clamp != 0:
+            raise FitError(f"lower clamp must be 0, got {self.lower_clamp}")
         if not all(a < b for a, b in zip(xs, xs[1:])):
             raise FitError("knot positions must be strictly increasing")
         if len(ys) != len(xs) or len(ms) != len(xs):
             raise FitError("knots_x, knots_y and tangents must have equal length")
-        if any(y < self.lower_clamp for y in ys):
-            raise FitError(f"knot values must not fall below the lower clamp {self.lower_clamp}")
+        if any(y < 0.0 for y in ys):
+            raise FitError("knot values must be >= 0")
         object.__setattr__(self, "knots_x", xs)
         object.__setattr__(self, "knots_y", ys)
         object.__setattr__(self, "tangents", ms)
@@ -197,16 +195,14 @@ class Spline1D:
             for x0, x1, y0, y1, m0, m1 in zip(xs, xs[1:], ys, ys[1:], ms, ms[1:])))
 
     @classmethod
-    def interpolate(cls, xs: Sequence[float], ys: Sequence[float],
-                    lower_clamp: float = 0.0) -> "Spline1D":
-        """Monotone-limited Hermite interpolant through the given points.
+    def interpolate(cls, xs: Sequence[float], ys: Sequence[float]) -> "Spline1D":
+        """Monotone-limited Hermite interpolant through the points, negatives raised to 0.
 
-        The positions ``xs`` must be strictly increasing; anything else raises
-        :class:`~longforce.errors.FitError`.
+        The positions ``xs`` must be strictly increasing, with one value each;
+        anything else raises :class:`~longforce.errors.FitError`.
         """
-        ys = [max(float(y), lower_clamp) for y in ys]
-        return cls(tuple(float(x) for x in xs), tuple(ys),
-                   limited_tangents(xs, ys), lower_clamp)
+        ys = [max(float(y), 0.0) for y in ys]
+        return cls(tuple(float(x) for x in xs), tuple(ys), limited_tangents(xs, ys))
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -233,7 +229,7 @@ class Spline1D:
         t3 = t2 * t
         # _hermite's sum, in its operation order
         y = y0 + dy * (-2.0 * t3 + 3.0 * t2) + m0h * (t3 - 2.0 * t2 + t) + m1h * (t3 - t2)
-        return y if y > self.lower_clamp else self.lower_clamp
+        return y if y > 0.0 else 0.0
 
     def eval_many(self, xs) -> np.ndarray:
         """Curve values at an array of speeds, equal to :meth:`eval` bit for bit.
@@ -253,7 +249,7 @@ class Spline1D:
         h = kx[i + 1] - kx[i]
         t = (xi - kx[i]) / h
         y = _hermite(t, ky[i], ky[i + 1], km[i], km[i + 1], h)
-        out[inside] = np.where(y > self.lower_clamp, y, self.lower_clamp)
+        out[inside] = np.where(y > 0.0, y, 0.0)
         return out
 
 
@@ -426,10 +422,11 @@ class InversionResult:
 class ForceSurface:
     """Force as a function of (speed, command signal).
 
-    Built from one curve per defining signal level. Cross-sections along the
-    signal axis pass exactly through the defining curves and are interpolated
-    with monotone-limited Hermite in between, so they are monotone whenever
-    the defining values are.
+    Built from one curve per defining signal level; the lowest is 0, the
+    released pedal (creep or regeneration), which every reader needs.
+    Cross-sections along the signal axis pass exactly through the defining
+    curves and are interpolated with monotone-limited Hermite in between, so
+    they are monotone whenever the defining values are.
     """
 
     levels: tuple[int, ...]
@@ -443,6 +440,9 @@ class ForceSurface:
             raise FitError("levels and curves must have equal length")
         if not all(a < b for a, b in zip(levels, levels[1:])):
             raise FitError("levels must be strictly increasing")
+        if levels[0] != 0:
+            raise FitError(f"the lowest level must be 0 (the released pedal), got "
+                           f"levels {list(levels)}")
         curves = tuple(self.curves)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "curves", curves)
@@ -454,18 +454,11 @@ class ForceSurface:
                            tuple(float(b - a) for a, b in zip(levels, levels[2:])))
         # When every curve shares one knot grid, a cross-section needs one
         # bisect and one set of Hermite basis terms for all of them; each
-        # segment then holds every curve's terms and clamp.
+        # segment then holds every curve's terms.
         shared = all(c.knots_x == curves[0].knots_x for c in curves)
         object.__setattr__(self, "_grid", curves[0].knots_x if shared else None)
-        object.__setattr__(self, "_rows", tuple(
-            tuple(terms + (c.lower_clamp,) for c, terms in zip(curves, segment))
-            for segment in zip(*(c._segments for c in curves))) if shared else None)
-
-    def curve_at(self, level: int) -> Spline1D:
-        try:
-            return self.curves[self.levels.index(level)]
-        except ValueError:
-            raise KeyError(f"level {level} is not a defining level of this surface") from None
+        object.__setattr__(self, "_rows", tuple(zip(*(c._segments for c in curves)))
+                           if shared else None)
 
     def cross_section(self, v: float) -> list[float]:
         """Values of every defining curve at speed ``v``, in level order.
@@ -495,9 +488,9 @@ class ForceSurface:
         h10 = t3 - 2.0 * t2 + t
         h11 = t3 - t2
         out = []
-        for y0, dy, m0h, m1h, clamp in row:
+        for y0, dy, m0h, m1h in row:
             y = y0 + dy * h01 + m0h * h10 + m1h * h11
-            out.append(y if y > clamp else clamp)
+            out.append(y if y > 0.0 else 0.0)
         return out
 
     def eval(self, v: float, signal: float) -> float:
@@ -612,9 +605,9 @@ class ForceSurface:
 def check_signal_monotone(surface: ForceSurface, speeds=None) -> None:
     """Verify cross-sections never decrease with the signal; raise FitError if they do.
 
-    Checked on a dense speed grid over the union of the curve domains. The
-    check runs at fit time and at load time so that inversion later is well
-    posed everywhere.
+    Checked on a dense speed grid over the union of the curve domains, with
+    the slack :meth:`ForceSurface.invert` allows, at fit time and at load
+    time, so that inversion later is well posed everywhere.
     """
     if speeds is None:
         lo = min(c.domain[0] for c in surface.curves)
@@ -622,13 +615,14 @@ def check_signal_monotone(surface: ForceSurface, speeds=None) -> None:
         speeds = np.geomspace(max(lo, 1e-3), hi, 200)
     speeds = np.asarray(speeds, dtype=float).ravel()
     values = np.array([curve.eval_many(speeds) for curve in surface.curves])
-    falls = values[1:] < values[:-1] - MONOTONE_TOL_N
+    slack = 1e-9 * np.maximum(1.0, np.abs(values).max(axis=0))
+    falls = values[1:] < values[:-1] - slack
     if falls.any():
         k = int(falls.any(axis=0).argmax())
         i = int(falls[:, k].argmax())
         raise FitError(
             f"level {surface.levels[i + 1]} falls below level {surface.levels[i]} "
-            f"by {values[i, k] - values[i + 1, k]:.1f} N at {speeds[k]:.2f} m/s; "
+            f"by {values[i, k] - values[i + 1, k]:.3g} N at {speeds[k]:.2f} m/s; "
             "surface would not be monotone in the signal")
 
 
@@ -642,9 +636,9 @@ def _curve_to_dict(curve: Spline1D) -> dict:
 
 
 def _curve_from_dict(obj: dict, lower_clamp: float) -> Spline1D:
-    # The knots are checked (under zero tangents) before the tangents are
-    # derived, so that a bad curve is refused with the curve's own message. A
-    # "tangents" key, as earlier versions wrote, is ignored.
+    # The knots and clamp are checked (under zero tangents) before the tangents
+    # are derived, so that a bad curve is refused with the curve's own message.
+    # A "tangents" key, as earlier versions wrote, is ignored.
     xs, ys = json_numbers(obj, "knots_x_mps"), json_numbers(obj, "knots_y_N")
     knots = Spline1D(tuple(xs), tuple(ys), (0.0,) * len(xs), lower_clamp)
     return replace(knots, tangents=limited_tangents(knots.knots_x, knots.knots_y))
@@ -657,18 +651,10 @@ def model_to_dict(kind: str, model: Spline1D | ForceSurface,
     out: dict = {"kind": kind}
     if isinstance(model, Spline1D):
         out["curves"] = [_curve_to_dict(model)]
-        out["lower_clamp_N"] = model.lower_clamp
     else:
-        first = model.curves[0].lower_clamp
-        for level, curve in zip(model.levels, model.curves):
-            if curve.lower_clamp != first:
-                raise SchemaError(
-                    f"a {kind} model file holds one lower clamp, but level "
-                    f"{model.levels[0]} has {float(first)} and level {level} has "
-                    f"{float(curve.lower_clamp)}")
         out["levels"] = list(model.levels)
         out["curves"] = [_curve_to_dict(c) for c in model.curves]
-        out["lower_clamp_N"] = first
+    out["lower_clamp_N"] = 0.0
     out["provenance"] = dict(provenance or {"source_logs": []})
     return out
 
@@ -712,12 +698,8 @@ def load_model(path: str | Path) -> tuple[str, Spline1D | ForceSurface, dict]:
 
 
 def load_typed_model(path: str | Path, kind: str) -> Spline1D | ForceSurface:
-    """The model stored at ``path``, which must be a ``kind`` model; a surface
-    must hold level 0 (the creep or regenerative curve), which every reader needs."""
+    """The model stored at ``path``, which must be a ``kind`` model."""
     got, model, _ = load_model(path)
     if got != kind:
         raise SchemaError(f"{path}: expected a {kind} model, got {got}")
-    if kind != "friction" and 0 not in model.levels:
-        curve = "creep" if kind == "propulsion" else "regenerative"
-        raise SchemaError(f"{path}: {kind} surface must include level 0 (the {curve} curve)")
     return model

@@ -80,6 +80,17 @@ class TestIngest:
         assert "negative speed" in reasons
         assert "non-integer command signal" in reasons
 
+    def test_negative_command_rejected(self, tmp_path, capsys):
+        # Such rows used to ingest with "0 rejected".
+        path = tmp_path / "log.csv"
+        write_csv(path, ["0.00,10,0,0,0", "0.01,10,-5,0,0", "0.02,10,0,-1,0", "0.03,10,0,0,0"])
+        assert main(["ingest", str(path), "--units", "speed_mps",
+                     "--out", str(tmp_path / "log.json")]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "  rejected row 2: negative command signal",
+            "  rejected row 3: negative command signal"]
+        assert load_drive_log(tmp_path / "log.json").t.tolist() == [0.0, 0.03]
+
     def test_unknown_units(self, tmp_path):
         path = tmp_path / "log.csv"
         write_csv(path, ["0,1,0,0,0"])
@@ -257,14 +268,14 @@ class TestFitPipeline:
         run_fit_propulsion([str(tmp_path / "creep.json")], tmp_path / "friction.json",
                            config, tmp_path / "propulsion.json")
         paths = []
-        for level in (40, 80):
+        for level in (0, 40, 80):  # level 0, the released pedal, as every brake fit needs
             log = protocol_log(bad, 0, level, 125.0 / 3.6, 40.0, Gear.DRIVE,
                                cut_below=0.02)
             p = tmp_path / f"brake_{level}.json"
             save_drive_log(p, log)
             paths.append(str(p))
         from longforce.errors import FitError
-        with pytest.raises(FitError, match="level (40|80)"):
+        with pytest.raises(FitError, match="level 80 falls below level 40"):
             run_fit_brake(paths, tmp_path / "friction.json",
                           tmp_path / "propulsion.json", config, tmp_path / "braking.json")
 
@@ -460,6 +471,7 @@ def cli_argv(command, files, out):
         "simulate": ["simulate", *models, "--schedule", f["schedule"], "--duration", "1",
                      "--out", out],
         "validate": ["validate", *models, "--log", f["log"]],
+        "export-plot-data": ["export-plot-data", f["propulsion"], "--out", out],
     }[command]
 
 
@@ -533,17 +545,22 @@ class TestMainInputFiles:
         err = capsys.readouterr().err
         assert f"{path}: " in err and f"'{key}' must be a JSON object, got list" in err
 
-    @pytest.mark.parametrize("command", ["fit-brake", "validate"])
+    @pytest.mark.parametrize("command", ["fit-brake", "validate", "simulate",
+                                         "export-plot-data"])
     def test_propulsion_without_level_zero_is_2(self, cli_inputs, tmp_path, capsys,
                                                 command):
-        # fit-brake used to end in a KeyError traceback from curve_at(0).
+        # fit-brake used to end in a KeyError traceback from curve_at(0), and
+        # export-plot-data wrote the file's levels without complaint.
         path = cli_inputs["propulsion"]
         obj = json.loads(path.read_text())
         obj["levels"], obj["curves"] = obj["levels"][1:], obj["curves"][1:]
         path.write_text(json.dumps(obj))
-        assert main(cli_argv(command, cli_inputs, str(tmp_path / "out"))) == 2
-        assert (f"{path}: propulsion surface must include level 0 (the creep curve)"
-                in capsys.readouterr().err)
+        out = tmp_path / "out"
+        assert main(cli_argv(command, cli_inputs, str(out))) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed propulsion model: the lowest level must be 0 "
+            "(the released pedal), got levels [50, 100, 150, 186]\n")
+        assert not out.exists()
 
     def test_braking_without_level_zero_names_its_file(self, cli_inputs, tmp_path, capsys):
         path = cli_inputs["braking"]
@@ -551,8 +568,23 @@ class TestMainInputFiles:
         obj["levels"], obj["curves"] = obj["levels"][1:], obj["curves"][1:]
         path.write_text(json.dumps(obj))
         assert main(cli_argv("validate", cli_inputs, str(tmp_path / "out"))) == 2
-        assert (f"{path}: braking surface must include level 0 (the regenerative curve)"
-                in capsys.readouterr().err)
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed braking model: the lowest level must be 0 "
+            "(the released pedal), got levels [40, 80, 120, 160]\n")
+
+    @pytest.mark.parametrize("command, throttle, brake", [
+        ("fit-propulsion", 100, 0), ("fit-brake", 0, 60)])
+    def test_fit_without_level_zero_is_3(self, gt_models, cli_inputs, tmp_path, capsys,
+                                         command, throttle, brake):
+        # Such a fit used to write a model that fit-brake or validate then refused.
+        save_drive_log(cli_inputs["log"], protocol_log(gt_models, throttle, brake, 20.0, 15.0,
+                                                       Gear.DRIVE, cut_below=0.5))
+        out = tmp_path / "out.json"
+        assert main(cli_argv(command, cli_inputs, str(out))) == 3
+        assert capsys.readouterr().err == (
+            "error: the lowest level must be 0 (the released pedal), got levels "
+            f"[{throttle + brake}]\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("weight", [0.0, -1.0])
     def test_anchor_weight_not_positive_is_2(self, cli_inputs, tmp_path, capsys, weight):
@@ -578,6 +610,11 @@ class TestMainInputFiles:
                                                        Gear.DRIVE, cut_below=0.5))
         out = tmp_path / "out"
         argv = cli_argv(command, cli_inputs, str(out))
+        if command == "fit-brake":  # the released-pedal run, as every brake fit needs
+            regen = tmp_path / "regen.json"
+            save_drive_log(regen, protocol_log(gt_models, 0, 0, 20.0, 15.0, Gear.DRIVE,
+                                               cut_below=0.5))
+            argv.insert(1, str(regen))
 
         def outputs():
             assert main(argv) == 0
@@ -796,7 +833,40 @@ class TestInputBoundary:
                        {"knots_x_mps": [0, 10], "knots_y_N": [-20, -10]}]}))
         assert main(cli_argv("simulate", cli_inputs, str(tmp_path / "out"))) == 2
         assert capsys.readouterr().err == (
-            f"error: {path}: malformed propulsion model: lower clamp must be >= 0, got -50.0\n")
+            f"error: {path}: malformed propulsion model: lower clamp must be 0, got -50.0\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "export-plot-data"])
+    def test_positive_clamp_model_is_2(self, cli_inputs, tmp_path, capsys, command):
+        # A clamp of 40 used to load, and held the curves at 40 N while the
+        # surface between levels went down to 0 N.
+        path = cli_inputs["propulsion"]
+        obj = json.loads(path.read_text())
+        obj["lower_clamp_N"] = 40
+        path.write_text(json.dumps(obj))
+        assert main(cli_argv(command, cli_inputs, str(tmp_path / "out"))) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed propulsion model: lower clamp must be 0, got 40.0\n")
+
+    @pytest.mark.parametrize("clamp", [0.0, 0, None], ids=["zero", "integer-zero", "absent"])
+    def test_zero_or_absent_clamp_loads(self, cli_inputs, tmp_path, clamp):
+        path = cli_inputs["propulsion"]
+        obj = json.loads(path.read_text())
+        if clamp is None:
+            del obj["lower_clamp_N"]
+        else:
+            obj["lower_clamp_N"] = clamp
+        path.write_text(json.dumps(obj))
+        assert main(cli_argv("simulate", cli_inputs, str(tmp_path / "out"))) == 0
+
+    @pytest.mark.parametrize("column", ["throttle", "brake"])
+    def test_negative_command_in_drive_log_is_2(self, cli_inputs, tmp_path, capsys, column):
+        path = cli_inputs["log"]
+        obj = json.loads(path.read_text())
+        obj[column][1] = -5
+        path.write_text(json.dumps(obj))
+        assert main(cli_argv("fit-friction", cli_inputs, str(tmp_path / "out"))) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed drive log: {column} must be >= 0; violated at row 1\n")
 
 
 class TestFitDeterminism:

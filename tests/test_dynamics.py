@@ -67,13 +67,6 @@ class TestDirectAcceleration:
         expected_drop = 1720.0 * 9.81 * math.sin(0.05) / m_eq
         assert a_flat - a_up == pytest.approx(expected_drop, rel=1e-12)
 
-    def test_modelset_requires_level_zero(self, flat_params):
-        no_zero = ForceSurface((50,), (flat_curve(100.0),))
-        with pytest.raises(ValueError):
-            ModelSet(flat_curve(0.0), no_zero, flat_surface({0: 0.0}), flat_params)
-        with pytest.raises(ValueError):
-            ModelSet(flat_curve(0.0), flat_surface({0: 0.0}), no_zero, flat_params)
-
 
 class TestActuationCommand:
     def test_mutual_exclusion(self):

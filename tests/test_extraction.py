@@ -167,7 +167,7 @@ class TestExtractPropulsion:
             a = float(rng.uniform(-3.0, 3.0))
             grade = m * g * math.sin(slope)
             f_f = gt_models.friction.eval(v)
-            f_p0 = gt_models.propulsion.curve_at(0).eval(v)
+            f_p0 = gt_models.propulsion.curves[0].eval(v)
 
             coast = make_log([v] * 3, slope=slope, gear=Gear.NEUTRAL)
             f = extract_friction(coast, series_for(coast, a), gt_models.params).forces[0]
@@ -180,7 +180,7 @@ class TestExtractPropulsion:
 
             stop = make_log([v] * 3, brake=60, slope=slope, gear=Gear.DRIVE)
             f = extract_braking(stop, series_for(stop, a), gt_models.friction,
-                                gt_models.propulsion.curve_at(0),
+                                gt_models.propulsion.curves[0],
                                 gt_models.params).forces[0]
             assert (f_p0 - grade - f_f - f) / m_eq == pytest.approx(a, abs=1e-12)
 
@@ -222,7 +222,7 @@ class TestExtractBraking:
                            cut_below=0.02)
         accel = estimate_acceleration(log, 21, 5.0)
         obs = extract_braking(log, accel, gt_models.friction,
-                              gt_models.propulsion.curve_at(0), gt_models.params)
+                              gt_models.propulsion.curves[0], gt_models.params)
         want = np.array([gt_models.braking.eval(v, 120) for v in obs.speeds])
         err = np.abs(obs.forces - want)
         assert err[obs.speeds >= 2.5].max() <= 25.0

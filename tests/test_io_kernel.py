@@ -53,7 +53,8 @@ def save_drive_log_oracle(path, log, extra_meta=None):
 
 
 def ingest_csv_oracle(csv_path, units, gear=Gear.DRIVE, description=""):
-    """The row-by-row ``csv.DictReader`` loop, plus the int64 range rule."""
+    """The row-by-row ``csv.DictReader`` loop, plus the int64 range and
+    negative command rules."""
     rows, row_numbers, rejected = [], [], []
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -84,6 +85,9 @@ def ingest_csv_oracle(csv_path, units, gear=Gear.DRIVE, description=""):
                 continue
             if not all(-2**63 <= int(x) < 2**63 for x in (throttle, brake)):
                 rejected.append((i, "command signal out of range"))
+                continue
+            if throttle < 0 or brake < 0:
+                rejected.append((i, "negative command signal"))
                 continue
             rows.append((t, speed, int(throttle), int(brake), slope))
             row_numbers.append(i)
@@ -155,7 +159,7 @@ def drive_logs(draw):
     n = len(t)
     speed = draw(st.lists(st.one_of(st.just(-0.0), st.floats(0.0, allow_infinity=False)),
                           min_size=n, max_size=n))
-    ints = st.integers(-2**63, 2**63 - 1)
+    ints = st.integers(0, 2**63 - 1)  # DriveLog refuses a negative command
     return DriveLog(t, np.array(speed, dtype=float),
                     np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=np.int64),
                     np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=np.int64),

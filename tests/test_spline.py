@@ -59,13 +59,13 @@ class TestSpline1D:
 
     def test_lower_clamp_applies_between_knots(self):
         # Hand-built tangents that would dip below zero get clamped at eval.
-        s = Spline1D((0.0, 1.0), (10.0, 0.0), (-40.0, 0.0), lower_clamp=0.0)
+        s = Spline1D((0.0, 1.0), (10.0, 0.0), (-40.0, 0.0))
         values = [s.eval(float(x)) for x in np.linspace(0.0, 1.0, 200)]
         assert min(values) == 0.0
 
     def test_knots_below_clamp_rejected(self):
         with pytest.raises(FitError):
-            Spline1D((0.0, 1.0), (-5.0, 1.0), (0.0, 0.0), lower_clamp=0.0)
+            Spline1D((0.0, 1.0), (-5.0, 1.0), (0.0, 0.0))
 
     def test_needs_two_knots(self):
         with pytest.raises(FitError):
@@ -86,16 +86,24 @@ class TestSpline1D:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_lower_clamp_rejected(self, value):
-        with pytest.raises(FitError, match="lower clamp is non-finite"):
+        with pytest.raises(FitError, match=f"lower clamp must be 0, got {value}"):
             Spline1D((0.0, 1.0), (5.0, 6.0), (0.0, 0.0), lower_clamp=value)
 
     def test_negative_lower_clamp_rejected(self):
         # Forces are never negative; a surface of such curves used to jump
         # from its clamp at the first level to 0 N between levels.
-        with pytest.raises(FitError, match="lower clamp must be >= 0, got -50.0"):
+        with pytest.raises(FitError, match="lower clamp must be 0, got -50.0"):
             Spline1D((0.0, 1.0), (5.0, 6.0), (0.0, 0.0), lower_clamp=-50.0)
-        with pytest.raises(FitError, match="lower clamp must be >= 0, got -50.0"):
-            Spline1D.interpolate([0.0, 10.0], [-40.0, -30.0], lower_clamp=-50.0)
+        # interpolate raises values below 0 to 0, the one clamp.
+        assert Spline1D.interpolate([0.0, 10.0], [-40.0, -30.0]).knots_y == (0.0, 0.0)
+
+    @pytest.mark.parametrize("value", [40.0, 1e-300])
+    def test_positive_lower_clamp_rejected(self, value):
+        # Every fit, reference model and model file clamps at 0, and the
+        # surface's along-signal step clamps at 0 whatever its curves hold.
+        with pytest.raises(FitError, match=f"lower clamp must be 0, got {value}"):
+            Spline1D((0.0, 1.0), (50.0, 60.0), (0.0, 0.0), value)
+        assert Spline1D((0.0, 1.0), (50.0, 60.0), (0.0, 0.0), 0).lower_clamp == 0
 
     def test_eval_many_matches_eval(self):
         s = Spline1D.interpolate([0.0, 2.0, 4.0], [1.0, 5.0, 3.0])
@@ -129,6 +137,20 @@ class TestLimitedTangents:
             delta = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
             a, b = m[i] / delta, m[i + 1] / delta
             assert a * a + b * b <= 9.0 + 1e-12
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: limited_tangents([0.0, 1.0, 2.0], [0.0, 1.0, 5.0, 7.0]),
+         "need one value per knot position, got 4 for 3"),
+        (lambda: limited_tangents([0.0, 1.0], [0.0]),
+         "need one value per knot position, got 1 for 2"),
+        (lambda: Spline1D.interpolate([0.0, 1.0, 2.0], [0.0, 1.0]),
+         "need one value per knot position, got 2 for 3")],
+        ids=["extra-value", "missing-value", "interpolate"])
+    def test_one_value_per_position(self, call, message):
+        # The first used to drop the value 7.0 silently; the others ended in
+        # a bare IndexError.
+        with pytest.raises(FitError, match=f"^{message}$"):
+            call()
 
 
 class TestFitCurve:
@@ -304,15 +326,38 @@ class TestForceSurface:
         with pytest.raises(FitError, match="level 40"):
             check_signal_monotone(surface)
 
+    @pytest.mark.parametrize("top, fall", [(10.0, 5e-7), (6000.0, 3e-6), (0.5, 2e-9)])
+    def test_check_signal_monotone_allows_what_invert_allows(self, top, fall):
+        # The check used to allow a fixed 1e-6 N: a 10 N section falling by
+        # 5e-7 N loaded, then every invert on it raised InversionError, and a
+        # 6000 N section falling by 3e-6 N, which invert accepts, was refused.
+        flat = [Spline1D.interpolate([0.0, 40.0], [y, y]) for y in (top, top - fall)]
+        surface = ForceSurface((0, 100), tuple(flat))
+        refused = fall > 1e-9 * max(1.0, top)
+        try:
+            surface.invert(5.0, 0.5 * top)
+        except InversionError:
+            assert refused
+            with pytest.raises(FitError, match=f"level 100 falls below level 0 by {fall:.3g} N"):
+                check_signal_monotone(surface)
+        else:
+            assert not refused
+            check_signal_monotone(surface)
+
     def test_levels_strictly_increasing(self):
         zero = Spline1D.interpolate([0.0, 1.0], [0.0, 0.0])
         with pytest.raises(FitError):
             ForceSurface((10, 10), (zero, zero))
 
-    def test_curve_at_unknown_level(self):
-        surface = two_level_surface()
-        with pytest.raises(KeyError):
-            surface.curve_at(7)
+    @pytest.mark.parametrize("levels", [(50,), (10, 100), (-5, 0), (-1,)],
+                             ids=["one-level", "two-levels", "below-zero", "negative"])
+    def test_lowest_level_must_be_zero(self, levels):
+        # Every reader needs the released-pedal curve: the brake fit takes
+        # the creep curve, the direct model regeneration at zero brake.
+        zero = Spline1D.interpolate([0.0, 1.0], [0.0, 0.0])
+        with pytest.raises(FitError, match=rf"lowest level must be 0 .*got levels "
+                                           rf"\[{', '.join(map(str, levels))}\]"):
+            ForceSurface(levels, (zero,) * len(levels))
 
 
 class TestSerialization:
@@ -399,17 +444,6 @@ class TestSerialization:
         save_model(path, "braking", gt_models.braking)
         curves = json.loads(path.read_text())["curves"]
         assert [sorted(c) for c in curves] == [["knots_x_mps", "knots_y_N"]] * len(curves)
-
-    def test_mixed_clamp_surface_refused_at_save(self, tmp_path):
-        # model_to_dict used to write curve 0's clamp for every level, so
-        # this file saved and then failed to load.
-        surface = ForceSurface((0, 10), (
-            Spline1D.interpolate([0, 10], [100, 200], lower_clamp=50),
-            Spline1D.interpolate([0, 10], [0, 400])))
-        path = tmp_path / "propulsion.json"
-        with pytest.raises(SchemaError, match="level 0 has 50.0 and level 10 has 0.0"):
-            save_model(path, "propulsion", surface)
-        assert not path.exists()
 
     def test_friction_single_curve_enforced(self, gt_models):
         obj = model_to_dict("friction", gt_models.friction)
