@@ -150,7 +150,8 @@ class DriveLog:
             raise SchemaError(f"time must be strictly increasing; violated at row {bad}")
         for name, col in (("speed", speed), ("throttle", throttle), ("brake", brake)):
             if n and col.min() < 0:
-                raise SchemaError(f"{name} must be >= 0; violated at row {int(np.argmin(col))}")
+                bad = int(np.argmax(col < 0))
+                raise SchemaError(f"{name} must be >= 0; violated at row {bad}")
         for col in (t, speed, throttle, brake, slope):
             col.setflags(write=False)
         object.__setattr__(self, "t", t)

@@ -132,14 +132,16 @@ class TestDriveLog:
         with pytest.raises(SchemaError):
             self.make([0.0, 0.01], [1.0, -0.1])
 
-    @pytest.mark.parametrize("column", ["throttle", "brake"])
-    def test_negative_command_rejected_naming_row(self, column):
-        # A throttle of -5 used to be accepted, and would fit a level -5 curve.
-        cols = {"throttle": np.array([0, 50, 50]), "brake": np.zeros(3, dtype=np.int64)}
-        cols[column][2] = -5
-        with pytest.raises(SchemaError, match=f"^{column} must be >= 0; violated at row 2$"):
-            DriveLog(np.array([0.0, 0.01, 0.02]), np.ones(3), cols["throttle"], cols["brake"],
-                     np.zeros(3))
+    @pytest.mark.parametrize("column", ["speed", "throttle", "brake"])
+    def test_negative_value_rejected_naming_first_row(self, column):
+        # A throttle of -5 used to be accepted, and would fit a level -5 curve;
+        # a negative speed was reported at the row of the smallest speed.
+        cols = {"speed": np.ones(4), "throttle": np.array([0, 50, 50, 50]),
+                "brake": np.zeros(4, dtype=np.int64)}
+        cols[column][1:3] = (-1, -5)
+        with pytest.raises(SchemaError, match=f"^{column} must be >= 0; violated at row 1$"):
+            DriveLog(np.array([0.0, 0.01, 0.02, 0.03]), cols["speed"], cols["throttle"],
+                     cols["brake"], np.zeros(4))
 
     @pytest.mark.parametrize("column", ["t", "speed", "slope"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
