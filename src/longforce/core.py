@@ -72,7 +72,8 @@ class VehicleParams:
     payload_mass_kg: float = 0.0
     gravity_mps2: float = 9.81
     wheels: tuple[Wheel, ...] = ()
-    #: The weight m*g in N, computed once for :func:`grade_force`.
+    #: The weight m*g in N, computed once for :func:`grade_force` and
+    #: :func:`grade_force_many`.
     weight_n: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -453,17 +454,22 @@ def load_vehicle_params(path: str | Path) -> VehicleParams:
         )
 
 
-def grade_force(params: VehicleParams, slope_rad: float | np.ndarray) -> float | np.ndarray:
-    """Ground-tangent weight component m*g*sin(slope), in N.
+def grade_force(params: VehicleParams, slope_rad: float) -> float:
+    """Ground-tangent weight component m*g*sin(slope), in N, at one slope.
 
-    ``slope_rad`` is a float or an array. An array takes ``math.sin`` per
-    element, because ``np.sin`` may use a SIMD routine that differs from the
-    C library in the last bit on some CPUs; each element then equals the
-    scalar result bit for bit.
+    The direct and inverse models call it once per operating point; arrays
+    go through :func:`grade_force_many`.
     """
-    if isinstance(slope_rad, np.ndarray):
-        sin = np.fromiter(map(math.sin, slope_rad.ravel().tolist()), dtype=float,
-                          count=slope_rad.size).reshape(slope_rad.shape)
-    else:
-        sin = math.sin(slope_rad)
+    return params.weight_n * math.sin(slope_rad)
+
+
+def grade_force_many(params: VehicleParams, slope_rad: np.ndarray) -> np.ndarray:
+    """Array form of :func:`grade_force`, one value per element of ``slope_rad``.
+
+    It takes ``math.sin`` per element, because ``np.sin`` may use a SIMD
+    routine that differs from the C library in the last bit on some CPUs;
+    each element then equals the scalar result bit for bit.
+    """
+    sin = np.fromiter(map(math.sin, slope_rad.ravel().tolist()), dtype=float,
+                      count=slope_rad.size).reshape(slope_rad.shape)
     return params.weight_n * sin

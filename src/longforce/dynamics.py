@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import VehicleParams, equivalent_mass, file_values, grade_force
+from .core import VehicleParams, equivalent_mass, file_values, grade_force, grade_force_many
 from .errors import InvalidParameterError, SchemaError
 from .spline import ForceSurface, Spline1D
 
@@ -121,7 +121,7 @@ def direct_acceleration_many(models: ModelSet, v, throttle, brake,
     f_b = np.zeros(len(v))
     braking = (throttle == 0.0) | (brake > 0.0)
     f_b[braking] = models.braking.eval_many(v[braking], brake[braking])
-    grade = grade_force(models.params, slope)
+    grade = grade_force_many(models.params, slope)
     accel = (f_p - grade - f_f - f_b) / models.m_eq
     return accel, ForceBreakdown(f_p, f_f, f_b)
 
@@ -185,12 +185,18 @@ def simulate(models: ModelSet, schedule: Schedule, v0: float, dt: float,
             break
         if at_rest:
             continue
+        # Stage speeds are clamped at 0 by max(x, 0.0)'s own rule, without the
+        # call: -0.0 and NaN pass through as they did.
         throttle, brake, slope = schedule(t + 0.5 * dt)
-        k2 = _forces(models, max(v + 0.5 * dt * a, 0.0), throttle, brake, slope)[0]
-        k3 = _forces(models, max(v + 0.5 * dt * k2, 0.0), throttle, brake, slope)[0]
+        x = v + 0.5 * dt * a
+        k2 = _forces(models, 0.0 if 0.0 > x else x, throttle, brake, slope)[0]
+        x = v + 0.5 * dt * k2
+        k3 = _forces(models, 0.0 if 0.0 > x else x, throttle, brake, slope)[0]
         throttle, brake, slope = schedule(t + dt)
-        k4 = _forces(models, max(v + dt * k3, 0.0), throttle, brake, slope)[0]
-        v = max(v + dt / 6.0 * (a + 2.0 * k2 + 2.0 * k3 + k4), 0.0)
+        x = v + dt * k3
+        k4 = _forces(models, 0.0 if 0.0 > x else x, throttle, brake, slope)[0]
+        x = v + dt / 6.0 * (a + 2.0 * k2 + 2.0 * k3 + k4)
+        v = 0.0 if 0.0 > x else x
 
     return Trajectory(t_out, v_out, a_out, fp_out, ff_out, fb_out)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DriveLog, Gear, VehicleParams, equivalent_mass, grade_force
+from .core import DriveLog, Gear, VehicleParams, equivalent_mass, grade_force_many
 from .errors import ProtocolViolationError, SegmentSplitRequired
 from .estimation import AccelSeries
 from .spline import Spline1D
@@ -107,7 +107,7 @@ def extract_friction(log: DriveLog, accel: AccelSeries,
     _require_zero(log, "brake", "friction extraction")
     keep = _valid_mask(log, accel)
     m_eq = equivalent_mass(params)
-    forces = -grade_force(params, log.slope[keep]) - m_eq * accel.accel[keep]
+    forces = -grade_force_many(params, log.slope[keep]) - m_eq * accel.accel[keep]
     return ForceObservationSet(None, log.speed[keep], forces)
 
 
@@ -125,7 +125,7 @@ def extract_propulsion(log: DriveLog, accel: AccelSeries, friction: Spline1D,
     m_eq = equivalent_mass(params)
     speeds = log.speed[keep]
     forces = (friction.eval_many(speeds)
-              + grade_force(params, log.slope[keep])
+              + grade_force_many(params, log.slope[keep])
               + m_eq * accel.accel[keep])
     return ForceObservationSet(level, speeds, forces)
 
@@ -146,7 +146,7 @@ def extract_braking(log: DriveLog, accel: AccelSeries, friction: Spline1D,
     speeds = log.speed[keep]
     forces = (propulsion_at_zero_throttle.eval_many(speeds)
               - friction.eval_many(speeds)
-              - grade_force(params, log.slope[keep])
+              - grade_force_many(params, log.slope[keep])
               - m_eq * accel.accel[keep])
     return ForceObservationSet(level, speeds, forces)
 

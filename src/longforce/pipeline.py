@@ -150,23 +150,31 @@ def run_fit_friction(log_paths: list[str], config: PipelineConfig,
 def _fit_surface(kind: str, signal: str, log_paths: list[str], config: PipelineConfig,
                  out_path: str | Path, extract) -> ForceSurface:
     """Fit one ``kind`` curve per constant-``signal`` level; ``extract(run, accel)``
-    gives a run's force observations."""
-    points_by_level: dict[int, list[np.ndarray]] = {}
-    for path in log_paths:
-        for part in split_constant_signal(load_drive_log(path), signal):
-            if len(part) < config.window:
-                continue
-            accel = estimate_acceleration(part, config.window, config.cutoff_hz)
-            try:
-                obs = extract(part, accel)
-            except ProtocolViolationError as exc:
-                raise ProtocolViolationError(f"{path}: {exc}", exc.indices) from exc
-            points_by_level.setdefault(obs.level, []).append(obs.points())
-    if not points_by_level:
+    gives a run's force observations.
+
+    The levels are known once the logs are split, so a level set without 0,
+    which :class:`ForceSurface` refuses, is refused there with ``FitError``,
+    before any estimation or fit.
+    """
+    runs = [(path, part) for path in log_paths
+            for part in split_constant_signal(load_drive_log(path), signal)
+            if len(part) >= config.window]
+    if not runs:
         raise EmptySeriesError(f"no usable constant-{signal} segments in the given logs")
+    levels = sorted({int(getattr(part, signal)[0]) for _, part in runs})
+    if levels[0] != 0:
+        raise FitError(f"{kind}: the lowest level must be 0 (the released pedal), got "
+                       f"levels {levels} in {', '.join(map(str, log_paths))}")
+    points_by_level: dict[int, list[np.ndarray]] = {}
+    for path, part in runs:
+        accel = estimate_acceleration(part, config.window, config.cutoff_hz)
+        try:
+            obs = extract(part, accel)
+        except ProtocolViolationError as exc:
+            raise ProtocolViolationError(f"{path}: {exc}", exc.indices) from exc
+        points_by_level.setdefault(obs.level, []).append(obs.points())
     anchors = config.anchors.get(kind, {})
     knots = config.knots_mps[kind]
-    levels = sorted(points_by_level)
     curves = []
     for level in levels:
         try:

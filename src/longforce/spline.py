@@ -59,9 +59,11 @@ def limited_tangents(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, .
     needs only the first tangents can stop the pass there
     (:meth:`ForceSurface.eval` does); this runs it to the end.
 
-    The knot positions must be strictly increasing, with one value each;
-    anything else raises :class:`~longforce.errors.FitError`.
+    There must be at least two knot positions, strictly increasing, with one
+    value each; anything else raises :class:`~longforce.errors.FitError`.
     """
+    if len(xs) < 2:
+        raise FitError(f"need at least 2 knot positions, got {len(xs)}")
     if not all(a < b for a, b in zip(xs, xs[1:])):
         raise FitError("knot positions must be strictly increasing")
     if len(ys) != len(xs):
@@ -198,8 +200,8 @@ class Spline1D:
     def interpolate(cls, xs: Sequence[float], ys: Sequence[float]) -> "Spline1D":
         """Monotone-limited Hermite interpolant through the points, negatives raised to 0.
 
-        The positions ``xs`` must be strictly increasing, with one value each;
-        anything else raises :class:`~longforce.errors.FitError`.
+        There must be at least two positions ``xs``, strictly increasing, with
+        one value each; anything else raises :class:`~longforce.errors.FitError`.
         """
         ys = [max(float(y), 0.0) for y in ys]
         return cls(tuple(float(x) for x in xs), tuple(ys), limited_tangents(xs, ys))
@@ -496,18 +498,57 @@ class ForceSurface:
     def eval(self, v: float, signal: float) -> float:
         """Surface value at (v, signal); a signal outside the levels is clamped to them.
 
-        Raises :class:`~longforce.errors.InvalidParameterError` when either is NaN.
+        Between levels, the value is ``_along_signal(cross_section(v), signal)``
+        bit for bit. On a shared knot grid with ``v`` inside it, both run in
+        this one frame, each written out as those two methods write it, in
+        the same operation order; per-level grids and speeds outside the
+        grid call them. Raises
+        :class:`~longforce.errors.InvalidParameterError` when either is NaN.
         """
         levels = self.levels
         if signal <= levels[0]:
             return self.curves[0].eval(v)
         if signal >= levels[-1]:
             return self.curves[-1].eval(v)
-        return self._along_signal(self.cross_section(v), signal)
+        xs = self._grid
+        if xs is None or not xs[0] < v < xs[-1]:  # per-level grids, a held end or NaN
+            return self._along_signal(self.cross_section(v), signal)
+        # cross_section(v), inside the grid
+        i = bisect_right(xs, v) - 1
+        x0 = xs[i]
+        t = (v - x0) / (xs[i + 1] - x0)
+        t2 = t * t
+        t3 = t2 * t
+        h01 = -2.0 * t3 + 3.0 * t2
+        h10 = t3 - 2.0 * t2 + t
+        h11 = t3 - t2
+        values = []
+        for y0, dy, m0h, m1h in self._rows[i]:
+            y = y0 + dy * h01 + m0h * h10 + m1h * h11
+            values.append(y if y > 0.0 else 0.0)
+        # _along_signal(values, signal)
+        spans = self._spans
+        i = bisect_right(levels, signal) - 1
+        try:
+            h = spans[i]
+        except IndexError:  # only NaN passes both end tests
+            raise InvalidParameterError("signal is NaN") from None
+        m = _limited_pass(values, spans, self._spans2, i + 1)
+        t = (signal - levels[i]) / h
+        t2 = t * t
+        t3 = t2 * t
+        y0 = values[i]
+        y = (y0 + (values[i + 1] - y0) * (-2.0 * t3 + 3.0 * t2)
+             + m[i] * h * (t3 - 2.0 * t2 + t)
+             + m[i + 1] * h * (t3 - t2))
+        return 0.0 if 0.0 > y else y
 
     def _along_signal(self, values: list[float], signal: float) -> float:
         """Value at ``signal`` of the section ``values`` (a :meth:`cross_section`),
-        for a signal strictly between the first and last level; NaN raises."""
+        for a signal strictly between the first and last level; NaN raises.
+
+        :meth:`invert` bisects with it, and :meth:`eval` calls it where it does
+        not write it out."""
         levels = self.levels
         spans = self._spans
         i = bisect_right(levels, signal) - 1
@@ -562,9 +603,9 @@ class ForceSurface:
         """A signal whose force at speed ``v`` reaches ``force``, the smallest to ``SIGNAL_TOL``.
 
         Bisection on the one cross-section at ``v``, read once per call: each
-        step evaluates it as ``eval(v, mid)`` would, bit for bit. It returns
-        the upper end of the last bracket, a signal where ``eval(v, signal)
-        >= force``, within ``SIGNAL_TOL`` signal units of the smallest such
+        step runs :meth:`_along_signal` on it, which is ``eval(v, mid)`` bit
+        for bit. It returns the upper end of the last bracket, a signal where
+        ``eval(v, signal) >= force``, within ``SIGNAL_TOL`` signal units of the smallest such
         signal on a section that is monotone at the ulp level. On a section
         flat to a few ulps, rounding can dip below ``force`` past that
         smallest signal, and the bisection then stops later. Forces above
@@ -591,8 +632,8 @@ class ForceSurface:
         if math.isnan(force):
             raise InvalidParameterError("force is NaN")
         # Invariant: eval(lo) < force <= eval(hi). Every mid lies strictly
-        # between the first and last level, where eval(v, mid) is exactly
-        # _along_signal(cross_section(v), mid).
+        # between the first and last level, where eval(v, mid) equals
+        # _along_signal(cross_section(v), mid) bit for bit.
         while hi - lo > SIGNAL_TOL:
             mid = 0.5 * (lo + hi)
             if self._along_signal(values, mid) >= force:

@@ -581,9 +581,30 @@ class TestMainInputFiles:
                                                        Gear.DRIVE, cut_below=0.5))
         out = tmp_path / "out.json"
         assert main(cli_argv(command, cli_inputs, str(out))) == 3
+        kind = "propulsion" if throttle else "braking"
         assert capsys.readouterr().err == (
-            "error: the lowest level must be 0 (the released pedal), got levels "
-            f"[{throttle + brake}]\n")
+            f"error: {kind}: the lowest level must be 0 (the released pedal), got levels "
+            f"[{throttle + brake}] in {cli_inputs['log']}\n")
+        assert not out.exists()
+
+    def test_fit_without_level_zero_stops_before_any_fit(self, gt_models, cli_inputs,
+                                                          tmp_path, capsys):
+        # The walkthrough's throttle 50 and 100 runs without the level-0 run:
+        # this used to print both levels' fit lines before the refusal.
+        logs = []
+        for level in (50, 100):
+            logs.append(tmp_path / f"throttle_{level:03d}.json")
+            save_drive_log(logs[-1], protocol_log(gt_models, level, 0, 0.0, 30.0, Gear.DRIVE))
+        out = tmp_path / "fitted.json"
+        capsys.readouterr()  # the fixture's own output
+        assert main(["fit-propulsion", *map(str, logs), "--friction",
+                     str(cli_inputs["friction"]), "--config", str(cli_inputs["config"]),
+                     "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: propulsion: the lowest level must be 0 (the released pedal), got levels "
+            f"[50, 100] in {logs[0]}, {logs[1]}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("weight", [0.0, -1.0])

@@ -1,13 +1,14 @@
 """The array evaluation kernel against the scalar path, its oracle.
 
 ``Spline1D.eval_many``, ``ForceSurface.eval_many``, ``direct_acceleration_many``
-and ``grade_force`` on an array must equal a per-element loop over the
-scalar ``eval`` / ``direct_acceleration`` / ``grade_force`` bit for bit,
-including the sign of zero, so that vectorised callers (validation,
-extraction, export) give the same results as before. Likewise the scalar
-fast paths: ``ForceSurface.cross_section`` on a shared knot grid must equal
-``Spline1D.eval`` per curve, and ``simulate`` must equal an RK4 loop over
-``direct_acceleration``. The scalar kernel itself (per-segment Hermite
+and ``grade_force_many`` must equal a per-element loop over the scalar
+``eval`` / ``direct_acceleration`` / ``grade_force`` bit for bit, including
+the sign of zero, so that vectorised callers (validation, extraction,
+export) give the same results as before. Likewise the scalar fast paths:
+``ForceSurface.cross_section`` on a shared knot grid must equal
+``Spline1D.eval`` per curve, ``ForceSurface.eval`` must equal
+``_along_signal(cross_section(v), signal)``, and ``simulate`` must equal an
+RK4 loop over ``direct_acceleration``. The scalar kernel itself (per-segment Hermite
 terms and the one-loop limiter) must equal copies of the plain per-call
 Hermite and two-pass limiter it replaced. The scalar inverse must undo the
 scalar surface evaluation on random monotone surfaces, and equal, bit for
@@ -27,7 +28,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from longforce.cli import main  # noqa: E402
-from longforce.core import DriveLog, equivalent_mass, grade_force  # noqa: E402
+from longforce.core import (DriveLog, equivalent_mass, grade_force,  # noqa: E402
+                            grade_force_many)
 from longforce.dynamics import (ModelSet, direct_acceleration,  # noqa: E402
                                 direct_acceleration_many, inverse_actuation, simulate)
 from longforce.errors import FitError, InvalidParameterError, InversionError  # noqa: E402
@@ -187,12 +189,46 @@ def test_direct_model_many_matches_scalar(gt_models, data):
     slope = data.draw(st.lists(st.floats(-0.35, 0.35), min_size=n, max_size=n))
     accel, forces = direct_acceleration_many(models, v, throttle, brake, slope)
     oracle = [direct_acceleration(models, *row) for row in zip(v, throttle, brake, slope)]
-    assert_same_bits(grade_force(models.params, np.array(slope)),
+    assert_same_bits(grade_force_many(models.params, np.array(slope)),
                      [grade_force(models.params, s) for s in slope])
     assert_same_bits(accel, [a for a, _ in oracle])
     assert_same_bits(forces.propulsion, [f.propulsion for _, f in oracle])
     assert_same_bits(forces.friction, [f.friction for _, f in oracle])
     assert_same_bits(forces.braking, [f.braking for _, f in oracle])
+
+
+SLOPES = st.one_of(st.floats(-0.35, 0.35),
+                   st.sampled_from([0.0, -0.0, 1e-300, -1e-300, math.pi / 2, -math.pi / 2]))
+
+
+@KERNEL
+@given(st.lists(SLOPES, min_size=1, max_size=40))
+def test_grade_force_many_matches_scalar(gt_models, slope):
+    array = np.array(slope)
+    assert_same_bits(grade_force_many(gt_models.params, array),
+                     [grade_force(gt_models.params, s) for s in slope])
+    # The shape is kept, as extraction's masked columns need.
+    column = array.reshape(-1, 1)
+    assert grade_force_many(gt_models.params, column).shape == column.shape
+
+
+def test_grade_force_keeps_signed_zero_and_tiny_slopes(gt_models):
+    params = gt_models.params
+    slopes = [0.0, -0.0, 1e-300, -1e-300, math.pi / 2, -math.pi / 2]
+    assert_same_bits([grade_force(params, s) for s in slopes],
+                     [params.weight_n * math.sin(s) for s in slopes])
+    assert_same_bits(grade_force_many(params, np.array(slopes)),
+                     [params.weight_n * math.sin(s) for s in slopes])
+    assert math.copysign(1.0, grade_force(params, -0.0)) == -1.0
+
+
+@pytest.mark.parametrize("slope", [math.inf, -math.inf, math.nan])
+def test_direct_model_refuses_a_non_finite_slope_before_the_grade_force(gt_models, slope):
+    # math.sin(inf) would raise a bare ValueError; _forces names the point first.
+    with pytest.raises(InvalidParameterError) as err:
+        direct_acceleration(gt_models, 10.0, 50.0, 0.0, slope)
+    assert str(err.value) == (f"non-finite operating point: v=10.0, throttle=50.0, "
+                              f"brake=0.0, slope={slope}")
 
 
 # --- the scalar kernel against the plain form it replaced -------------------------
@@ -306,6 +342,10 @@ def test_limited_tangents_matches_two_pass_oracle(data):
     if data.draw(st.booleans()):
         xs = sorted(xs)  # repeated positions stay, and are refused
     ys = data.draw(st.lists(LIMITER_VALUES, min_size=n, max_size=n))
+    if n < 2:
+        with pytest.raises(FitError, match="^need at least 2 knot positions, got 1$"):
+            limited_tangents(xs, ys)
+        return
     if not all(a < b for a, b in zip(xs, xs[1:])):
         with pytest.raises(FitError, match="strictly increasing"):
             limited_tangents(xs, ys)
@@ -330,7 +370,8 @@ def test_limiter_on_increasing_positions_matches_two_pass_oracle(data):
     many = _limited_tangents_many(xs, np.array(columns, dtype=float).T)
     for j, ys in enumerate(columns):
         expected = _limited_tangents_oracle(xs, ys)
-        assert_same_bits(limited_tangents(xs, ys), expected)
+        if n >= 2:  # limited_tangents refuses a single knot; the kernels take it
+            assert_same_bits(limited_tangents(xs, ys), expected)
         # Stopped after segment ``stop``, the pass already holds tangents 0 to ``stop``.
         for stop in range(n):
             assert_same_bits(_limited_pass(ys, spans, spans2, stop), expected[:stop + 1])
@@ -434,17 +475,67 @@ def test_single_level_surface_is_its_curve():
 
 
 @st.composite
-def monotone_surfaces(draw):
-    """A surface on one knot grid whose knot values do not decrease from level to level."""
+def monotone_surfaces(draw, shared_grid=True):
+    """A surface whose knot values do not decrease from level to level, on one
+    knot grid or, with ``shared_grid`` false, on one grid per level (each
+    level's knots stretched by 0.1 % more than the level below)."""
     levels = draw(level_sets(max_above_zero=5))
     grid = draw(knot_grids())
     ys = draw(st.lists(KNOT_VALUES, min_size=len(grid), max_size=len(grid)))
     steps = st.one_of(st.sampled_from([0.0, 0.0, 1e-6, 5.0, 3000.0]), st.floats(0.0, 4000.0))
-    rows = []
-    for _ in levels:
-        rows.append(ys)
+    curves = []
+    for k, _ in enumerate(levels):
+        xs = grid if shared_grid else [x * (1.0 + 0.001 * k) for x in grid]
+        curves.append(Spline1D.interpolate(xs, ys))
         ys = [y + draw(steps) for y in ys]
-    return ForceSurface(tuple(levels), tuple(Spline1D.interpolate(grid, row) for row in rows))
+    return ForceSurface(tuple(levels), tuple(curves))
+
+
+@pytest.mark.parametrize("shared_grid", [True, False], ids=["shared-grid", "per-level-grids"])
+@KERNEL
+@given(data=st.data())
+def test_eval_equals_along_signal_of_cross_section(shared_grid, data):
+    # On a shared grid eval writes both steps out in one frame; on per-level
+    # grids it calls them. Either way the bits are theirs, and eval_many's.
+    surface = data.draw(monotone_surfaces(shared_grid=shared_grid))
+    assert (surface._grid is not None) == (shared_grid or len(surface.levels) == 1)
+    levels = surface.levels
+    knots = all_knots(surface)
+    speeds = data.draw(st.lists(speed_for(knots), min_size=1, max_size=10))
+    speeds += inner_speeds(data, knots, 10)
+    signals = data.draw(st.lists(signals_for(levels), min_size=1, max_size=4))
+    signals += [0.5 * (a + b) for a, b in zip(levels, levels[1:])]
+    for v in speeds:
+        got = [surface.eval(v, s) for s in signals]
+        assert_same_bits(got, surface.eval_many(v, signals))
+        between = [(k, s) for k, s in enumerate(signals) if levels[0] < s < levels[-1]]
+        section = surface.cross_section(v)
+        assert_same_bits([got[k] for k, _ in between],
+                         [surface._along_signal(section, s) for _, s in between])
+        # A NaN signal between the end tests, at a speed inside the grid, must not
+        # index past the level spans.
+        with pytest.raises(InvalidParameterError, match="^signal is NaN$"):
+            surface.eval(v, math.nan)
+        with pytest.raises(InvalidParameterError, match="^speed is NaN$"):
+            surface.eval(math.nan, signals[0])
+    if len(levels) > 1:
+        with pytest.raises(InvalidParameterError, match="^speed is NaN$"):
+            surface.eval(math.nan, math.nan)
+
+
+@pytest.mark.parametrize("shared_grid", [True, False], ids=["shared-grid", "per-level-grids"])
+def test_eval_calls_no_section_method_on_a_shared_grid(shared_grid):
+    grid = [0.0, 1.0, 2.0]
+    surface = ForceSurface((0, 10, 20), tuple(
+        Spline1D.interpolate(grid if shared_grid else [x + 0.1 * k for x in grid],
+                             [y + 5.0 * k for y in (1.0, 2.0, 3.0)]) for k in range(3)))
+    with patch.object(ForceSurface, "cross_section", autospec=True,
+                      side_effect=ForceSurface.cross_section) as section, \
+            patch.object(ForceSurface, "_along_signal", autospec=True,
+                         side_effect=ForceSurface._along_signal) as along:
+        surface.eval(1.5, 15.0)   # inside the grid, between levels
+        surface.eval(-1.0, 15.0)  # a held end of the grid
+    assert section.call_count == along.call_count == (1 if shared_grid else 2)
 
 
 @KERNEL

@@ -138,6 +138,12 @@ class TestLimitedTangents:
             a, b = m[i] / delta, m[i + 1] / delta
             assert a * a + b * b <= 9.0 + 1e-12
 
+    @pytest.mark.parametrize("xs, ys", [([], []), ([3.0], [7.0]), ((), (7.0,))])
+    def test_fewer_than_two_positions_refused(self, xs, ys):
+        # An empty list used to give one tangent, (0.0,), for no knots.
+        with pytest.raises(FitError, match=f"^need at least 2 knot positions, got {len(xs)}$"):
+            limited_tangents(xs, ys)
+
     @pytest.mark.parametrize("call, message", [
         (lambda: limited_tangents([0.0, 1.0, 2.0], [0.0, 1.0, 5.0, 7.0]),
          "need one value per knot position, got 4 for 3"),
