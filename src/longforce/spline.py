@@ -603,9 +603,9 @@ class ForceSurface:
         """A signal whose force at speed ``v`` reaches ``force``, the smallest to ``SIGNAL_TOL``.
 
         Bisection on the one cross-section at ``v``, read once per call: each
-        step runs :meth:`_along_signal` on it, which is ``eval(v, mid)`` bit
-        for bit. It returns the upper end of the last bracket, a signal where
-        ``eval(v, signal) >= force``, within ``SIGNAL_TOL`` signal units of the smallest such
+        step runs ``_along_signal`` on it, ``eval(v, mid)`` bit for bit. It returns
+        the upper end of the last bracket, a signal where ``eval(v, signal)
+        >= force``, within ``SIGNAL_TOL`` signal units of the smallest such
         signal on a section that is monotone at the ulp level. On a section
         flat to a few ulps, rounding can dip below ``force`` past that
         smallest signal, and the bisection then stops later. Forces above
@@ -632,8 +632,8 @@ class ForceSurface:
         if math.isnan(force):
             raise InvalidParameterError("force is NaN")
         # Invariant: eval(lo) < force <= eval(hi). Every mid lies strictly
-        # between the first and last level, where eval(v, mid) equals
-        # _along_signal(cross_section(v), mid) bit for bit.
+        # between the first and last level, where eval(v, mid) is exactly
+        # _along_signal(cross_section(v), mid).
         while hi - lo > SIGNAL_TOL:
             mid = 0.5 * (lo + hi)
             if self._along_signal(values, mid) >= force:
