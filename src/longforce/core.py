@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -334,6 +335,12 @@ _REJECT_REASONS = ("", "unparseable number", "non-finite value", "negative speed
                    "non-integer command signal", "command signal out of range",
                    "negative command signal")
 _INT64_SPAN = 2.0**63
+#: Bytes on which ``csv.reader`` and ``np.loadtxt`` can read a data line
+#: differently: a quote (``csv.reader`` joins a quoted cell across delimiters
+#: and lines), NUL (``csv.reader`` refuses it before Python 3.11) and the
+#: separators 0x1c-0x1f, which ``loadtxt`` strips around a number and
+#: ``float()`` does not.
+_LOADTXT_UNSAFE = b'"\x00\x1c\x1d\x1e\x1f'
 
 
 def ingest_csv(csv_path: str | Path, units: str, gear: Gear = Gear.DRIVE,
@@ -346,8 +353,17 @@ def ingest_csv(csv_path: str | Path, units: str, gear: Gear = Gear.DRIVE,
     naming the offending row. Rows are numbered among the CSV data rows, rejected ones
     included; blank lines are skipped and not numbered, fields past
     the header are ignored, and a header name given twice names its last
-    column. The rows are read and parsed ``_BLOCK_ROWS`` (4096) at a time,
-    so only one block is held as Python strings.
+    column.
+
+    The data rows of a file that holds no quote, NUL or 0x1c-0x1f byte are
+    parsed in one ``np.loadtxt`` call, whose values are ``float()``'s bit
+    for bit. Where ``loadtxt`` refuses a line (a cell ``float()`` refuses,
+    a short or whitespace-only row, a cell only ``float()`` takes such as
+    ``1_0``, invalid UTF-8), or the file holds one of those bytes, the rows
+    are read again from the top and parsed ``_BLOCK_ROWS`` (4096) at a time,
+    so only one block is held as Python strings. Such a file also pays for
+    the ``loadtxt`` pass up to the refused line. Both paths give the same
+    log, report and errors.
     """
     if units not in UNIT_SPECS:
         raise SchemaError(f"unknown unit spec {units!r}; expected one of {UNIT_SPECS}")
@@ -359,13 +375,12 @@ def ingest_csv(csv_path: str | Path, units: str, gear: Gear = Gear.DRIVE,
             raise SchemaError(f"{csv_path}: missing column(s) {', '.join(missing)}")
         last = {name: i for i, name in enumerate(header)}
         indices = [last[c] for c in INGEST_COLUMNS]
-        records = filter(None, reader)
-        blocks = [_parse_block([], indices)]
-        while block := list(islice(records, _BLOCK_ROWS)):
-            blocks.append(_parse_block(block, indices))
-    values = np.concatenate([columns for columns, _ in blocks], axis=1)
-    unparseable = np.concatenate([bad for _, bad in blocks])
-    del blocks  # the parsed blocks are copied into values
+        parsed = _loadtxt_columns(csv_path, fh, indices)
+        if parsed is None:
+            fh.seek(0)
+            next(reader)
+            parsed = _parse_records(filter(None, reader), indices)
+    values, unparseable = parsed
     t, speed, throttle, brake, slope = values
     non_finite = ~np.isfinite(values).all(axis=0)
     if units == "speed_kmh":
@@ -403,6 +418,33 @@ def ingest_csv(csv_path: str | Path, units: str, gear: Gear = Gear.DRIVE,
         "segments": len(log.segments()),
     }
     return log, report
+
+
+def _loadtxt_columns(csv_path: str | Path, fh, indices: list[int]):
+    """The ``indices`` columns of the rest of ``fh`` as :func:`_parse_records`
+    returns them, parsed by ``np.loadtxt``; None where the two could differ."""
+    with open(csv_path, "rb") as raw:
+        while chunk := raw.read(1 << 16):
+            if any(byte in chunk for byte in _LOADTXT_UNSAFE):
+                return None
+    try:
+        with warnings.catch_warnings():
+            # A file without data rows gives an empty log, not a warning.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(fh, delimiter=",", comments=None, usecols=indices, dtype=float,
+                              ndmin=2)
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    return rows.T, np.zeros(len(rows), dtype=bool)
+
+
+def _parse_records(records, indices: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_parse_block` over ``records``, ``_BLOCK_ROWS`` at a time, the blocks joined."""
+    blocks = [_parse_block([], indices)]
+    while block := list(islice(records, _BLOCK_ROWS)):
+        blocks.append(_parse_block(block, indices))
+    return (np.concatenate([columns for columns, _ in blocks], axis=1),
+            np.concatenate([bad for _, bad in blocks]))
 
 
 def _parse_block(records: list[list[str]], indices: list[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -78,11 +78,10 @@ def _limited_pass(ys: Sequence[float], spans: Sequence[float], spans2: Sequence[
     """Tangents 0 to ``stop`` of :func:`limited_tangents`, each final.
 
     ``spans[j]`` is ``xs[j + 1] - xs[j]`` and ``spans2[j]`` is
-    ``xs[j + 2] - xs[j]``, all > 0; the pass stops after segment ``stop``.
+    ``xs[j + 2] - xs[j]``, all > 0, at least one span; the pass stops after
+    segment ``stop``.
     """
     last = len(spans)
-    if last == 0:
-        return [0.0]
     d = (ys[1] - ys[0]) / spans[0]
     left = d
     m = []

@@ -113,15 +113,18 @@ class TestIngest:
             save_drive_log(out, log, {"source_csv": str(csv_path)})
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_memory_per_row_is_bounded(self, tmp_path):
+    @pytest.mark.parametrize("last_row", [[], ["abc,0,0,0,0"]], ids=["loadtxt", "block-path"])
+    def test_memory_per_row_is_bounded(self, tmp_path, last_row):
         # Ingest and save used to hold every CSV row as Python strings and
         # the whole document as text: 526 B per row at their peak on this CSV
         # (CPython 3.11). Block by block they need 84 B. Rows beyond 20 000
-        # may add at most 240 B each to the peak.
+        # may add at most 240 B each to the peak, also when an unparseable
+        # last row aborts the loadtxt pass and the block path reads the file.
         def peak(n):
             csv_path = tmp_path / f"{n}.csv"
             write_csv(csv_path, [f"{0.01 * k:.2f},{28.8343 + k % 977 / 100:.4f},{k % 187},"
-                                 f"{k % 256},{k % 1000 * 1e-6:.6f}" for k in range(n)])
+                                 f"{k % 256},{k % 1000 * 1e-6:.6f}" for k in range(n)]
+                      + last_row)
             tracemalloc.start()
             try:
                 log, _ = ingest_csv(csv_path, "speed_kmh")

@@ -370,11 +370,11 @@ def test_limiter_on_increasing_positions_matches_two_pass_oracle(data):
     many = _limited_tangents_many(xs, np.array(columns, dtype=float).T)
     for j, ys in enumerate(columns):
         expected = _limited_tangents_oracle(xs, ys)
-        if n >= 2:  # limited_tangents refuses a single knot; the kernels take it
+        if n >= 2:  # a single knot reaches only the array form, on a one-level surface
             assert_same_bits(limited_tangents(xs, ys), expected)
-        # Stopped after segment ``stop``, the pass already holds tangents 0 to ``stop``.
-        for stop in range(n):
-            assert_same_bits(_limited_pass(ys, spans, spans2, stop), expected[:stop + 1])
+            # Stopped after segment ``stop``, the pass already holds tangents 0 to ``stop``.
+            for stop in range(n):
+                assert_same_bits(_limited_pass(ys, spans, spans2, stop), expected[:stop + 1])
         # ForceSurface.eval_many runs the array form, one column per sample.
         assert_same_bits(many[:, j], expected)
 

@@ -11,6 +11,7 @@ first derivative on uniform grids, to a tolerance.
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 from unittest.mock import patch
 
@@ -193,7 +194,12 @@ class TestSaveDriveLog:
 CELLS = st.sampled_from([
     "0", "1", "7", "-3", "186", "0.0", "-0.0", " 12 ", "1_0", "0.5", "-2.25", "1e3",
     "1e20", "-1e19", "9223372036854775807", "9.223372036854775e18", "-9.223372036854776e18",
-    "nan", "inf", "-inf", "Infinity", "", "abc", "1e-320", "-5e-324", '"4"'])
+    "nan", "inf", "-inf", "Infinity", "", "abc", "1e-320", "-5e-324", '"4"',
+    # Where np.loadtxt and float() part ways: float() takes the first two,
+    # neither the next three, loadtxt alone the separator-padded one.
+    "\uff11", "\t12\t", "\xa012\xa0", "0x10", "nan(1)", "1d3", "7\x1c",
+    # A quoted delimiter or line end, which csv.reader keeps inside the cell.
+    '"0,1"', '"2\n3"'])
 
 
 @st.composite
@@ -211,8 +217,8 @@ def telemetry_csvs(draw):
         lines.insert(0, "")
     t = 0.0
     for _ in range(draw(st.integers(0, 30))):
-        if draw(st.integers(0, 9)) == 0:
-            lines.append("")
+        if draw(st.integers(0, 9)) == 0:  # blank or whitespace-only
+            lines.append(draw(st.sampled_from(["", "", " ", "\t"])))
             continue
         width = len(header) + draw(st.sampled_from([0, 0, 0, 0, -1, -3, 1, 2]))
         cells = draw(st.lists(CELLS, min_size=max(width, 0), max_size=max(width, 0)))
@@ -222,8 +228,9 @@ def telemetry_csvs(draw):
         for i in t_cols:
             if i < len(cells) and draw(st.integers(0, 5)):
                 cells[i] = repr(round(t, 2))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n", "\r\n"]))
+        lines.append(",".join(cells) + ("," if draw(st.integers(0, 9)) == 0 else ""))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, "", end * 2]))
 
 
 def ingest_outcome(fn, path, units):
@@ -243,17 +250,21 @@ class TestIngestCsv:
 
     @staticmethod
     def assert_matches_oracle(path, units, block):
-        with patch.object(core, "_BLOCK_ROWS", block):
-            new = ingest_outcome(ingest_csv, path, units)
+        """Both paths, ``loadtxt`` where the file takes it and the block path
+        always, give the oracle's outcome."""
         old = ingest_outcome(ingest_csv_oracle, path, units)
-        if isinstance(old, str):
-            assert new == old
-            return
-        (log, report), (log_old, report_old) = new, old
-        assert report == report_old
-        for col in ("t", "speed", "throttle", "brake", "slope"):
-            assert same_bits(getattr(log, col), getattr(log_old, col)), col
-        assert (log.gear, log.description) == (log_old.gear, log_old.description)
+        for loadtxt in (core._loadtxt_columns, lambda *args: None):
+            with patch.object(core, "_BLOCK_ROWS", block), \
+                    patch.object(core, "_loadtxt_columns", loadtxt):
+                new = ingest_outcome(ingest_csv, path, units)
+            if isinstance(old, str):
+                assert new == old
+                continue
+            (log, report), (log_old, report_old) = new, old
+            assert report == report_old
+            for col in ("t", "speed", "throttle", "brake", "slope"):
+                assert same_bits(getattr(log, col), getattr(log_old, col)), col
+            assert (log.gear, log.description) == (log_old.gear, log_old.description)
 
     # Each case below puts the rows of one kind at a block boundary of two rows.
     def ingest_in_blocks_of_2(self, tmp_path, lines):
@@ -288,6 +299,60 @@ class TestIngestCsv:
         assert report["rejected_rows"] == [(2, "negative speed"),
                                            (3, "non-integer command signal"),
                                            (5, "non-finite value")]
+
+    def test_a_clean_csv_is_parsed_by_loadtxt_alone(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("gps,t,speed,throttle,brake,slope,note\r\n"
+                        "1,0.00, 10 ,0,0,0,x\r\n\r\n2,0.01,\t11,3,0,-0.0,y\r\n")
+        with patch.object(core, "_parse_block", side_effect=AssertionError("block path")):
+            log, report = ingest_csv(path, "speed_mps")
+        assert log.speed.tolist() == [10.0, 11.0] and report["rejected"] == 0
+        self.assert_matches_oracle(path, "speed_mps", 2)
+
+    @pytest.mark.parametrize("bad_row", [1, 2, 5000], ids=["first", "second", "last"])
+    def test_one_unparseable_row_anywhere_matches_the_oracle(self, tmp_path, bad_row):
+        rows = [f"{0.01 * k:.2f},{k % 977 / 100:.4f},{k % 187},0,0" for k in range(5000)]
+        rows[bad_row - 1] = rows[bad_row - 1].replace(",0,0", ",0,0x10", 1)
+        log, report = self.ingest_in_blocks_of_2(tmp_path, rows)
+        assert report["rejected_rows"] == [(bad_row, "unparseable number")]
+        assert len(log) == 4999
+
+    @pytest.mark.parametrize("rows, rejected", [
+        # Split at every comma, the quoted cell would shift the columns
+        # after it and parse; csv.reader keeps "x,1" as one note.
+        (['"x,1",0.0,10,0,0,0,0'], []),
+        # loadtxt strips the separator and reads 10; float() refuses it.
+        (["n,0,0.0,10\x1c,0,0,0", "n,0,0.01,10,0,0,0"], [(1, "unparseable number")]),
+    ], ids=["quoted-delimiter", "separator-padded"])
+    def test_cells_loadtxt_would_read_otherwise_take_the_block_path(self, tmp_path, rows,
+                                                                    rejected):
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(["note,extra,t,speed,throttle,brake,slope", *rows]) + "\n")
+        _, report = ingest_csv(path, "speed_mps")
+        assert report["rejected_rows"] == rejected
+        self.assert_matches_oracle(path, "speed_mps", core._BLOCK_ROWS)
+
+    @pytest.mark.parametrize("lines", [[], ["", "\r\n"]], ids=["header-only", "blank-lines"])
+    def test_no_data_rows_give_an_empty_log_and_no_warning(self, tmp_path, lines):
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(["t,speed,throttle,brake,slope", *lines]) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log, report = ingest_csv(path, "speed_mps")
+        assert len(log) == 0
+        assert report == {"rows": 0, "rejected": 0, "rejected_rows": [], "segments": 0}
+
+    @pytest.mark.parametrize("rows", [1, 5000], ids=["first-chunk", "later-chunk"])
+    def test_invalid_utf8_in_a_data_row_raises_as_the_oracle(self, tmp_path, rows):
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"t,speed,throttle,brake,slope\n"
+                         + b"".join(b"%d,10,0,0,0\n" % k for k in range(rows))
+                         + b"1e9,10,0,0,\xff\n")
+        with pytest.raises(UnicodeDecodeError) as new:
+            ingest_csv(path, "speed_mps")
+        with pytest.raises(UnicodeDecodeError) as old:
+            ingest_csv_oracle(path, "speed_mps")
+        assert str(new.value) == str(old.value)
 
     def test_out_of_range_signal_is_rejected_row(self, tmp_path, capsys):
         path = tmp_path / "log.csv"
