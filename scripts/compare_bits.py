@@ -16,7 +16,11 @@ every error raised:
   propulsion and braking surfaces (shared knot grids) and on a propulsion
   surface with one grid per level;
 * ``inverse_actuation`` on the reference models;
-* ``simulate`` on the four scenarios of the ``simulate`` benchmark.
+* ``simulate`` on the four scenarios of the ``simulate`` benchmark;
+* ``ingest_csv`` on the telemetry CSVs that ``scripts/make_demo_logs.py``
+  writes, and on a copy of its validation drive with rejected rows, quoted
+  cells and a blank line (the arrays' bytes and the report). The CSVs are
+  written once, and both sides read the same files.
 
 It prints each digest pair and exits 1 on any difference.
 """
@@ -48,6 +52,33 @@ def export(ref: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+def write_ingest_inputs(dest: Path) -> Path:
+    """Write the ingest digest's CSVs under ``dest``; returns their directory.
+
+    The validation-drive copy gets a rejected row every 997 data rows, one
+    per reject reason in turn, every cell quoted in every 1009th row, and a
+    blank line in the middle, so that it takes the block path.
+    """
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "make_demo_logs.py"), str(dest)],
+                   env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True,
+                   capture_output=True)
+    telemetry = dest / "telemetry"
+    lines = (telemetry / "validation_drive.csv").read_text(encoding="utf-8").splitlines()
+    # (column, cell): unparseable, negative speed, fractional, out of range, non-finite
+    bad = ((0, "abc"), (1, "-1"), (2, "0.5"), (3, "1e20"), (4, "nan"))
+    for n, k in enumerate(range(1, len(lines), 997)):
+        cells = lines[k].split(",")
+        column, cell = bad[n % len(bad)]
+        cells[column] = cell
+        lines[k] = ",".join(cells)
+    for k in range(2, len(lines), 1009):
+        lines[k] = ",".join(f'"{cell}"' for cell in lines[k].split(","))
+    lines.insert(len(lines) // 2, "")
+    (telemetry / "validation_drive_edited.csv").write_text("\n".join(lines) + "\n",
+                                                          encoding="utf-8")
+    return telemetry
+
+
 class Digest:
     """SHA-256 over floats (their IEEE-754 bytes) and raised errors (type and message)."""
 
@@ -72,6 +103,11 @@ class Digest:
             for column in (result.t, result.speed, result.accel, result.f_p, result.f_f,
                            result.f_b):
                 self.floats(column.tolist())
+        elif isinstance(result, tuple):  # ingest_csv's (DriveLog, report)
+            log, report = result
+            for column in (log.t, log.speed, log.throttle, log.brake, log.slope):
+                self.h.update(column.dtype.str.encode() + column.tobytes())
+            self.h.update(repr(report).encode())
         elif isinstance(result, float):
             self.floats([result])
         else:                            # an array
@@ -81,12 +117,15 @@ class Digest:
         return self.h.hexdigest()
 
 
-def digests(seed: int, queries: int = QUERIES, scale: float = 1.0) -> dict[str, str]:
-    """The digest of each evaluation's answers to ``queries`` seeded queries, and of
-    ``simulate`` on the benchmark's scenarios at ``scale`` of their length."""
+def digests(seed: int, queries: int = QUERIES, scale: float = 1.0,
+            csv_dir: Path | None = None) -> dict[str, str]:
+    """The digest of each evaluation's answers to ``queries`` seeded queries, of
+    ``simulate`` on the benchmark's scenarios at ``scale`` of their length, and,
+    given ``csv_dir``, of ``ingest_csv`` on every CSV in it."""
     import numpy as np
 
     import longforce as lf
+    from longforce.core import ingest_csv
 
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -154,16 +193,23 @@ def digests(seed: int, queries: int = QUERIES, scale: float = 1.0) -> dict[str, 
         sim.call(lf.simulate, neutral if spec["neutral"] else models, schedule,
                  float(spec["v0"]), workloads.DT, float(spec["duration"]))
         out[f"simulate {spec['name']}"] = sim
+
+    if csv_dir is not None:
+        ingest = out["ingest_csv"] = Digest()
+        for path in sorted(Path(csv_dir).glob("*.csv")):
+            ingest.call(ingest_csv, path, "speed_kmh")
     return {name: d.hexdigest() for name, d in out.items()}
 
 
-def run_side(tree: Path, seed: int, queries: int = QUERIES, scale: float = 1.0) -> dict:
+def run_side(tree: Path, seed: int, queries: int = QUERIES, scale: float = 1.0,
+             csv_dir: Path | None = None) -> dict:
     """:func:`digests` in a fresh interpreter that imports longforce from ``tree/src``."""
     src = (tree / "src").resolve()
     env = {**os.environ, "PYTHONPATH": str(src)}
+    csv_args = [] if csv_dir is None else ["--csv-dir", str(Path(csv_dir).resolve())]
     proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--digests",
                            "--seed", str(seed), "--queries", str(queries),
-                           "--scale", repr(scale)],
+                           "--scale", repr(scale), *csv_args],
                           cwd=tree, env=env, capture_output=True, text=True, check=True)
     side = json.loads(proc.stdout)
     if not Path(side["package"]).resolve().is_relative_to(src):
@@ -190,12 +236,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--queries", type=int, default=QUERIES, help=argparse.SUPPRESS)
     parser.add_argument("--scale", type=float, default=1.0, help=argparse.SUPPRESS)
+    parser.add_argument("--csv-dir", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--digests", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.digests:  # one side, run by run_side
         import longforce
         print(json.dumps({"package": longforce.__file__,
-                          "digests": digests(args.seed, args.queries, args.scale)}))
+                          "digests": digests(args.seed, args.queries, args.scale,
+                                             args.csv_dir)}))
         return 0
     if args.base is None:
         parser.error("BASE_REF is required")
@@ -204,9 +252,10 @@ def main(argv: list[str] | None = None) -> int:
                          text=True).stdout.strip()
     print(f"base {sha}, head {ROOT} (working tree), seed {args.seed}")
     with tempfile.TemporaryDirectory(prefix="compare_bits-") as tmp:
+        csv_dir = write_ingest_inputs(Path(tmp) / "demo")
         export(sha, Path(tmp) / "base")
-        base = run_side(Path(tmp) / "base", args.seed, args.queries, args.scale)
-    head = run_side(ROOT, args.seed, args.queries, args.scale)
+        base = run_side(Path(tmp) / "base", args.seed, args.queries, args.scale, csv_dir)
+        head = run_side(ROOT, args.seed, args.queries, args.scale, csv_dir)
     return compare(base, head)
 
 

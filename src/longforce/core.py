@@ -363,7 +363,9 @@ def ingest_csv(csv_path: str | Path, units: str, gear: Gear = Gear.DRIVE,
     are read again from the top and parsed ``_BLOCK_ROWS`` (4096) at a time,
     so only one block is held as Python strings. Such a file also pays for
     the ``loadtxt`` pass up to the refused line. Both paths give the same
-    log, report and errors.
+    log, report and errors, with one exception: a cell longer than
+    ``csv.field_size_limit()`` is parsed by ``loadtxt``, where the block
+    path raises ``csv.Error``.
     """
     if units not in UNIT_SPECS:
         raise SchemaError(f"unknown unit spec {units!r}; expected one of {UNIT_SPECS}")

@@ -4,8 +4,10 @@
 ``_window_slopes`` work column-wise. Each must equal the straightforward
 per-element implementation kept here as an oracle: the same file bytes, the
 same arrays bit for bit (so 0.0 and -0.0 differ), the same report and the
-same error text. ``_window_slopes`` must also match scipy's Savitzky-Golay
-first derivative on uniform grids, to a tolerance.
+same error text. ``ingest_csv`` is held to its oracle on both of its
+paths, ``np.loadtxt`` and the block parser. ``_window_slopes`` must also
+match scipy's Savitzky-Golay first derivative on uniform grids, to a
+tolerance.
 """
 
 import csv
@@ -195,8 +197,9 @@ CELLS = st.sampled_from([
     "0", "1", "7", "-3", "186", "0.0", "-0.0", " 12 ", "1_0", "0.5", "-2.25", "1e3",
     "1e20", "-1e19", "9223372036854775807", "9.223372036854775e18", "-9.223372036854776e18",
     "nan", "inf", "-inf", "Infinity", "", "abc", "1e-320", "-5e-324", '"4"',
-    # Where np.loadtxt and float() part ways: float() takes the first two,
-    # neither the next three, loadtxt alone the separator-padded one.
+    # Where np.loadtxt and float() could part ways: float() alone takes the
+    # first, both the padded two, neither the next three, and loadtxt alone
+    # the separator-padded one.
     "\uff11", "\t12\t", "\xa012\xa0", "0x10", "nan(1)", "1d3", "7\x1c",
     # A quoted delimiter or line end, which csv.reader keeps inside the cell.
     '"0,1"', '"2\n3"'])
