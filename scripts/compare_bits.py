@@ -17,6 +17,9 @@ every error raised:
   surface with one grid per level;
 * ``inverse_actuation`` on the reference models;
 * ``simulate`` on the four scenarios of the ``simulate`` benchmark;
+* ``fit_curve``, ``unsupported_knots`` and ``prune_unsupported_knots`` on
+  seeded random knot layouts, bins and anchors (the fitted knots and
+  tangents, the flags, the kept knots);
 * ``ingest_csv`` on the telemetry CSVs that ``scripts/make_demo_logs.py``
   writes, and on a copy of its validation drive with rejected rows, quoted
   cells and a blank line (the arrays' bytes and the report). The CSVs are
@@ -50,6 +53,33 @@ def export(ref: str, dest: Path) -> None:
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref],
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def fit_case(rng):
+    """Random strictly increasing knots, bins and anchors for ``fit_curve``.
+
+    Points fall inside the knot span, save one case in ten that reaches past
+    it; a third of the cases put a bin exactly on the last knot, a quarter
+    have no bins, and few points or a gap leave some fits underdetermined.
+    """
+    import numpy as np
+
+    from longforce.estimation import BinnedPoints
+    from longforce.spline import Anchor
+
+    n = int(rng.integers(2, 9))
+    knots = np.cumsum([rng.uniform(0.0, 5.0), *rng.uniform(0.05, 8.0, n - 1)])
+    reach = 0.1 * (knots[-1] - knots[0]) if rng.random() < 0.1 else 0.0
+    bins = 0 if rng.random() < 0.25 else int(rng.integers(1, 4 * n))
+    centers = np.sort(rng.uniform(knots[0] - reach, knots[-1] + reach, bins))
+    if bins and rng.random() < 1 / 3:
+        centers[-1] = knots[-1]
+    binned = BinnedPoints(centers, rng.normal(400.0, 300.0, bins),
+                          rng.integers(1, 200, bins, dtype=np.int64))
+    anchors = [Anchor(float(x), float(f), float(w)) for x, f, w in zip(
+        rng.uniform(knots[0], knots[-1], int(rng.integers(0, n + 1))),
+        rng.normal(400.0, 300.0, n), rng.uniform(0.5, 100.0, n))]
+    return knots.tolist(), binned, anchors
 
 
 def write_ingest_inputs(dest: Path) -> Path:
@@ -108,6 +138,8 @@ class Digest:
             for column in (log.t, log.speed, log.throttle, log.brake, log.slope):
                 self.h.update(column.dtype.str.encode() + column.tobytes())
             self.h.update(repr(report).encode())
+        elif hasattr(result, "knots_x"):  # Spline1D
+            self.floats((*result.knots_x, *result.knots_y, *result.tangents))
         elif isinstance(result, float):
             self.floats([result])
         else:                            # an array
@@ -126,6 +158,7 @@ def digests(seed: int, queries: int = QUERIES, scale: float = 1.0,
 
     import longforce as lf
     from longforce.core import ingest_csv
+    from longforce.spline import prune_unsupported_knots, unsupported_knots
 
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -193,6 +226,18 @@ def digests(seed: int, queries: int = QUERIES, scale: float = 1.0,
         sim.call(lf.simulate, neutral if spec["neutral"] else models, schedule,
                  float(spec["v0"]), workloads.DT, float(spec["duration"]))
         out[f"simulate {spec['name']}"] = sim
+
+    fits = {"fit_curve": Digest(), "unsupported_knots": Digest(),
+            "prune_unsupported_knots": Digest()}
+    for _ in range(max(20, queries // 20)):
+        knots, binned, anchors = fit_case(rng)
+        points = [*binned.bin_centers.tolist(), *(a.speed_mps for a in anchors)]
+        fits["fit_curve"].call(lf.fit_curve, binned, anchors, knots)
+        fits["unsupported_knots"].call(
+            lambda: np.array(unsupported_knots(knots, points), dtype=float))
+        fits["prune_unsupported_knots"].call(
+            lambda: np.array(prune_unsupported_knots(knots, points)))
+    out.update(fits)
 
     if csv_dir is not None:
         ingest = out["ingest_csv"] = Digest()

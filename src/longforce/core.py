@@ -365,23 +365,28 @@ def ingest_csv(csv_path: str | Path, units: str, gear: Gear = Gear.DRIVE,
     the ``loadtxt`` pass up to the refused line. Both paths give the same
     log, report and errors, with one exception: a cell longer than
     ``csv.field_size_limit()`` is parsed by ``loadtxt``, where the block
-    path raises ``csv.Error``.
+    path raises :class:`~longforce.errors.SchemaError` naming the file and
+    line, as a header holding such a cell does.
     """
     if units not in UNIT_SPECS:
         raise SchemaError(f"unknown unit spec {units!r}; expected one of {UNIT_SPECS}")
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in INGEST_COLUMNS if c not in header]
-        if missing:
-            raise SchemaError(f"{csv_path}: missing column(s) {', '.join(missing)}")
-        last = {name: i for i, name in enumerate(header)}
-        indices = [last[c] for c in INGEST_COLUMNS]
-        parsed = _loadtxt_columns(csv_path, fh, indices)
-        if parsed is None:
-            fh.seek(0)
-            next(reader)
-            parsed = _parse_records(filter(None, reader), indices)
+        try:
+            header = next(reader, [])
+            missing = [c for c in INGEST_COLUMNS if c not in header]
+            if missing:
+                raise SchemaError(f"{csv_path}: missing column(s) {', '.join(missing)}")
+            last = {name: i for i, name in enumerate(header)}
+            indices = [last[c] for c in INGEST_COLUMNS]
+            parsed = _loadtxt_columns(csv_path, fh, indices)
+            if parsed is None:
+                fh.seek(0)
+                reader = csv.reader(fh)  # counts lines from the top again
+                next(reader)
+                parsed = _parse_records(filter(None, reader), indices)
+        except csv.Error as exc:  # such as a cell longer than csv.field_size_limit()
+            raise SchemaError(f"{csv_path}: line {reader.line_num}: {exc}") from None
     values, unparseable = parsed
     t, speed, throttle, brake, slope = values
     non_finite = ~np.isfinite(values).all(axis=0)

@@ -45,6 +45,17 @@ def _hermite(t: float, y0: float, y1: float, m0: float, m1: float, h: float) -> 
             + m1 * h * (t3 - t2))
 
 
+def _knot_positions(xs: Sequence[float]) -> np.ndarray:
+    """``xs`` as a float array; fewer than two positions, or positions that are
+    not strictly increasing, raise :class:`~longforce.errors.FitError`."""
+    x = np.asarray(xs, dtype=float)
+    if len(x) < 2:
+        raise FitError(f"need at least 2 knot positions, got {len(x)}")
+    if not (x[:-1] < x[1:]).all():
+        raise FitError("knot positions must be strictly increasing")
+    return x
+
+
 def limited_tangents(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, ...]:
     """Hermite tangents from neighbor secants, Fritsch-Carlson limited.
 
@@ -62,10 +73,7 @@ def limited_tangents(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, .
     There must be at least two knot positions, strictly increasing, with one
     value each; anything else raises :class:`~longforce.errors.FitError`.
     """
-    if len(xs) < 2:
-        raise FitError(f"need at least 2 knot positions, got {len(xs)}")
-    if not all(a < b for a, b in zip(xs, xs[1:])):
-        raise FitError("knot positions must be strictly increasing")
+    _knot_positions(xs)
     if len(ys) != len(xs):
         raise FitError(f"need one value per knot position, got {len(ys)} for {len(xs)}")
     spans = [b - a for a, b in zip(xs, xs[1:])]
@@ -263,13 +271,12 @@ def unsupported_knots(knots: Sequence[float], xs: Sequence[float]) -> list[bool]
     and the solution oscillate wildly. Such knots must be dropped (or
     anchored) before fitting.
     """
-    flags = []
-    arr = np.asarray(xs, dtype=float)
-    for i, k in enumerate(knots):
-        lo = knots[i - 1] if i > 0 else -math.inf
-        hi = knots[i + 1] if i < len(knots) - 1 else math.inf
-        flags.append(not bool(np.any((arr > lo) & (arr < hi))))
-    return flags
+    k = np.asarray(knots, dtype=float)
+    points = np.sort(np.asarray(xs, dtype=float).ravel())
+    lo = np.concatenate(([-math.inf], k))[:-1]  # each knot's open support (lo, hi)
+    hi = np.concatenate((k, [math.inf]))[1:]
+    inside = np.searchsorted(points, hi, side="left") - np.searchsorted(points, lo, side="right")
+    return (inside <= 0).tolist()
 
 
 def prune_unsupported_knots(knots: Sequence[float], xs: Sequence[float]) -> tuple[float, ...]:
@@ -284,17 +291,14 @@ def prune_unsupported_knots(knots: Sequence[float], xs: Sequence[float]) -> tupl
     if len(arr) == 0:
         return tuple(kept)
     lo, hi = float(arr.min()), float(arr.max())
-    below = [k for k in kept if k <= lo]
-    above = [k for k in kept if k >= hi]
-    first = max(below) if below else kept[0]
-    last = min(above) if above else kept[-1]
+    first = max((k for k in kept if k <= lo), default=kept[0])
+    last = min((k for k in kept if k >= hi), default=kept[-1])
     kept = [k for k in kept if first <= k <= last]
     while len(kept) > 2:
-        flags = unsupported_knots(kept, arr)
-        drop = [i for i in range(1, len(kept) - 1) if flags[i]]
-        if not drop:
+        interior = unsupported_knots(kept, arr)[1:-1]
+        if True not in interior:
             break
-        del kept[drop[0]]
+        del kept[interior.index(True) + 1]
     return tuple(kept)
 
 
@@ -311,79 +315,52 @@ def fit_curve(binned, anchors: Sequence["Anchor"], knots_x: Sequence[float]) -> 
     values are clamped at zero before deriving tangents, so the returned
     curve cannot overshoot below zero.
     """
-    knots = [float(k) for k in knots_x]
-    n = len(knots)
-    if n < 2 or not all(a < b for a, b in zip(knots, knots[1:])):
-        raise FitError("knots must be strictly increasing with >= 2 entries")
-
-    xs = list(np.asarray(binned.bin_centers, dtype=float)) if len(binned) else []
-    ys = list(np.asarray(binned.values, dtype=float)) if len(binned) else []
-    ws = list(np.asarray(binned.counts, dtype=float)) if len(binned) else []
-    for a in anchors:
-        xs.append(float(a.speed_mps))
-        ys.append(float(a.force_n))
-        ws.append(float(a.weight))
-    if not xs:
+    k = _knot_positions(knots_x)
+    knots, n = k.tolist(), len(k)
+    a = np.array([(p.speed_mps, p.force_n, p.weight) for p in anchors], float).reshape(-1, 3)
+    columns = (binned.bin_centers, binned.values, binned.counts) if len(binned) else ([],) * 3
+    xs, ys, ws = (np.concatenate([np.asarray(c, dtype=float), a[:, j]])
+                  for j, c in enumerate(columns))
+    if not len(xs):
         raise FitError("nothing to fit: no binned points and no anchors")
-    if min(xs) < knots[0] or max(xs) > knots[-1]:
+    if xs.min() < knots[0] or xs.max() > knots[-1]:
         raise FitError(
             f"knot span [{knots[0]}, {knots[-1]}] does not cover the data span "
-            f"[{min(xs)}, {max(xs)}]")
+            f"[{float(xs.min())}, {float(xs.max())}]")
     if len(xs) < n:
         raise FitError(
             f"underdetermined fit: {len(xs)} data points for {n} knots; use fewer knots")
-    for i, unsupported in enumerate(unsupported_knots(knots, xs)):
-        if unsupported:
-            lo = knots[i - 1] if i > 0 else knots[0]
-            hi = knots[i + 1] if i < n - 1 else knots[-1]
-            raise FitError(
-                f"underdetermined fit: no data or anchor supports the knot at "
-                f"{knots[i]} m/s (support ({lo}, {hi})); use fewer knots")
+    unsupported = unsupported_knots(k, xs)
+    if True in unsupported:
+        i = unsupported.index(True)
+        raise FitError(
+            f"underdetermined fit: no data or anchor supports the knot at "
+            f"{knots[i]} m/s (support ({knots[max(i - 1, 0)]}, {knots[min(i + 1, n - 1)]})); "
+            "use fewer knots")
 
-    # Per-point Hermite basis: value hats on the bracketing knots plus the
-    # two tangent weights (h10, h11 scaled by the segment width).
-    value_basis = np.zeros((len(xs), n))
-    tan_left = np.zeros(len(xs))
-    tan_right = np.zeros(len(xs))
-    seg = np.zeros(len(xs), dtype=int)
-    for row, x in enumerate(xs):
-        i = n - 2 if x >= knots[-1] else max(bisect_right(knots, x) - 1, 0)
-        h = knots[i + 1] - knots[i]
-        t = (x - knots[i]) / h
-        t2, t3 = t * t, t * t * t
-        seg[row] = i
-        value_basis[row, i] = 2.0 * t3 - 3.0 * t2 + 1.0
-        value_basis[row, i + 1] = -2.0 * t3 + 3.0 * t2
-        tan_left[row] = (t3 - 2.0 * t2 + t) * h
-        tan_right[row] = (t3 - t2) * h
-
+    seg, value_basis, tan_left, tan_right = _fit_basis(k, xs)
     # Tangents as a linear map of knot values: m = C @ y (neighbor secants).
+    j = np.arange(n)
+    left, right = np.maximum(j - 1, 0), np.minimum(j + 1, n - 1)
+    span = k[right] - k[left]
     c = np.zeros((n, n))
-    c[0, 0] = -1.0 / (knots[1] - knots[0])
-    c[0, 1] = 1.0 / (knots[1] - knots[0])
-    c[-1, -2] = -1.0 / (knots[-1] - knots[-2])
-    c[-1, -1] = 1.0 / (knots[-1] - knots[-2])
-    for j in range(1, n - 1):
-        span = knots[j + 1] - knots[j - 1]
-        c[j, j - 1] = -1.0 / span
-        c[j, j + 1] = 1.0 / span
+    c[j, left] = -1.0 / span
+    c[j, right] = 1.0 / span
     design = value_basis + tan_left[:, None] * c[seg] + tan_right[:, None] * c[seg + 1]
 
-    sw = np.sqrt(np.asarray(ws, dtype=float))
-    targets = np.asarray(ys, dtype=float)
-    solution, _, rank, _ = np.linalg.lstsq(design * sw[:, None], targets * sw,
-                                           rcond=None)
+    sw = np.sqrt(ws)
+    solution, _, rank, _ = np.linalg.lstsq(design * sw[:, None], ys * sw, rcond=None)
     if rank < n:
         raise FitError(
             f"underdetermined fit: data supports rank {rank} of {n} knots; use fewer knots")
 
     # Re-solve the knot values under the limited tangents (frozen per pass).
+    weighted_basis = value_basis * sw[:, None]
     for _ in range(10):
         clamped = np.maximum(solution, 0.0)
         tangents = np.asarray(limited_tangents(knots, clamped))
         offsets = tan_left * tangents[seg] + tan_right * tangents[seg + 1]
-        refined, _, rank2, _ = np.linalg.lstsq(value_basis * sw[:, None],
-                                               (targets - offsets) * sw, rcond=None)
+        refined, _, rank2, _ = np.linalg.lstsq(weighted_basis, (ys - offsets) * sw, rcond=None)
         if rank2 < n:
             break
         done = np.max(np.abs(refined - solution)) <= 1e-9 * max(1.0, np.max(np.abs(refined)))
@@ -391,6 +368,24 @@ def fit_curve(binned, anchors: Sequence["Anchor"], knots_x: Sequence[float]) -> 
         if done:
             break
     return Spline1D.interpolate(knots, solution)
+
+
+def _fit_basis(k: np.ndarray, xs: np.ndarray):
+    """Per-point Hermite basis on knots ``k`` for points inside their span.
+
+    Each point's segment, its value hats on the segment's two knots (one row
+    per point) and its two tangent weights (h10 and h11 scaled by the
+    segment width); a point on the last knot belongs to the last segment.
+    """
+    seg = np.minimum(np.searchsorted(k, xs, side="right") - 1, len(k) - 2)
+    h = k[seg + 1] - k[seg]
+    t = (xs - k[seg]) / h
+    t2, t3 = t * t, t * t * t
+    rows = np.arange(len(xs))
+    value_basis = np.zeros((len(xs), len(k)))
+    value_basis[rows, seg] = 2.0 * t3 - 3.0 * t2 + 1.0
+    value_basis[rows, seg + 1] = -2.0 * t3 + 3.0 * t2
+    return seg, value_basis, (t3 - 2.0 * t2 + t) * h, (t3 - t2) * h
 
 
 @dataclass(frozen=True)

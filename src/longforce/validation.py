@@ -39,22 +39,18 @@ class ErrorReport:
 
 
 def validate(models: ModelSet, log: DriveLog, accel: AccelSeries,
-             hist_bin: float = DEFAULT_HIST_BIN,
-             include: np.ndarray | None = None) -> ErrorReport:
+             hist_bin: float = DEFAULT_HIST_BIN) -> ErrorReport:
     """Compare measured against model-estimated acceleration sample by sample.
 
-    Only samples with a valid acceleration estimate are compared; ``include``
-    optionally masks out further samples (e.g. bumps or sharp turns where
-    the decoupled-dynamics assumption breaks). The standard deviation is the
-    population one. Total distance integrates speed over the whole log with
-    the trapezoidal rule.
+    Only samples with a valid acceleration estimate are compared; a caller
+    that must leave out further samples (e.g. bumps or sharp turns where the
+    decoupled-dynamics assumption breaks) clears them in ``accel.valid``. The
+    standard deviation is the population one. Total distance integrates
+    speed over the whole log with the trapezoidal rule.
     """
     if len(accel) != len(log):
         raise EmptyReportError("acceleration series is not aligned with the log")
-    keep = accel.valid.copy()
-    if include is not None:
-        keep &= np.asarray(include, dtype=bool)
-    idx = np.flatnonzero(keep)
+    idx = np.flatnonzero(accel.valid)
     if len(idx) == 0:
         raise EmptyReportError("no valid samples to compare")
     # Rows are independent, so blocks of them give the same bits as one call

@@ -392,6 +392,24 @@ class TestMainExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header, rows, line", [
+        ("t,speed,throttle,brake,slope,note" + "s" * 140_000, ["0.00,10,0,0,0,a"], 1),
+        ("t,speed,throttle,brake,slope,note",
+         ["0.00,10,0,0,0,a", "abc,10,0,0,0,a", "0.01,10,0,0,0," + "a" * 140_000], 4)],
+        ids=["header", "data-row"])
+    def test_cell_past_the_csv_field_limit_is_2(self, tmp_path, capsys, header, rows, line):
+        # Used to end in an _csv.Error traceback (exit 1). The "abc" row sends
+        # the file down the block path, the one that reads data rows with csv.
+        csv_path = tmp_path / "log.csv"
+        write_csv(csv_path, rows, header=header)
+        code = main(["ingest", str(csv_path), "--units", "speed_mps",
+                     "--out", str(tmp_path / "log.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {csv_path}: line {line}: field larger than field limit "
+            f"({csv.field_size_limit()})\n")
+        assert not (tmp_path / "log.json").exists()
+
     def test_fit_error_is_3(self, gt_models, config_path, tmp_path, capsys):
         # no anchors and a single populated bin cannot determine two knots
         coast = coast_down_log(gt_models)

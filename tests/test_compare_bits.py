@@ -7,7 +7,7 @@ from unittest.mock import patch
 
 import pytest
 
-from longforce import core
+from longforce import core, spline
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_bits.py"
 _spec = importlib.util.spec_from_file_location("compare_bits", SCRIPT)
@@ -42,6 +42,21 @@ def test_a_changed_grade_force_moves_only_its_callers(small):
     moved = {name for name in before if before[name] != after[name]}
     assert moved == {"inverse_actuation", "simulate mixed_drive", "simulate stop_and_go",
                      "simulate neutral_coast_down", "simulate full_throttle_launch"}
+
+
+def regrouped_basis(k, xs, original=spline._fit_basis):
+    """``_fit_basis`` with its h10 tangent weight regrouped as t (t - 1)^2 h."""
+    seg, value_basis, tan_left, tan_right = original(k, xs)
+    h = k[seg + 1] - k[seg]
+    t = (xs - k[seg]) / h
+    return seg, value_basis, t * (t - 1.0) ** 2 * h, tan_right
+
+
+def test_a_regrouped_basis_term_moves_only_the_fit_digest(small):
+    before = compare_bits.digests(**small)
+    with patch.object(spline, "_fit_basis", regrouped_basis):
+        after = compare_bits.digests(**small)
+    assert {name for name in before if before[name] != after[name]} == {"fit_curve"}
 
 
 def shifted_loadtxt_columns(csv_path, fh, indices, original=core._loadtxt_columns):

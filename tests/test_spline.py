@@ -1,8 +1,12 @@
 import json
 import math
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longforce.errors import FitError, InversionError, SchemaError
 from longforce.estimation import BinnedPoints
@@ -222,6 +226,158 @@ class TestFitCurve:
     def test_anchor_weight_positive(self):
         with pytest.raises(FitError):
             Anchor(1.0, 1.0, weight=0.0)
+
+    @pytest.mark.parametrize("knots, message", [
+        ([1.0], "need at least 2 knot positions, got 1"),
+        ([0.0, 2.0, 2.0], "knot positions must be strictly increasing"),
+        ([0.0, math.nan, 2.0], "knot positions must be strictly increasing")])
+    def test_knot_positions_refused_as_the_limiter_refuses_them(self, knots, message):
+        with pytest.raises(FitError, match=f"^{message}$"):
+            fit_curve(binned([0.5, 1.0, 1.5], [1.0, 2.0, 3.0]), [], knots)
+
+
+# --- fit_curve and unsupported_knots against their per-point loops -----------------
+
+def unsupported_knots_loop(knots, xs):
+    """``unsupported_knots`` as it was, one knot at a time."""
+    flags = []
+    arr = np.asarray(xs, dtype=float)
+    for i, k in enumerate(knots):
+        lo = knots[i - 1] if i > 0 else -math.inf
+        hi = knots[i + 1] if i < len(knots) - 1 else math.inf
+        flags.append(not bool(np.any((arr > lo) & (arr < hi))))
+    return flags
+
+
+def fit_curve_loop(binned, anchors, knots_x):
+    """``fit_curve`` as it was, building its design point by point and knot by knot."""
+    knots = [float(k) for k in knots_x]
+    n = len(knots)
+    if n < 2 or not all(a < b for a, b in zip(knots, knots[1:])):
+        raise FitError("knots must be strictly increasing with >= 2 entries")
+    xs = list(np.asarray(binned.bin_centers, dtype=float)) if len(binned) else []
+    ys = list(np.asarray(binned.values, dtype=float)) if len(binned) else []
+    ws = list(np.asarray(binned.counts, dtype=float)) if len(binned) else []
+    for a in anchors:
+        xs.append(float(a.speed_mps))
+        ys.append(float(a.force_n))
+        ws.append(float(a.weight))
+    if not xs:
+        raise FitError("nothing to fit: no binned points and no anchors")
+    if min(xs) < knots[0] or max(xs) > knots[-1]:
+        raise FitError(
+            f"knot span [{knots[0]}, {knots[-1]}] does not cover the data span "
+            f"[{min(xs)}, {max(xs)}]")
+    if len(xs) < n:
+        raise FitError(
+            f"underdetermined fit: {len(xs)} data points for {n} knots; use fewer knots")
+    for i, unsupported in enumerate(unsupported_knots_loop(knots, xs)):
+        if unsupported:
+            lo = knots[i - 1] if i > 0 else knots[0]
+            hi = knots[i + 1] if i < n - 1 else knots[-1]
+            raise FitError(
+                f"underdetermined fit: no data or anchor supports the knot at "
+                f"{knots[i]} m/s (support ({lo}, {hi})); use fewer knots")
+    value_basis = np.zeros((len(xs), n))
+    tan_left = np.zeros(len(xs))
+    tan_right = np.zeros(len(xs))
+    seg = np.zeros(len(xs), dtype=int)
+    for row, x in enumerate(xs):
+        i = n - 2 if x >= knots[-1] else max(bisect_right(knots, x) - 1, 0)
+        h = knots[i + 1] - knots[i]
+        t = (x - knots[i]) / h
+        t2, t3 = t * t, t * t * t
+        seg[row] = i
+        value_basis[row, i] = 2.0 * t3 - 3.0 * t2 + 1.0
+        value_basis[row, i + 1] = -2.0 * t3 + 3.0 * t2
+        tan_left[row] = (t3 - 2.0 * t2 + t) * h
+        tan_right[row] = (t3 - t2) * h
+    c = np.zeros((n, n))
+    c[0, 0] = -1.0 / (knots[1] - knots[0])
+    c[0, 1] = 1.0 / (knots[1] - knots[0])
+    c[-1, -2] = -1.0 / (knots[-1] - knots[-2])
+    c[-1, -1] = 1.0 / (knots[-1] - knots[-2])
+    for j in range(1, n - 1):
+        span = knots[j + 1] - knots[j - 1]
+        c[j, j - 1] = -1.0 / span
+        c[j, j + 1] = 1.0 / span
+    design = value_basis + tan_left[:, None] * c[seg] + tan_right[:, None] * c[seg + 1]
+    sw = np.sqrt(np.asarray(ws, dtype=float))
+    targets = np.asarray(ys, dtype=float)
+    solution, _, rank, _ = np.linalg.lstsq(design * sw[:, None], targets * sw, rcond=None)
+    if rank < n:
+        raise FitError(
+            f"underdetermined fit: data supports rank {rank} of {n} knots; use fewer knots")
+    for _ in range(10):
+        clamped = np.maximum(solution, 0.0)
+        tangents = np.asarray(limited_tangents(knots, clamped))
+        offsets = tan_left * tangents[seg] + tan_right * tangents[seg + 1]
+        refined, _, rank2, _ = np.linalg.lstsq(value_basis * sw[:, None],
+                                               (targets - offsets) * sw, rcond=None)
+        if rank2 < n:
+            break
+        done = np.max(np.abs(refined - solution)) <= 1e-9 * max(1.0, np.max(np.abs(refined)))
+        solution = refined
+        if done:
+            break
+    return Spline1D.interpolate(knots, solution)
+
+
+@st.composite
+def knot_layouts(draw, min_size=2):
+    """Strictly increasing knots, 0.05 to 8 m/s apart."""
+    gaps = draw(st.lists(st.floats(0.05, 8.0), min_size=min_size - 1, max_size=7))
+    return list(accumulate(gaps, initial=draw(st.floats(0.0, 5.0))))
+
+
+def points_for(knots, max_size):
+    """Speeds spread over the knots' segments, or on a knot."""
+    inside = st.tuples(st.integers(0, len(knots) - 2), st.floats(0.0, 1.0)).map(
+        lambda p: knots[p[0]] + p[1] * (knots[p[0] + 1] - knots[p[0]]))
+    return st.lists(st.one_of(inside, inside, st.sampled_from(knots)), max_size=max_size)
+
+
+def outcome(fn, *args):
+    """The bits of the fitted model, or the FitError raised."""
+    try:
+        return model_bits(fn(*args))
+    except FitError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fit_curve_equals_its_loop_oracle(data):
+    knots = data.draw(knot_layouts())
+    centers = data.draw(points_for(knots, 4 * len(knots)))
+    case = data.draw(st.integers(0, 9))
+    if case < 3:
+        centers.append(knots[-1])  # a bin exactly on the last knot
+    elif case < 5:
+        centers = []               # anchors only
+    elif case == 5:
+        centers.append(data.draw(st.floats(knots[-1] + 0.01, knots[-1] + 5.0)))  # past the span
+    forces = st.floats(-500.0, 3000.0)
+    bins = binned(centers, data.draw(st.lists(forces, min_size=len(centers),
+                                              max_size=len(centers))),
+                  data.draw(st.lists(st.integers(1, 500), min_size=len(centers),
+                                     max_size=len(centers))))
+    anchors = [Anchor(x, data.draw(forces), data.draw(st.floats(0.5, 100.0)))
+               for x in data.draw(points_for(knots, 2 * len(knots)))]
+    assert outcome(fit_curve, bins, anchors, knots) == \
+        outcome(fit_curve_loop, bins, anchors, knots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_unsupported_knots_equals_its_loop_oracle(data):
+    # Unsorted points, repeated points and points on a knot included.
+    knots = data.draw(knot_layouts(min_size=1))
+    points = data.draw(st.lists(st.one_of(st.floats(knots[0] - 2.0, knots[-1] + 2.0),
+                                          st.sampled_from(knots)), max_size=12))
+    points += data.draw(st.lists(st.sampled_from(points), max_size=4)) if points else []
+    assert unsupported_knots(knots, points) == unsupported_knots_loop(knots, points)
+    assert unsupported_knots(knots, np.array(points)) == unsupported_knots_loop(knots, points)
 
 
 class TestKnotSupport:

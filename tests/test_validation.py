@@ -116,13 +116,6 @@ class TestValidate:
                (r2.mean, r2.std_dev, r2.min, r2.max, r2.count)
         assert r1.histogram == r2.histogram
 
-    def test_exclusion_mask(self, gt_models, drive):
-        log, traj = drive
-        include = np.ones(len(log), dtype=bool)
-        include[: len(log) // 2] = False
-        report = validate(gt_models, log, exact_series(traj), include=include)
-        assert report.count == int(include.sum())
-
     def test_blocks_give_the_same_bits(self, gt_models, drive, monkeypatch):
         # Rows are independent, so passing them to the direct model in blocks
         # must not change a bit of any prediction or statistic. The repr of
@@ -130,7 +123,8 @@ class TestValidate:
         log, traj = drive
         rng = np.random.default_rng(35)
         accel = exact_series(traj, rng.normal(0.0, 0.35, len(traj)))
-        include = rng.random(len(log)) < 0.9
+        # Samples left out of the comparison, as a caller clears them.
+        accel = AccelSeries(accel.t, accel.accel, accel.valid & (rng.random(len(log)) < 0.9))
         predicted = []
 
         def recorded(*args):
@@ -143,7 +137,7 @@ class TestValidate:
         for block in (len(log), 7):
             monkeypatch.setattr(validation, "_VALIDATE_BLOCK_ROWS", block)
             predicted.clear()
-            report = validate(gt_models, log, accel, include=include)
+            report = validate(gt_models, log, accel)
             runs.append((len(predicted), repr(report), np.concatenate(predicted).tobytes()))
         (calls_whole, *whole), (calls_blocked, *blocked) = runs
         assert calls_whole == 1 and calls_blocked > 1
