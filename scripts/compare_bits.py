@@ -60,7 +60,8 @@ def fit_case(rng):
 
     Points fall inside the knot span, save one case in ten that reaches past
     it; a third of the cases put a bin exactly on the last knot, a quarter
-    have no bins, and few points or a gap leave some fits underdetermined.
+    have no bins, and where points are few a fit is underdetermined or
+    leaves a knot unsupported.
     """
     import numpy as np
 
