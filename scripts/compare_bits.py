@@ -20,6 +20,10 @@ every error raised:
 * ``fit_curve``, ``unsupported_knots`` and ``prune_unsupported_knots`` on
   seeded random knot layouts, bins and anchors (the fitted knots and
   tangents, the flags, the kept knots);
+* ``load_model`` on the reference models and on curves through seeded
+  values at the ``fit_curve`` knot layouts, each written with
+  ``save_model`` and read back (the knots and the tangents derived from
+  them);
 * ``ingest_csv`` on the telemetry CSVs that ``scripts/make_demo_logs.py``
   writes, and on a copy of its validation drive with rejected rows, quoted
   cells and a blank line (the arrays' bytes and the report). The CSVs are
@@ -230,8 +234,10 @@ def digests(seed: int, queries: int = QUERIES, scale: float = 1.0,
 
     fits = {"fit_curve": Digest(), "unsupported_knots": Digest(),
             "prune_unsupported_knots": Digest()}
+    layouts = []
     for _ in range(max(20, queries // 20)):
         knots, binned, anchors = fit_case(rng)
+        layouts.append(knots)
         points = [*binned.bin_centers.tolist(), *(a.speed_mps for a in anchors)]
         fits["fit_curve"].call(lf.fit_curve, binned, anchors, knots)
         fits["unsupported_knots"].call(
@@ -239,6 +245,18 @@ def digests(seed: int, queries: int = QUERIES, scale: float = 1.0,
         fits["prune_unsupported_knots"].call(
             lambda: np.array(prune_unsupported_knots(knots, points)))
     out.update(fits)
+
+    loaded = out["load_model"] = Digest()
+    saved = [("friction", models.friction), ("propulsion", prop), ("braking", models.braking),
+             *(("friction", lf.Spline1D.interpolate(knots, rng.normal(400.0, 300.0, len(knots))))
+               for knots in layouts)]
+    with tempfile.TemporaryDirectory(prefix="compare_bits-models-") as tmp:
+        for k, (kind, model) in enumerate(saved):
+            path = Path(tmp) / f"{k}.json"
+            lf.save_model(path, kind, model)
+            _, back, _ = lf.load_model(path)
+            for curve in getattr(back, "curves", (back,)):
+                loaded.floats((*curve.knots_x, *curve.knots_y, *curve.tangents))
 
     if csv_dir is not None:
         ingest = out["ingest_csv"] = Digest()

@@ -66,7 +66,9 @@ class VehicleParams:
     ``base_mass_kg`` is the curb mass; ``payload_mass_kg`` covers equipment
     and occupants during the recorded tests. The wheel list feeds the
     equivalent-mass computation; an empty list means rotating bodies are
-    neglected.
+    neglected. Parameters whose weight or equivalent mass is not a finite
+    float, such as masses near 1e308 or a wheel radius whose square leaves
+    the float range, raise :class:`~longforce.errors.InvalidParameterError`.
     """
 
     base_mass_kg: float
@@ -76,6 +78,8 @@ class VehicleParams:
     #: The weight m*g in N, computed once for :func:`grade_force` and
     #: :func:`grade_force_many`.
     weight_n: float = field(init=False, repr=False, compare=False)
+    #: :func:`equivalent_mass` in kg, computed once for the force balance.
+    m_eq_kg: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.base_mass_kg < math.inf:
@@ -88,7 +92,18 @@ class VehicleParams:
             raise InvalidParameterError(
                 f"gravity must be finite and > 0, got {self.gravity_mps2}")
         object.__setattr__(self, "wheels", tuple(self.wheels))
-        object.__setattr__(self, "weight_n", total_mass(self) * self.gravity_mps2)
+        try:
+            m_eq = equivalent_mass(self)
+        except (OverflowError, ZeroDivisionError):  # radius_m**2 overflows, or rounds to 0
+            raise InvalidParameterError(
+                "equivalent mass is not finite: the square of a wheel radius in "
+                f"{[w.radius_m for w in self.wheels]} m is out of the float range") from None
+        weight = total_mass(self) * self.gravity_mps2
+        for name, value, unit in (("weight", weight, "N"), ("equivalent mass", m_eq, "kg")):
+            if not math.isfinite(value):
+                raise InvalidParameterError(f"{name} must be finite, got {value} {unit}")
+        object.__setattr__(self, "weight_n", weight)
+        object.__setattr__(self, "m_eq_kg", m_eq)
 
 
 def total_mass(params: VehicleParams) -> float:

@@ -22,12 +22,17 @@ from typing import Callable
 
 import numpy as np
 
-from .core import VehicleParams, equivalent_mass, file_values, grade_force, grade_force_many
+from .core import VehicleParams, file_values, grade_force, grade_force_many
 from .errors import InvalidParameterError, SchemaError
 from .spline import ForceSurface, Spline1D
 
 #: (throttle, brake, slope_rad) at a given time.
 Schedule = Callable[[float], tuple[float, float, float]]
+
+#: Most steps ``duration / dt`` that :func:`simulate` takes: 10 000 000 steps
+#: are about 28 h at 10 ms, and its six float64 outputs take 80 MB each. A
+#: larger count is refused before anything is allocated.
+MAX_SIMULATE_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -38,11 +43,11 @@ class ModelSet:
     propulsion: ForceSurface
     braking: ForceSurface
     params: VehicleParams
-    #: ``equivalent_mass(params)``, computed once.
+    #: ``params.m_eq_kg``, read on every RK4 stage.
     m_eq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "m_eq", equivalent_mass(self.params))
+        object.__setattr__(self, "m_eq", self.params.m_eq_kg)
 
 
 @dataclass(frozen=True)
@@ -156,6 +161,10 @@ def simulate(models: ModelSet, schedule: Schedule, v0: float, dt: float,
     Per step, the schedule is called once at each of ``t``, ``t + dt/2``
     (for both mid-step stages) and ``t + dt``; a step at rest, and the last
     row, call it only at ``t``.
+
+    ``duration / dt`` may be at most :data:`MAX_SIMULATE_STEPS`; a longer run
+    raises :class:`~longforce.errors.InvalidParameterError`, as a bad ``dt``,
+    ``v0`` or ``duration`` does.
     """
     if not 0.0 < dt <= 0.1:
         raise InvalidParameterError(f"dt must be in (0, 0.1] s, got {dt}")
@@ -163,6 +172,9 @@ def simulate(models: ModelSet, schedule: Schedule, v0: float, dt: float,
         raise InvalidParameterError(f"v0 must be >= 0, got {v0}")
     if not 0.0 <= duration < math.inf:
         raise InvalidParameterError(f"duration must be finite and >= 0 s, got {duration}")
+    if duration / dt > MAX_SIMULATE_STEPS:
+        raise InvalidParameterError(f"duration / dt must be <= {MAX_SIMULATE_STEPS} steps, "
+                                    f"got {duration / dt:g}")
 
     steps = max(int(round(duration / dt)), 0)
     t_out = np.empty(steps + 1)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DriveLog, Gear, VehicleParams, equivalent_mass, grade_force_many
+from .core import DriveLog, Gear, VehicleParams, grade_force_many
 from .errors import ProtocolViolationError, SegmentSplitRequired
 from .estimation import AccelSeries
 from .spline import Spline1D
@@ -106,8 +106,7 @@ def extract_friction(log: DriveLog, accel: AccelSeries,
     _require_zero(log, "throttle", "friction extraction")
     _require_zero(log, "brake", "friction extraction")
     keep = _valid_mask(log, accel)
-    m_eq = equivalent_mass(params)
-    forces = -grade_force_many(params, log.slope[keep]) - m_eq * accel.accel[keep]
+    forces = -grade_force_many(params, log.slope[keep]) - params.m_eq_kg * accel.accel[keep]
     return ForceObservationSet(None, log.speed[keep], forces)
 
 
@@ -122,11 +121,10 @@ def extract_propulsion(log: DriveLog, accel: AccelSeries, friction: Spline1D,
     _require_zero(log, "brake", "propulsion extraction")
     level = _require_constant(log, "throttle", "propulsion extraction")
     keep = _valid_mask(log, accel)
-    m_eq = equivalent_mass(params)
     speeds = log.speed[keep]
     forces = (friction.eval_many(speeds)
               + grade_force_many(params, log.slope[keep])
-              + m_eq * accel.accel[keep])
+              + params.m_eq_kg * accel.accel[keep])
     return ForceObservationSet(level, speeds, forces)
 
 
@@ -142,12 +140,11 @@ def extract_braking(log: DriveLog, accel: AccelSeries, friction: Spline1D,
     _require_zero(log, "throttle", "braking extraction")
     level = _require_constant(log, "brake", "braking extraction")
     keep = _valid_mask(log, accel)
-    m_eq = equivalent_mass(params)
     speeds = log.speed[keep]
     forces = (propulsion_at_zero_throttle.eval_many(speeds)
               - friction.eval_many(speeds)
               - grade_force_many(params, log.slope[keep])
-              - m_eq * accel.accel[keep])
+              - params.m_eq_kg * accel.accel[keep])
     return ForceObservationSet(level, speeds, forces)
 
 

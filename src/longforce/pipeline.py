@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -30,8 +29,8 @@ from .extraction import (extract_braking, extract_friction, extract_propulsion,
                          split_constant_signal)
 from .reference import load_anchor_file, reference_model_set
 from .spline import (DEFAULT_KNOTS_MPS, MODEL_KINDS, Anchor, ForceSurface, Spline1D,
-                     check_signal_monotone, fit_curve, load_model, load_typed_model,
-                     prune_unsupported_knots, save_model)
+                     _knot_positions, check_signal_monotone, fit_curve, load_model,
+                     load_typed_model, prune_unsupported_knots, save_model)
 from .validation import render_table, report_to_dict, validate
 
 
@@ -54,7 +53,8 @@ class PipelineConfig:
 
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
-    """The config at ``path``; a value the stages cannot use is a SchemaError naming the file."""
+    """The config at ``path``; a value the stages cannot use is a SchemaError naming the file.
+    Each ``knots_mps`` layout must pass the curves' knot-layout rule, ``_knot_positions``."""
     path = Path(path)
     obj = read_json(path)
     with file_values(path, "invalid pipeline config"):
@@ -75,10 +75,10 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
             raise ValueError(f"knots_mps has no layout for {missing[0]}")
         knots = {kind: tuple(map(float, json_numbers(layout, kind))) for kind in MODEL_KINDS}
         for kind, ks in knots.items():
-            if not (len(ks) >= 2 and all(map(math.isfinite, ks))
-                    and all(a < b for a, b in zip(ks, ks[1:]))):
-                raise ValueError(f"knots_mps for {kind} must hold >= 2 finite, strictly "
-                                 f"increasing speeds, got {list(ks)}")
+            try:
+                _knot_positions(ks)
+            except FitError as exc:
+                raise FitError(f"knots_mps for {kind}: {exc}") from None
     # Read outside the block, so that their errors name their own file once.
     return PipelineConfig(load_vehicle_params(params_path), load_anchor_file(anchors_path),
                           window, cutoff, edges, knots)

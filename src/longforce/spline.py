@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -46,11 +46,16 @@ def _hermite(t: float, y0: float, y1: float, m0: float, m1: float, h: float) -> 
 
 
 def _knot_positions(xs: Sequence[float]) -> np.ndarray:
-    """``xs`` as a float array; fewer than two positions, or positions that are
-    not strictly increasing, raise :class:`~longforce.errors.FitError`."""
+    """``xs`` as a float array, if it is a knot layout: at least two positions, each
+    finite, strictly increasing; else a :class:`~longforce.errors.FitError` naming the
+    first rule broken. The one layout rule of curves, fits and pipeline configs."""
     x = np.asarray(xs, dtype=float)
     if len(x) < 2:
         raise FitError(f"need at least 2 knot positions, got {len(x)}")
+    finite = np.isfinite(x)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise FitError(f"knot position {i} is non-finite: {x[i]}")
     if not (x[:-1] < x[1:]).all():
         raise FitError("knot positions must be strictly increasing")
     return x
@@ -70,8 +75,8 @@ def limited_tangents(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, .
     needs only the first tangents can stop the pass there
     (:meth:`ForceSurface.eval` does); this runs it to the end.
 
-    There must be at least two knot positions, strictly increasing, with one
-    value each; anything else raises :class:`~longforce.errors.FitError`.
+    The positions must be a knot layout (see :func:`_knot_positions`) with
+    one value each; anything else raises :class:`~longforce.errors.FitError`.
     """
     _knot_positions(xs)
     if len(ys) != len(xs):
@@ -167,8 +172,9 @@ class Spline1D:
 
     Evaluation reproduces the knot values exactly, is C1 inside the knot
     span, holds the end values constant outside it, and never returns less
-    than 0, as no force is negative. ``lower_clamp`` must be 0: model files
-    store it, and callers may still pass it.
+    than 0, as no force is negative. The positions pass :func:`_knot_positions`,
+    each with a finite value >= 0 and tangent; ``lower_clamp`` must be 0:
+    model files store it, and callers may still pass it.
     """
 
     knots_x: tuple[float, ...]
@@ -180,16 +186,13 @@ class Spline1D:
         xs = tuple(float(x) for x in self.knots_x)
         ys = tuple(float(y) for y in self.knots_y)
         ms = tuple(float(m) for m in self.tangents)
-        if len(xs) < 2:
-            raise FitError("a curve needs at least 2 knots")
-        for name, values in (("knot position", xs), ("knot value", ys), ("tangent", ms)):
+        _knot_positions(xs)
+        for name, values in (("knot value", ys), ("tangent", ms)):
             bad = [i for i, value in enumerate(values) if not math.isfinite(value)]
             if bad:
                 raise FitError(f"{name} {bad[0]} is non-finite: {values[bad[0]]}")
         if self.lower_clamp != 0:
             raise FitError(f"lower clamp must be 0, got {self.lower_clamp}")
-        if not all(a < b for a, b in zip(xs, xs[1:])):
-            raise FitError("knot positions must be strictly increasing")
         if len(ys) != len(xs) or len(ms) != len(xs):
             raise FitError("knots_x, knots_y and tangents must have equal length")
         if any(y < 0.0 for y in ys):
@@ -207,8 +210,8 @@ class Spline1D:
     def interpolate(cls, xs: Sequence[float], ys: Sequence[float]) -> "Spline1D":
         """Monotone-limited Hermite interpolant through the points, negatives raised to 0.
 
-        There must be at least two positions ``xs``, strictly increasing, with
-        one value each; anything else raises :class:`~longforce.errors.FitError`.
+        The positions ``xs`` must be a knot layout (see :func:`_knot_positions`)
+        with one value each; anything else raises :class:`~longforce.errors.FitError`.
         """
         ys = [max(float(y), 0.0) for y in ys]
         return cls(tuple(float(x) for x in xs), tuple(ys), limited_tangents(xs, ys))
@@ -671,12 +674,10 @@ def _curve_to_dict(curve: Spline1D) -> dict:
 
 
 def _curve_from_dict(obj: dict, lower_clamp: float) -> Spline1D:
-    # The knots and clamp are checked (under zero tangents) before the tangents
-    # are derived, so that a bad curve is refused with the curve's own message.
     # A "tangents" key, as earlier versions wrote, is ignored.
-    xs, ys = json_numbers(obj, "knots_x_mps"), json_numbers(obj, "knots_y_N")
-    knots = Spline1D(tuple(xs), tuple(ys), (0.0,) * len(xs), lower_clamp)
-    return replace(knots, tangents=limited_tangents(knots.knots_x, knots.knots_y))
+    xs = [float(x) for x in json_numbers(obj, "knots_x_mps")]
+    ys = [float(y) for y in json_numbers(obj, "knots_y_N")]
+    return Spline1D(xs, ys, limited_tangents(xs, ys), lower_clamp)
 
 
 def model_to_dict(kind: str, model: Spline1D | ForceSurface,
@@ -708,8 +709,6 @@ def model_from_dict(obj: dict) -> tuple[str, Spline1D | ForceSurface, dict]:
             raise SchemaError("a friction model holds exactly one curve")
         return kind, _curve_from_dict(curves[0], clamp), provenance
     levels = json_integers(obj, "levels", [])
-    if not levels or len(levels) != len(curves):
-        raise SchemaError(f"a {kind} model needs matching 'levels' and 'curves' lists")
     surface = ForceSurface(tuple(int(v) for v in levels),
                            tuple(_curve_from_dict(c, clamp) for c in curves))
     check_signal_monotone(surface)

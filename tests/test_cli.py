@@ -8,6 +8,7 @@ import pytest
 
 from longforce.cli import main
 from longforce.core import DriveLog, Gear, ingest_csv, load_drive_log, save_drive_log
+from longforce.dynamics import MAX_SIMULATE_STEPS
 from longforce.errors import SchemaError
 from longforce.estimation import bin_by_speed
 from longforce.pipeline import (MAX_EXPORT_POINTS, load_model_set, load_pipeline_config,
@@ -707,13 +708,17 @@ class TestMainOutOfRange:
         ("simulate", ["--v0", "-1"], "v0 must be >= 0, got -1.0"),
         ("simulate", ["--duration", "nan"], "duration must be finite and >= 0 s, got nan"),
         ("simulate", ["--duration", "-5"], "duration must be finite and >= 0 s, got -5.0"),
+        # Used to end in a MemoryError traceback: "Unable to allocate 728. TiB".
+        ("simulate", ["--duration", "1e12"],
+         f"duration / dt must be <= {MAX_SIMULATE_STEPS} steps, got 1e+14"),
         ("export-plot-data", ["--points", "-1"], "points must be >= 1, got -1"),
         # Used to allocate the whole grid before writing a row; a large
         # enough value ended in MemoryError or an out-of-memory kill.
         ("export-plot-data", ["--points", str(MAX_EXPORT_POINTS + 1)],
          f"points must be <= {MAX_EXPORT_POINTS}, got {MAX_EXPORT_POINTS + 1}")],
         ids=["window-4", "cutoff-0", "cutoff-neg", "cutoff-nan", "hist-bin-0", "hist-bin-inf",
-             "dt-0", "v0-neg", "duration-nan", "duration-neg", "points-neg", "points-huge"])
+             "dt-0", "v0-neg", "duration-nan", "duration-neg", "duration-huge", "points-neg",
+             "points-huge"])
     def test_argument_is_2(self, inputs, tmp_path, capsys, command, extra, message):
         out = str(tmp_path / "out")
         if command == "export-plot-data":
@@ -722,14 +727,15 @@ class TestMainOutOfRange:
             argv = cli_argv(command, inputs, out)
         assert main(argv + extra) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("bins", "count", 0, "bin count must be >= 1, got 0"),
         ("estimator", "window", 4, "window must be an odd integer >= 3, got 4"),
         ("estimator", "cutoff_hz", 0, "cutoff_hz must be finite and > 0, got 0.0"),
         ("estimator", "cutoff_hz", -1, "cutoff_hz must be finite and > 0, got -1.0"),
-        ("knots_mps", "friction", [], "knots_mps for friction must hold >= 2 finite, "
-                                      "strictly increasing speeds, got []")],
+        ("knots_mps", "friction", [], "knots_mps for friction: "
+                                      "need at least 2 knot positions, got 0")],
         ids=["bins-count-0", "window-4", "cutoff-0", "cutoff-neg", "knots-empty"])
     def test_config_value_is_2(self, inputs, tmp_path, capsys, section, key, value, message):
         path = inputs["config"]
@@ -864,6 +870,33 @@ class TestInputBoundary:
         path.write_text(f"t_s,throttle,brake,slope_rad\n0,0,0,0\n{row}\n")
         assert main(cli_argv("simulate", cli_inputs, str(tmp_path / "out"))) == 2
         assert capsys.readouterr().err == f"error: {path}: bad schedule row 2: {message}\n"
+
+    # Each used to load and end fit-friction in exit 3 naming no file:
+    # "invalid value encountered in multiply", "(34, 'Numerical result out of
+    # range')" and "float division by zero".
+    @pytest.mark.parametrize("edit, message", [
+        ({"base_mass_kg": 1e308, "payload_mass_kg": 1e308}, "weight must be finite, got inf N"),
+        ({"wheels": [{"inertia_kgm2": 0.86, "radius_m": 1e200}]},
+         "equivalent mass is not finite: the square of a wheel radius in [1e+200] m is out "
+         "of the float range"),
+        ({"wheels": [{"inertia_kgm2": 0.86, "radius_m": 1e-200}]},
+         "equivalent mass is not finite: the square of a wheel radius in [1e-200] m is out "
+         "of the float range")],
+        ids=["masses-1e308", "radius-1e200", "radius-1e-200"])
+    def test_params_without_a_finite_mass_is_2(self, gt_models, config_path, tmp_path, capsys,
+                                               edit, message):
+        log = tmp_path / "coast.json"
+        save_drive_log(log, coast_down_log(gt_models, duration=30.0))
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({**json.loads(data_path("zoe_params.json").read_text()),
+                                      **edit}))
+        config = json.loads(config_path.read_text())
+        config["params"] = str(params)
+        config_path.write_text(json.dumps(config))
+        assert main(["fit-friction", str(log), "--config", str(config_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {params}: invalid vehicle parameter config: {message}\n")
 
     def test_negative_clamp_model_is_2(self, cli_inputs, tmp_path, capsys):
         # Such a surface used to load and evaluate to -35 N at throttle 0,

@@ -59,6 +59,20 @@ def test_a_regrouped_basis_term_moves_only_the_fit_digest(small):
     assert {name for name in before if before[name] != after[name]} == {"fit_curve"}
 
 
+def regrouped_curve_from_dict(obj, lower_clamp, original=spline._curve_from_dict):
+    """``_curve_from_dict`` with each derived tangent regrouped as (m / 3) * 3."""
+    curve = original(obj, lower_clamp)
+    return spline.Spline1D(curve.knots_x, curve.knots_y,
+                           [m / 3.0 * 3.0 for m in curve.tangents], lower_clamp)
+
+
+def test_a_regrouped_loaded_tangent_moves_only_the_load_model_digest(small):
+    before = compare_bits.digests(**small)
+    with patch.object(spline, "_curve_from_dict", regrouped_curve_from_dict):
+        after = compare_bits.digests(**small)
+    assert {name for name in before if before[name] != after[name]} == {"load_model"}
+
+
 def shifted_loadtxt_columns(csv_path, fh, indices, original=core._loadtxt_columns):
     parsed = original(csv_path, fh, indices)
     return None if parsed is None else (parsed[0] + 1.0, parsed[1])

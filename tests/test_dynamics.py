@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from longforce.core import equivalent_mass
-from longforce.dynamics import (ActuationCommand, ModelSet, direct_acceleration,
-                                inverse_actuation, load_schedule_csv, simulate,
-                                step_hold_schedule)
-from longforce.errors import SchemaError
+from longforce.dynamics import (MAX_SIMULATE_STEPS, ActuationCommand, ModelSet,
+                                direct_acceleration, inverse_actuation, load_schedule_csv,
+                                simulate, step_hold_schedule)
+from longforce.errors import InvalidParameterError, SchemaError
 from longforce.reference import neutral_model_set
 from longforce.spline import ForceSurface, Spline1D
 
@@ -163,6 +163,17 @@ class TestSimulate:
             simulate(toy_models, lambda t: (0, 0, 0.0), 0.0, 0.2, 1.0)
         with pytest.raises(ValueError):
             simulate(toy_models, lambda t: (0, 0, 0.0), -1.0, 0.01, 1.0)
+
+    @pytest.mark.parametrize("duration, dt", [(1e12, 0.01), (1.0, 1e-300),
+                                              (1.5e-3 * MAX_SIMULATE_STEPS, 1e-3)])
+    def test_step_count_past_the_bound_refused(self, toy_models, duration, dt):
+        # 1e12 s used to end in MemoryError ("Unable to allocate 728. TiB").
+        def schedule(t):
+            raise AssertionError("refused before the first step")
+
+        with pytest.raises(InvalidParameterError, match=f"^duration / dt must be <= "
+                                                        f"{MAX_SIMULATE_STEPS} steps, got "):
+            simulate(toy_models, schedule, 0.0, dt, duration)
 
     def test_forces_recorded(self, toy_models):
         traj = simulate(toy_models, lambda t: (186, 0, 0.0), 10.0, 0.01, 1.0)

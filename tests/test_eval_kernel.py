@@ -358,7 +358,9 @@ def test_limited_tangents_matches_two_pass_oracle(data):
 def test_limiter_on_increasing_positions_matches_two_pass_oracle(data):
     # The oracle zeroes a negative ratio of start tangent to secant; the kernel
     # has no such branch, because on increasing positions none arises. Spans
-    # that overflow to inf and values 1e308 apart put that to the test.
+    # that overflow to inf and values 1e308 apart put that to the test. The
+    # knot-layout rule refuses infinite positions in limited_tangents; the
+    # pass and the array form still meet the oracle there.
     xs = sorted(data.draw(st.lists(
         st.one_of(POSITIONS, st.sampled_from([-math.inf, -1e308, 1e308, math.inf])),
         min_size=1, max_size=7, unique=True)))
@@ -371,7 +373,13 @@ def test_limiter_on_increasing_positions_matches_two_pass_oracle(data):
     for j, ys in enumerate(columns):
         expected = _limited_tangents_oracle(xs, ys)
         if n >= 2:  # a single knot reaches only the array form, on a one-level surface
-            assert_same_bits(limited_tangents(xs, ys), expected)
+            if math.isinf(xs[0]) or math.isinf(xs[-1]):  # sorted: only an end is infinite
+                i = 0 if math.isinf(xs[0]) else n - 1
+                with pytest.raises(FitError, match=f"^knot position {i} is non-finite: "
+                                                   f"{xs[i]}$"):
+                    limited_tangents(xs, ys)
+            else:
+                assert_same_bits(limited_tangents(xs, ys), expected)
             # Stopped after segment ``stop``, the pass already holds tangents 0 to ``stop``.
             for stop in range(n):
                 assert_same_bits(_limited_pass(ys, spans, spans2, stop), expected[:stop + 1])

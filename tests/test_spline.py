@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from longforce.errors import FitError, InversionError, SchemaError
 from longforce.estimation import BinnedPoints
+from longforce.pipeline import load_pipeline_config
 from longforce.reference import load_anchor_file
 from longforce.spline import (Anchor, ForceSurface, Spline1D,
                               check_signal_monotone, fit_curve, limited_tangents,
@@ -230,10 +231,57 @@ class TestFitCurve:
     @pytest.mark.parametrize("knots, message", [
         ([1.0], "need at least 2 knot positions, got 1"),
         ([0.0, 2.0, 2.0], "knot positions must be strictly increasing"),
-        ([0.0, math.nan, 2.0], "knot positions must be strictly increasing")])
+        ([0.0, math.nan, 2.0], "knot position 1 is non-finite: nan")])
     def test_knot_positions_refused_as_the_limiter_refuses_them(self, knots, message):
         with pytest.raises(FitError, match=f"^{message}$"):
             fit_curve(binned([0.5, 1.0, 1.5], [1.0, 2.0, 3.0]), [], knots)
+
+
+# --- the one knot-layout rule ---------------------------------------------------------
+
+BAD_LAYOUTS = {
+    "one-knot": ([1.0], "need at least 2 knot positions, got 1"),
+    "nan": ([0.0, math.nan, 2.0], "knot position 1 is non-finite: nan"),
+    "inf": ([0.0, 1.0, math.inf], "knot position 2 is non-finite: inf"),
+    "minus-inf": ([-math.inf, 1.0, 2.0], "knot position 0 is non-finite: -inf"),
+    "repeated": ([0.0, 2.0, 2.0], "knot positions must be strictly increasing"),
+    "decrease": ([0.0, 2.0, 1.0], "knot positions must be strictly increasing"),
+}
+
+
+def layout_refusal(entry, xs, tmp_path) -> tuple:
+    """A call that gives knot positions ``xs`` to ``entry``, and the text its
+    error must carry before the rule's message: the file readers name the file."""
+    ys = [1.0] * len(xs)
+    if entry == "load_model":
+        path = tmp_path / "friction.json"
+        path.write_text(json.dumps({"kind": "friction",
+                                    "curves": [{"knots_x_mps": xs, "knots_y_N": ys}]}))
+        return lambda: load_model(path), f"{path}: malformed friction model: "
+    if entry == "load_pipeline_config":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"params": "params.json", "anchors": "anchors.json",
+                                    "knots_mps": xs}))
+        return (lambda: load_pipeline_config(path),
+                f"{path}: invalid pipeline config: knots_mps for friction: ")
+    return {"Spline1D": lambda: Spline1D(xs, ys, [0.0] * len(xs)),
+            "interpolate": lambda: Spline1D.interpolate(xs, ys),
+            "limited_tangents": lambda: limited_tangents(xs, ys),
+            "fit_curve": lambda: fit_curve(binned([1.0, 1.5, 2.0], [1.0, 2.0, 3.0]), [], xs),
+            }[entry], ""
+
+
+@pytest.mark.parametrize("entry", ["Spline1D", "interpolate", "limited_tangents", "fit_curve",
+                                   "load_model", "load_pipeline_config"])
+@pytest.mark.parametrize("layout", BAD_LAYOUTS)
+def test_every_entry_point_refuses_a_bad_layout_with_one_message(tmp_path, layout, entry):
+    # fit_curve used to end in LinAlgError on an infinite position, and
+    # limited_tangents to return tangents for it.
+    xs, message = BAD_LAYOUTS[layout]
+    call, prefix = layout_refusal(entry, xs, tmp_path)
+    with pytest.raises(SchemaError if prefix else FitError) as exc:
+        call()
+    assert str(exc.value) == prefix + message
 
 
 # --- fit_curve and unsupported_knots against their per-point loops -----------------
@@ -557,11 +605,18 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             model_from_dict({"kind": "steering", "curves": []})
 
-    def test_mismatched_levels_rejected(self, gt_models):
+    def test_mismatched_levels_rejected(self, tmp_path, gt_models):
+        # ForceSurface refuses the mismatch; load_model names the file.
         obj = model_to_dict("propulsion", gt_models.propulsion)
         obj["levels"] = obj["levels"][:-1]
-        with pytest.raises(SchemaError):
+        message = "levels and curves must have equal length"
+        with pytest.raises(FitError, match=f"^{message}$"):
             model_from_dict(obj)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SchemaError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}: malformed propulsion model: {message}"
 
     @pytest.mark.parametrize("edit", [
         lambda obj: obj["curves"][0]["knots_y_N"].__setitem__(1, math.nan),
