@@ -4,12 +4,12 @@
     python3 scripts/compare_bits.py BASE_REF [--seed 11]
 
 The base side is the committed tree of ``BASE_REF``, exported with ``git
-archive`` as ``scripts/bench_ab.py`` does; the other side is this checkout's
-``src``, uncommitted changes included. Each side runs this script's query
-code in a fresh interpreter with its own ``src`` first on the path, so both
-answer the same seeded queries. Per public evaluation it hashes, with
-SHA-256, the float64 bytes of every result, and the type and message of
-every error raised:
+archive`` by ``scripts/bench_ab.py``'s ``export``; the other side is this
+checkout's ``src``, uncommitted changes included. Each side runs this
+script's query code in a fresh interpreter with its own ``src`` first on
+the path, so both answer the same seeded queries. Per public evaluation it
+hashes, with SHA-256, the float64 bytes of every result, and the type and
+message of every error raised:
 
 * ``Spline1D.eval`` and ``eval_many`` on the reference curves;
 * ``ForceSurface.eval``, ``eval_many`` and ``invert`` on the reference
@@ -26,8 +26,15 @@ every error raised:
   them);
 * ``ingest_csv`` on the telemetry CSVs that ``scripts/make_demo_logs.py``
   writes, and on a copy of its validation drive with rejected rows, quoted
-  cells and a blank line (the arrays' bytes and the report). The CSVs are
-  written once, and both sides read the same files.
+  cells and a blank line (the arrays' bytes and the report);
+* the fit stages: ``cli.main`` ingests the twelve demo CSVs, fits friction,
+  propulsion and braking with the demo ``pipeline.json`` and validates on
+  the validation drive (each model's knots as ``load_model`` reads them
+  back, the report's figures, the exit codes and the output with the work
+  directory's path replaced; not the provenance, which holds paths and a
+  timestamp).
+
+The CSVs are written once, and both sides read the same files.
 
 It prints each digest pair and exits 1 on any difference.
 """
@@ -51,12 +58,12 @@ QUERIES = 4000  # queries per evaluation and model
 SPECIAL_SPEEDS = (0.0, -0.0, 1e-300, -1.0, math.inf, -math.inf, math.nan)
 
 
-def export(ref: str, dest: Path) -> None:
-    """The committed tree of ``ref``, unpacked at ``dest``."""
-    dest.mkdir(parents=True)
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref],
-                             check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+def load_module(path: Path):
+    """The Python file at ``path``, imported as a module of its own."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def fit_case(rng):
@@ -114,6 +121,74 @@ def write_ingest_inputs(dest: Path) -> Path:
     return telemetry
 
 
+def fit_stages(telemetry: Path) -> "Digest":
+    """The digest of the CLI walkthrough on the demo CSVs in ``telemetry``.
+
+    In a temporary directory, ``cli.main`` ingests the twelve demo CSVs, runs
+    ``fit-friction``, ``fit-propulsion`` and ``fit-brake`` with the demo
+    ``pipeline.json``, and ``validate`` on the validation drive. It hashes each
+    model's knots as ``load_model`` reads them back, the report's figures, and
+    the exit codes and output with the directory's path replaced; the models'
+    provenance, with its paths and timestamp, is left out.
+    """
+    import contextlib
+    import io
+
+    import numpy as np
+
+    import longforce as lf
+    from longforce.cli import main
+
+    digest = Digest()
+    demo = telemetry.parent
+    config = str(demo / "pipeline.json")
+    with tempfile.TemporaryDirectory(prefix="compare_bits-fits-") as tmp:
+        logs = {csv.stem: f"{tmp}/{csv.stem}.json" for csv in sorted(telemetry.glob("*.csv"))
+                if csv.stem != "validation_drive_edited"}
+        models = {kind: f"{tmp}/{kind}.json" for kind in ("friction", "propulsion", "braking")}
+        report = f"{tmp}/report.json"
+
+        def runs(prefix):
+            return [path for name, path in logs.items() if name.startswith(prefix)]
+
+        commands = [["ingest", str(telemetry / f"{name}.csv"), "--units", "speed_kmh",
+                     "--gear", "neutral" if name == "coast_down" else "drive", "--out", path]
+                    for name, path in logs.items()]
+        commands += [
+            ["fit-friction", *runs("coast_down"), "--config", config,
+             "--out", models["friction"]],
+            ["fit-propulsion", *runs("throttle_"), "--friction", models["friction"],
+             "--config", config, "--out", models["propulsion"]],
+            ["fit-brake", *runs("brake_"), "--friction", models["friction"],
+             "--propulsion", models["propulsion"], "--config", config,
+             "--out", models["braking"]],
+            ["validate", "--friction", models["friction"], "--propulsion", models["propulsion"],
+             "--braking", models["braking"], "--params", str(demo / "zoe_params.json"),
+             "--log", logs["validation_drive"], "--window", "51", "--cutoff", "2",
+             "--out", report]]
+        output = io.StringIO()
+        with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+            digest.floats([main(argv) for argv in commands])
+        digest.h.update(output.getvalue().replace(tmp, "WORK").encode())
+
+        def knots(path):
+            _, model, _ = lf.load_model(path)
+            return np.array([*getattr(model, "levels", ()), *(
+                v for curve in getattr(model, "curves", (model,))
+                for v in (*curve.knots_x, *curve.knots_y, *curve.tangents))])
+
+        def figures(path):
+            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+            return np.array([*(obj[key] for key in sorted(obj) if key != "histogram"), *(
+                v for row in obj["histogram"] for v in (row["center_mps2"], row["count"]))],
+                dtype=float)
+
+        for path in models.values():
+            digest.call(knots, path)
+        digest.call(figures, report)
+    return digest
+
+
 class Digest:
     """SHA-256 over floats (their IEEE-754 bytes) and raised errors (type and message)."""
 
@@ -165,9 +240,7 @@ def digests(seed: int, queries: int = QUERIES, scale: float = 1.0,
     from longforce.core import ingest_csv
     from longforce.spline import prune_unsupported_knots, unsupported_knots
 
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_module(ROOT / "bench" / "workloads.py")
 
     rng = np.random.default_rng(seed)
     models = lf.reference_model_set()
@@ -262,6 +335,7 @@ def digests(seed: int, queries: int = QUERIES, scale: float = 1.0,
         ingest = out["ingest_csv"] = Digest()
         for path in sorted(Path(csv_dir).glob("*.csv")):
             ingest.call(ingest_csv, path, "speed_kmh")
+        out["fit stages"] = fit_stages(Path(csv_dir))
     return {name: d.hexdigest() for name, d in out.items()}
 
 
@@ -317,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"base {sha}, head {ROOT} (working tree), seed {args.seed}")
     with tempfile.TemporaryDirectory(prefix="compare_bits-") as tmp:
         csv_dir = write_ingest_inputs(Path(tmp) / "demo")
-        export(sha, Path(tmp) / "base")
+        load_module(ROOT / "scripts" / "bench_ab.py").export(sha, Path(tmp) / "base")
         base = run_side(Path(tmp) / "base", args.seed, args.queries, args.scale, csv_dir)
         head = run_side(ROOT, args.seed, args.queries, args.scale, csv_dir)
     return compare(base, head)

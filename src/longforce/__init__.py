@@ -18,8 +18,8 @@ from .errors import (EmptyReportError, EmptySeriesError, FitError, InversionErro
                      SchemaError, SegmentSplitRequired)
 from .estimation import (AccelSeries, BinnedPoints, bin_by_speed,
                          estimate_acceleration, log_spaced_edges)
-from .extraction import (ForceObservationSet, extract_braking, extract_friction,
-                         extract_propulsion, split_constant_signal)
+from .extraction import (extract_braking, extract_friction, extract_propulsion,
+                         split_constant_signal)
 from .reference import neutral_model_set, reference_model_set
 from .spline import (Anchor, ForceSurface, InversionResult, Spline1D,
                      check_signal_monotone, fit_curve, load_model, save_model)
@@ -30,13 +30,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AccelSeries", "ActuationCommand", "Anchor", "BinnedPoints", "DriveLog",
     "EmptyReportError", "EmptySeriesError", "ErrorReport", "FitError", "ForceBreakdown",
-    "ForceObservationSet", "ForceSurface", "Gear", "InvalidParameterError",
-    "InversionError", "InversionResult", "LongforceError", "ModelSet",
-    "ProtocolViolationError", "SchemaError", "SegmentSplitRequired", "Spline1D",
-    "Trajectory", "VehicleParams", "Wheel", "bin_by_speed", "check_signal_monotone",
-    "direct_acceleration", "direct_acceleration_many", "equivalent_mass",
-    "estimate_acceleration", "extract_braking", "extract_friction", "extract_propulsion",
-    "fit_curve", "inverse_actuation", "kmh_to_mps", "load_model", "load_vehicle_params",
+    "ForceSurface", "Gear", "InvalidParameterError", "InversionError",
+    "InversionResult", "LongforceError", "ModelSet", "ProtocolViolationError",
+    "SchemaError", "SegmentSplitRequired", "Spline1D", "Trajectory", "VehicleParams",
+    "Wheel", "bin_by_speed", "check_signal_monotone", "direct_acceleration",
+    "direct_acceleration_many", "equivalent_mass", "estimate_acceleration",
+    "extract_braking", "extract_friction", "extract_propulsion", "fit_curve",
+    "inverse_actuation", "kmh_to_mps", "load_model", "load_vehicle_params",
     "log_spaced_edges", "mps_to_kmh", "neutral_model_set", "reference_model_set",
     "render_table", "report_to_dict", "save_model", "simulate", "split_constant_signal",
     "total_mass", "validate",

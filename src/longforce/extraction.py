@@ -20,8 +20,6 @@ the propulsion model if tolerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import DriveLog, Gear, VehicleParams, grade_force_many
@@ -32,35 +30,6 @@ from .spline import Spline1D
 #: Below this speed (m/s) the acceleration estimate is dominated by speed
 #: quantization and samples are excluded; anchors supply the low-speed shape.
 MIN_EXTRACTION_SPEED = 0.05
-
-
-@dataclass(frozen=True)
-class ForceObservationSet:
-    """(speed, force) observations attributed to one force and command level.
-
-    ``level`` is the constant throttle (propulsion) or brake (braking)
-    signal of the source run; friction sets carry no level.
-    """
-
-    level: int | None
-    speeds: np.ndarray
-    forces: np.ndarray
-
-    def __post_init__(self):
-        speeds = np.asarray(self.speeds, dtype=float)
-        forces = np.asarray(self.forces, dtype=float)
-        if len(speeds) and float(speeds.min()) < 0:
-            raise ValueError("observation speeds must be >= 0")
-        for col in (speeds, forces):
-            col.setflags(write=False)
-        object.__setattr__(self, "speeds", speeds)
-        object.__setattr__(self, "forces", forces)
-
-    def __len__(self) -> int:
-        return len(self.speeds)
-
-    def points(self) -> np.ndarray:
-        return np.column_stack([self.speeds, self.forces])
 
 
 def _require_gear(log: DriveLog, gear: Gear, protocol: str) -> None:
@@ -79,14 +48,12 @@ def _require_zero(log: DriveLog, signal: str, protocol: str) -> None:
             indices=bad.tolist())
 
 
-def _require_constant(log: DriveLog, signal: str, protocol: str) -> int:
+def _require_constant(log: DriveLog, signal: str, protocol: str) -> None:
     values = getattr(log, signal)
-    level = int(values[0])
-    if np.any(values != level):
+    if np.any(values != values[:1]):
         raise SegmentSplitRequired(
             f"{protocol} requires a constant {signal}; split the log into "
             f"constant-{signal} segments first", signal=signal)
-    return level
 
 
 def _valid_mask(log: DriveLog, accel: AccelSeries) -> np.ndarray:
@@ -96,8 +63,9 @@ def _valid_mask(log: DriveLog, accel: AccelSeries) -> np.ndarray:
 
 
 def extract_friction(log: DriveLog, accel: AccelSeries,
-                     params: VehicleParams) -> ForceObservationSet:
-    """Friction observations from a neutral coast-down log.
+                     params: VehicleParams) -> np.ndarray:
+    """Friction observations from a neutral coast-down log: (N, 2) rows of speed
+    (m/s) and force (N).
 
     With propulsion and braking zero the balance gives
     ``F_f = -m*g*sin(slope) - m_eq*a`` per sample.
@@ -107,45 +75,47 @@ def extract_friction(log: DriveLog, accel: AccelSeries,
     _require_zero(log, "brake", "friction extraction")
     keep = _valid_mask(log, accel)
     forces = -grade_force_many(params, log.slope[keep]) - params.m_eq_kg * accel.accel[keep]
-    return ForceObservationSet(None, log.speed[keep], forces)
+    return np.column_stack([log.speed[keep], forces])
 
 
 def extract_propulsion(log: DriveLog, accel: AccelSeries, friction: Spline1D,
-                       params: VehicleParams) -> ForceObservationSet:
-    """Propulsion observations from a constant-throttle run in drive.
+                       params: VehicleParams) -> np.ndarray:
+    """Propulsion observations from a constant-throttle run in drive: (N, 2) rows
+    of speed (m/s) and force (N).
 
     With braking zero the balance gives
     ``F_p = F_f(v) + m*g*sin(slope) + m_eq*a``.
     """
     _require_gear(log, Gear.DRIVE, "propulsion extraction")
     _require_zero(log, "brake", "propulsion extraction")
-    level = _require_constant(log, "throttle", "propulsion extraction")
+    _require_constant(log, "throttle", "propulsion extraction")
     keep = _valid_mask(log, accel)
     speeds = log.speed[keep]
     forces = (friction.eval_many(speeds)
               + grade_force_many(params, log.slope[keep])
               + params.m_eq_kg * accel.accel[keep])
-    return ForceObservationSet(level, speeds, forces)
+    return np.column_stack([speeds, forces])
 
 
 def extract_braking(log: DriveLog, accel: AccelSeries, friction: Spline1D,
                     propulsion_at_zero_throttle: Spline1D,
-                    params: VehicleParams) -> ForceObservationSet:
-    """Braking observations from a constant-brake run in drive at zero throttle.
+                    params: VehicleParams) -> np.ndarray:
+    """Braking observations from a constant-brake run in drive at zero throttle:
+    (N, 2) rows of speed (m/s) and force (N).
 
     The zero-throttle propulsion curve (creep force) enters the balance:
     ``F_b = F_p0(v) - F_f(v) - m*g*sin(slope) - m_eq*a``.
     """
     _require_gear(log, Gear.DRIVE, "braking extraction")
     _require_zero(log, "throttle", "braking extraction")
-    level = _require_constant(log, "brake", "braking extraction")
+    _require_constant(log, "brake", "braking extraction")
     keep = _valid_mask(log, accel)
     speeds = log.speed[keep]
     forces = (propulsion_at_zero_throttle.eval_many(speeds)
               - friction.eval_many(speeds)
               - grade_force_many(params, log.slope[keep])
               - params.m_eq_kg * accel.accel[keep])
-    return ForceObservationSet(level, speeds, forces)
+    return np.column_stack([speeds, forces])
 
 
 def split_constant_signal(log: DriveLog, signal: str) -> list[DriveLog]:

@@ -107,7 +107,7 @@ def _binned_within_knots(points, knots: tuple[float, ...], bin_edges, label: str
                         binned.counts[inside])
 
 
-def _fit_level_curve(points, anchors, knots, bin_edges, label: str) -> tuple[Spline1D, BinnedPoints]:
+def _fit_level_curve(points, anchors, knots, bin_edges, label: str) -> Spline1D:
     """Bin the points, prune knots the data cannot support, fit the curve."""
     binned = _binned_within_knots(points, knots, bin_edges, label)
     xs = list(binned.bin_centers) + [a.speed_mps for a in anchors]
@@ -118,7 +118,7 @@ def _fit_level_curve(points, anchors, knots, bin_edges, label: str) -> tuple[Spl
     rms = _fit_rms(curve, binned)
     print(f"{label}: {len(points)} points in {len(binned)} bins, "
           f"fit residual RMS {rms:.1f} N")
-    return curve, binned
+    return curve
 
 
 def _fit_rms(curve: Spline1D, binned) -> float:
@@ -128,21 +128,30 @@ def _fit_rms(curve: Spline1D, binned) -> float:
     return float(np.sqrt(np.mean(resid**2)))
 
 
+def _points_by_level(runs, config: PipelineConfig, extract) -> dict[int | None, list[np.ndarray]]:
+    """Each ``(path, level, log)`` run's ``extract(log, accel)`` rows, grouped by level,
+    estimated and extracted in run order; a protocol violation names the run's file."""
+    points: dict[int | None, list[np.ndarray]] = {}
+    for path, level, log in runs:
+        accel = estimate_acceleration(log, config.window, config.cutoff_hz)
+        try:
+            rows = extract(log, accel)
+        except ProtocolViolationError as exc:
+            raise ProtocolViolationError(f"{path}: {exc}", exc.indices) from exc
+        points.setdefault(level, []).append(rows)
+    return points
+
+
 def run_fit_friction(log_paths: list[str], config: PipelineConfig,
                      out_path: str | Path) -> Spline1D:
     """Chain estimation, friction extraction and curve fitting; write the model."""
-    parts = [np.empty((0, 2))]  # (speed, force) rows, one array per log
-    for path in log_paths:
-        log = load_drive_log(path)
-        accel = estimate_acceleration(log, config.window, config.cutoff_hz)
-        try:
-            obs = extract_friction(log, accel, config.params)
-        except ProtocolViolationError as exc:
-            raise ProtocolViolationError(f"{path}: {exc}", exc.indices) from exc
-        parts.append(obs.points())
+    runs = ((path, None, load_drive_log(path)) for path in log_paths)  # read one at a time
+    points = _points_by_level(runs, config,
+                              lambda log, accel: extract_friction(log, accel, config.params))
     anchors = config.anchors.get("friction", {}).get(None, ())
-    curve, _ = _fit_level_curve(np.concatenate(parts), anchors,
-                                config.knots_mps["friction"], config.bin_edges, "friction")
+    rows = np.concatenate(points[None]) if points else np.empty((0, 2))  # no logs: anchors only
+    curve = _fit_level_curve(rows, anchors, config.knots_mps["friction"], config.bin_edges,
+                             "friction")
     save_model(out_path, "friction", curve, _provenance(log_paths))
     return curve
 
@@ -150,37 +159,29 @@ def run_fit_friction(log_paths: list[str], config: PipelineConfig,
 def _fit_surface(kind: str, signal: str, log_paths: list[str], config: PipelineConfig,
                  out_path: str | Path, extract) -> ForceSurface:
     """Fit one ``kind`` curve per constant-``signal`` level; ``extract(run, accel)``
-    gives a run's force observations.
+    gives a run's (speed, force) rows.
 
     The levels are known once the logs are split, so a level set without 0,
     which :class:`ForceSurface` refuses, is refused there with ``FitError``,
     before any estimation or fit.
     """
-    runs = [(path, part) for path in log_paths
+    runs = [(path, int(getattr(part, signal)[0]), part) for path in log_paths
             for part in split_constant_signal(load_drive_log(path), signal)
             if len(part) >= config.window]
     if not runs:
         raise EmptySeriesError(f"no usable constant-{signal} segments in the given logs")
-    levels = sorted({int(getattr(part, signal)[0]) for _, part in runs})
+    levels = sorted({level for _, level, _ in runs})
     if levels[0] != 0:
         raise FitError(f"{kind}: the lowest level must be 0 (the released pedal), got "
                        f"levels {levels} in {', '.join(map(str, log_paths))}")
-    points_by_level: dict[int, list[np.ndarray]] = {}
-    for path, part in runs:
-        accel = estimate_acceleration(part, config.window, config.cutoff_hz)
-        try:
-            obs = extract(part, accel)
-        except ProtocolViolationError as exc:
-            raise ProtocolViolationError(f"{path}: {exc}", exc.indices) from exc
-        points_by_level.setdefault(obs.level, []).append(obs.points())
+    points = _points_by_level(runs, config, extract)
     anchors = config.anchors.get(kind, {})
     knots = config.knots_mps[kind]
     curves = []
     for level in levels:
         try:
-            curve, _ = _fit_level_curve(np.concatenate(points_by_level[level]),
-                                        anchors.get(level, ()), knots,
-                                        config.bin_edges, f"{kind} level {level}")
+            curve = _fit_level_curve(np.concatenate(points[level]), anchors.get(level, ()),
+                                     knots, config.bin_edges, f"{kind} level {level}")
         except FitError as exc:
             raise FitError(f"{kind} level {level}: {exc}") from exc
         curves.append(curve)

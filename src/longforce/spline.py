@@ -61,6 +61,13 @@ def _knot_positions(xs: Sequence[float]) -> np.ndarray:
     return x
 
 
+def _one_per_knot(xs: Sequence[float], values: Sequence[float], what: str = "value") -> None:
+    """A :class:`~longforce.errors.FitError` unless ``values`` holds one ``what`` per
+    knot position of ``xs``; checked right after :func:`_knot_positions`."""
+    if len(values) != len(xs):
+        raise FitError(f"need one {what} per knot position, got {len(values)} for {len(xs)}")
+
+
 def limited_tangents(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, ...]:
     """Hermite tangents from neighbor secants, Fritsch-Carlson limited.
 
@@ -79,8 +86,7 @@ def limited_tangents(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, .
     one value each; anything else raises :class:`~longforce.errors.FitError`.
     """
     _knot_positions(xs)
-    if len(ys) != len(xs):
-        raise FitError(f"need one value per knot position, got {len(ys)} for {len(xs)}")
+    _one_per_knot(xs, ys)
     spans = [b - a for a, b in zip(xs, xs[1:])]
     spans2 = [b - a for a, b in zip(xs, xs[2:])]
     return tuple(_limited_pass(ys, spans, spans2, len(xs) - 1))
@@ -187,14 +193,14 @@ class Spline1D:
         ys = tuple(float(y) for y in self.knots_y)
         ms = tuple(float(m) for m in self.tangents)
         _knot_positions(xs)
+        _one_per_knot(xs, ys)
+        _one_per_knot(xs, ms, "tangent")
         for name, values in (("knot value", ys), ("tangent", ms)):
             bad = [i for i, value in enumerate(values) if not math.isfinite(value)]
             if bad:
                 raise FitError(f"{name} {bad[0]} is non-finite: {values[bad[0]]}")
         if self.lower_clamp != 0:
             raise FitError(f"lower clamp must be 0, got {self.lower_clamp}")
-        if len(ys) != len(xs) or len(ms) != len(xs):
-            raise FitError("knots_x, knots_y and tangents must have equal length")
         if any(y < 0.0 for y in ys):
             raise FitError("knot values must be >= 0")
         object.__setattr__(self, "knots_x", xs)

@@ -10,12 +10,12 @@ from longforce.cli import main
 from longforce.core import DriveLog, Gear, ingest_csv, load_drive_log, save_drive_log
 from longforce.dynamics import MAX_SIMULATE_STEPS
 from longforce.errors import SchemaError
-from longforce.estimation import bin_by_speed
+from longforce.estimation import BinnedPoints, bin_by_speed
 from longforce.pipeline import (MAX_EXPORT_POINTS, load_model_set, load_pipeline_config,
                                 run_export, run_fit_brake, run_fit_friction, run_fit_propulsion,
                                 run_reference, run_simulate, run_validate)
 from longforce.reference import data_path, load_anchor_file
-from longforce.spline import limited_tangents, load_model
+from longforce.spline import fit_curve, limited_tangents, load_model, prune_unsupported_knots
 
 from conftest import coast_down_log, mixed_drive, protocol_log
 
@@ -228,6 +228,23 @@ class TestFitPipeline:
                 continue
             want = gt_models.friction.eval(float(center))
             assert abs(curve.eval(float(center)) - want) <= 0.02 * abs(want)
+
+    def test_friction_without_logs_is_fitted_from_the_anchors(self, config_path, tmp_path,
+                                                               capsys):
+        # No log leaves no (speed, force) rows, and no level to look the rows up by.
+        config = load_pipeline_config(config_path)
+        out = tmp_path / "friction.json"
+        curve = run_fit_friction([], config, out)
+        anchors = config.anchors["friction"][None]
+        knots = prune_unsupported_knots(config.knots_mps["friction"],
+                                        [a.speed_mps for a in anchors])
+        empty = BinnedPoints(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
+        want = fit_curve(empty, anchors, knots)
+        _, loaded, _ = load_model(out)
+        for got in (curve, loaded):
+            assert (np.array([got.knots_x, got.knots_y, got.tangents]).tobytes()
+                    == np.array([want.knots_x, want.knots_y, want.tangents]).tobytes())
+        assert "friction: 0 points in 0 bins" in capsys.readouterr().out
 
     def test_propulsion_fit_level_bookkeeping(self, gt_models, config_path, tmp_path):
         coast = coast_down_log(gt_models)

@@ -7,7 +7,7 @@ from unittest.mock import patch
 
 import pytest
 
-from longforce import core, spline
+from longforce import core, extraction, spline
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_bits.py"
 _spec = importlib.util.spec_from_file_location("compare_bits", SCRIPT)
@@ -56,7 +56,9 @@ def test_a_regrouped_basis_term_moves_only_the_fit_digest(small):
     before = compare_bits.digests(**small)
     with patch.object(spline, "_fit_basis", regrouped_basis):
         after = compare_bits.digests(**small)
-    assert {name for name in before if before[name] != after[name]} == {"fit_curve"}
+    # The fit stages digest runs every fit of the walkthrough, so it moves too.
+    assert {name for name in before if before[name] != after[name]} == {"fit_curve",
+                                                                        "fit stages"}
 
 
 def regrouped_curve_from_dict(obj, lower_clamp, original=spline._curve_from_dict):
@@ -70,7 +72,9 @@ def test_a_regrouped_loaded_tangent_moves_only_the_load_model_digest(small):
     before = compare_bits.digests(**small)
     with patch.object(spline, "_curve_from_dict", regrouped_curve_from_dict):
         after = compare_bits.digests(**small)
-    assert {name for name in before if before[name] != after[name]} == {"load_model"}
+    # The fit stages read each model back, and the later stages load the earlier ones.
+    assert {name for name in before if before[name] != after[name]} == {"load_model",
+                                                                        "fit stages"}
 
 
 def shifted_loadtxt_columns(csv_path, fh, indices, original=core._loadtxt_columns):
@@ -83,14 +87,25 @@ def shifted_parse_floats(cells, original=core._parse_floats):
     return values + 1.0, bad
 
 
-@pytest.mark.parametrize("name, parse", [("_loadtxt_columns", shifted_loadtxt_columns),
-                                         ("_parse_floats", shifted_parse_floats)],
-                         ids=["loadtxt", "block-path"])
-def test_a_changed_parse_moves_only_the_ingest_digest(small, name, parse):
+# The fit stages ingest the demo CSVs, which take the loadtxt path, not the block path.
+@pytest.mark.parametrize("name, parse, moved", [
+    ("_loadtxt_columns", shifted_loadtxt_columns, {"ingest_csv", "fit stages"}),
+    ("_parse_floats", shifted_parse_floats, {"ingest_csv"})], ids=["loadtxt", "block-path"])
+def test_a_changed_parse_moves_only_the_ingest_digest(small, name, parse, moved):
     before = compare_bits.digests(**small)
     with patch.object(core, name, parse):
         after = compare_bits.digests(**small)
-    assert {name for name in before if before[name] != after[name]} == {"ingest_csv"}
+    assert {name for name in before if before[name] != after[name]} == moved
+
+
+def test_a_changed_extraction_moves_only_the_fit_stages_digest(small):
+    # One newton more grade force in every extracted observation.
+    before = compare_bits.digests(**small)
+    with patch.object(extraction, "grade_force_many",
+                      lambda params, slope, original=extraction.grade_force_many:
+                      original(params, slope) + 1.0):
+        after = compare_bits.digests(**small)
+    assert {name for name in before if before[name] != after[name]} == {"fit stages"}
 
 
 def test_a_side_in_its_own_interpreter_gives_the_in_process_digests(small):

@@ -33,25 +33,55 @@ def flat_curve(value, lo=0.0, hi=40.0):
     return Spline1D.interpolate([lo, hi], [value, value])
 
 
+def extract_in_gear(protocol, params):
+    """The gear ``protocol``'s extractor requires, and the extractor with its curves bound."""
+    return {
+        "friction": (Gear.NEUTRAL, lambda log, accel: extract_friction(log, accel, params)),
+        "propulsion": (Gear.DRIVE, lambda log, accel: extract_propulsion(
+            log, accel, flat_curve(200.0), params)),
+        "braking": (Gear.DRIVE, lambda log, accel: extract_braking(
+            log, accel, flat_curve(300.0), flat_curve(300.0), params)),
+    }[protocol]
+
+
+@pytest.mark.parametrize("protocol", ["friction", "propulsion", "braking"])
+class TestObservationRows:
+    def test_rows_of_speed_and_force(self, flat_params, protocol):
+        gear, extract = extract_in_gear(protocol, flat_params)
+        log = make_log([0.01, 5.0, 10.0], gear=gear)
+        obs = extract(log, series_for(log, 0.0))
+        assert isinstance(obs, np.ndarray)
+        assert obs.shape == (2, 2) and obs.dtype == np.float64
+        assert obs[:, 0].tolist() == [5.0, 10.0]
+
+    def test_empty_log_gives_no_rows(self, flat_params, protocol):
+        # Propulsion and braking used to end in a bare IndexError from the
+        # constant-signal check, which read the first sample.
+        gear, extract = extract_in_gear(protocol, flat_params)
+        log = make_log([], gear=gear)
+        obs = extract(log, series_for(log, 0.0))
+        assert isinstance(obs, np.ndarray)
+        assert obs.shape == (0, 2) and obs.dtype == np.float64
+
+
 class TestExtractFriction:
     def test_static_balance_is_zero(self, flat_params):
         log = make_log([10.0] * 5)
         obs = extract_friction(log, series_for(log, 0.0), flat_params)
-        assert obs.level is None
-        assert np.allclose(obs.forces, 0.0)
+        assert np.allclose(obs[:, 1], 0.0)
 
     def test_deceleration_arithmetic(self, flat_params):
         # m_eq = 1720 kg, a = -0.1 on flat road: F_f = 172 N
         log = make_log([10.0] * 5)
         obs = extract_friction(log, series_for(log, -0.1), flat_params)
-        assert np.allclose(obs.forces, 172.0)
+        assert np.allclose(obs[:, 1], 172.0)
 
     def test_downhill_arithmetic(self):
         params = VehicleParams(1680.0)
         log = make_log([10.0] * 5, slope=-0.01)
         obs = extract_friction(log, series_for(log, 0.0), params)
-        assert np.allclose(obs.forces, 1680.0 * 9.81 * math.sin(0.01), atol=1e-9)
-        assert obs.forces[0] == pytest.approx(164.8, abs=0.05)
+        assert np.allclose(obs[:, 1], 1680.0 * 9.81 * math.sin(0.01), atol=1e-9)
+        assert obs[0, 1] == pytest.approx(164.8, abs=0.05)
 
     def test_wrong_gear(self, flat_params):
         log = make_log([10.0] * 5, gear=Gear.DRIVE)
@@ -77,7 +107,7 @@ class TestExtractFriction:
         log = make_log([0.01, 0.04, 0.05, 1.0, 2.0])
         obs = extract_friction(log, series_for(log, 0.0), flat_params)
         assert len(obs) == 3
-        assert obs.speeds.min() >= MIN_EXTRACTION_SPEED
+        assert obs[:, 0].min() >= MIN_EXTRACTION_SPEED
 
     def test_invalid_accel_samples_excluded(self, flat_params):
         log = make_log([10.0] * 6)
@@ -88,22 +118,22 @@ class TestExtractFriction:
 
     def test_linear_in_accel_and_slope(self, flat_params):
         log0 = make_log([10.0] * 3)
-        base = extract_friction(log0, series_for(log0, 0.0), flat_params).forces[0]
-        f_a = extract_friction(log0, series_for(log0, -1.0), flat_params).forces[0]
-        f_2a = extract_friction(log0, series_for(log0, -2.0), flat_params).forces[0]
+        base = extract_friction(log0, series_for(log0, 0.0), flat_params)[0, 1]
+        f_a = extract_friction(log0, series_for(log0, -1.0), flat_params)[0, 1]
+        f_2a = extract_friction(log0, series_for(log0, -2.0), flat_params)[0, 1]
         assert f_2a - base == pytest.approx(2.0 * (f_a - base), rel=1e-12)
         log_s = make_log([10.0] * 3, slope=-0.02)
         log_2s = make_log([10.0] * 3, slope=-0.04)
-        f_s = extract_friction(log_s, series_for(log_s, 0.0), flat_params).forces[0]
-        f_2s = extract_friction(log_2s, series_for(log_2s, 0.0), flat_params).forces[0]
+        f_s = extract_friction(log_s, series_for(log_s, 0.0), flat_params)[0, 1]
+        f_2s = extract_friction(log_2s, series_for(log_2s, 0.0), flat_params)[0, 1]
         ratio = math.sin(0.04) / math.sin(0.02)
         assert f_2s - base == pytest.approx(ratio * (f_s - base), rel=1e-12)
 
     def test_uphill_decreases_friction_estimate(self, flat_params):
         flat = make_log([10.0] * 3, slope=0.0)
         up = make_log([10.0] * 3, slope=+0.02)
-        f_flat = extract_friction(flat, series_for(flat, -0.2), flat_params).forces[0]
-        f_up = extract_friction(up, series_for(up, -0.2), flat_params).forces[0]
+        f_flat = extract_friction(flat, series_for(flat, -0.2), flat_params)[0, 1]
+        f_up = extract_friction(up, series_for(up, -0.2), flat_params)[0, 1]
         assert f_up < f_flat
 
 
@@ -111,14 +141,13 @@ class TestExtractPropulsion:
     def test_steady_state_balances_friction(self, flat_params):
         log = make_log([10.0] * 5, throttle=40, gear=Gear.DRIVE)
         obs = extract_propulsion(log, series_for(log, 0.0), flat_curve(200.0), flat_params)
-        assert obs.level == 40
-        assert np.allclose(obs.forces, 200.0)
+        assert np.allclose(obs[:, 1], 200.0)
 
     def test_acceleration_arithmetic(self, flat_params):
         # F_f = 250 N, a = 3 m/s^2, m_eq = 1720: F_p = 5410 N
         log = make_log([10.0] * 5, throttle=100, gear=Gear.DRIVE)
         obs = extract_propulsion(log, series_for(log, 3.0), flat_curve(250.0), flat_params)
-        assert np.allclose(obs.forces, 5410.0)
+        assert np.allclose(obs[:, 1], 5410.0)
 
     def test_wrong_gear(self, flat_params):
         log = make_log([10.0] * 5, throttle=40, gear=Gear.NEUTRAL)
@@ -149,9 +178,9 @@ class TestExtractPropulsion:
         log = protocol_log(gt_models, 100, 0, 0.0, 60.0, Gear.DRIVE)
         accel = estimate_acceleration(log, 21, 5.0)
         obs = extract_propulsion(log, accel, gt_models.friction, gt_models.params)
-        want = np.array([gt_models.propulsion.eval(v, 100) for v in obs.speeds])
-        err = np.abs(obs.forces - want)
-        assert err[obs.speeds >= 2.5].max() <= 25.0
+        want = np.array([gt_models.propulsion.eval(v, 100) for v in obs[:, 0]])
+        err = np.abs(obs[:, 1] - want)
+        assert err[obs[:, 0] >= 2.5].max() <= 25.0
         assert err.max() <= 120.0
 
     def test_round_trip_identity(self, gt_models):
@@ -170,18 +199,18 @@ class TestExtractPropulsion:
             f_p0 = gt_models.propulsion.curves[0].eval(v)
 
             coast = make_log([v] * 3, slope=slope, gear=Gear.NEUTRAL)
-            f = extract_friction(coast, series_for(coast, a), gt_models.params).forces[0]
+            f = extract_friction(coast, series_for(coast, a), gt_models.params)[0, 1]
             assert (-grade - f - 0.0 + 0.0) / m_eq == pytest.approx(a, abs=1e-12)
 
             run = make_log([v] * 3, throttle=80, slope=slope, gear=Gear.DRIVE)
             f = extract_propulsion(run, series_for(run, a), gt_models.friction,
-                                   gt_models.params).forces[0]
+                                   gt_models.params)[0, 1]
             assert (f - grade - f_f - 0.0) / m_eq == pytest.approx(a, abs=1e-12)
 
             stop = make_log([v] * 3, brake=60, slope=slope, gear=Gear.DRIVE)
             f = extract_braking(stop, series_for(stop, a), gt_models.friction,
                                 gt_models.propulsion.curves[0],
-                                gt_models.params).forces[0]
+                                gt_models.params)[0, 1]
             assert (f_p0 - grade - f_f - f) / m_eq == pytest.approx(a, abs=1e-12)
 
 
@@ -190,15 +219,14 @@ class TestExtractBraking:
         log = make_log([10.0] * 5, brake=20, gear=Gear.DRIVE)
         obs = extract_braking(log, series_for(log, 0.0), flat_curve(300.0),
                               flat_curve(300.0), flat_params)
-        assert obs.level == 20
-        assert np.allclose(obs.forces, 0.0)
+        assert np.allclose(obs[:, 1], 0.0)
 
     def test_deceleration_arithmetic(self, flat_params):
         # F_p0 = 0, F_f = 400, a = -2: F_b = 3040 N at m_eq = 1720
         log = make_log([10.0] * 5, brake=120, gear=Gear.DRIVE)
         obs = extract_braking(log, series_for(log, -2.0), flat_curve(400.0),
                               flat_curve(0.0), flat_params)
-        assert np.allclose(obs.forces, 3040.0)
+        assert np.allclose(obs[:, 1], 3040.0)
 
     def test_nonzero_throttle_rejected(self, flat_params):
         log = make_log([10.0] * 5, throttle=5, brake=20, gear=Gear.DRIVE)
@@ -223,9 +251,9 @@ class TestExtractBraking:
         accel = estimate_acceleration(log, 21, 5.0)
         obs = extract_braking(log, accel, gt_models.friction,
                               gt_models.propulsion.curves[0], gt_models.params)
-        want = np.array([gt_models.braking.eval(v, 120) for v in obs.speeds])
-        err = np.abs(obs.forces - want)
-        assert err[obs.speeds >= 2.5].max() <= 25.0
+        want = np.array([gt_models.braking.eval(v, 120) for v in obs[:, 0]])
+        err = np.abs(obs[:, 1] - want)
+        assert err[obs[:, 0] >= 2.5].max() <= 25.0
         assert err.max() <= 250.0
 
 

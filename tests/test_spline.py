@@ -16,7 +16,7 @@ from longforce.spline import (Anchor, ForceSurface, Spline1D,
                               check_signal_monotone, fit_curve, limited_tangents,
                               load_model, model_from_dict, model_to_dict,
                               prune_unsupported_knots, save_model,
-                              unsupported_knots)
+                              unsupported_knots, _hermite)
 
 
 def model_bits(model):
@@ -24,6 +24,12 @@ def model_bits(model):
     curves = model.curves if isinstance(model, ForceSurface) else (model,)
     return [np.array([*c.knots_x, *c.knots_y, *c.tangents, c.lower_clamp]).tobytes()
             for c in curves]
+
+
+def write_json(path, obj):
+    """``obj`` written as JSON at ``path``; returns the path."""
+    path.write_text(json.dumps(obj))
+    return path
 
 
 def binned(centers, values, counts=None):
@@ -150,18 +156,31 @@ class TestLimitedTangents:
             limited_tangents(xs, ys)
 
     @pytest.mark.parametrize("call, message", [
-        (lambda: limited_tangents([0.0, 1.0, 2.0], [0.0, 1.0, 5.0, 7.0]),
+        (lambda tmp: limited_tangents([0.0, 1.0, 2.0], [0.0, 1.0, 5.0, 7.0]),
          "need one value per knot position, got 4 for 3"),
-        (lambda: limited_tangents([0.0, 1.0], [0.0]),
+        (lambda tmp: limited_tangents([0.0, 1.0], [0.0]),
          "need one value per knot position, got 1 for 2"),
-        (lambda: Spline1D.interpolate([0.0, 1.0, 2.0], [0.0, 1.0]),
+        (lambda tmp: Spline1D.interpolate([0.0, 1.0, 2.0], [0.0, 1.0]),
+         "need one value per knot position, got 2 for 3"),
+        (lambda tmp: Spline1D([0.0, 1.0, 2.0], [0.0, 1.0], [0.0, 0.0, 0.0]),
+         "need one value per knot position, got 2 for 3"),
+        (lambda tmp: Spline1D([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0, 0.0]),
+         "need one tangent per knot position, got 4 for 3"),
+        (lambda tmp: load_model(write_json(tmp / "friction.json", {
+            "kind": "friction", "curves": [{"knots_x_mps": [0.0, 1.0, 2.0],
+                                            "knots_y_N": [0.0, 1.0]}]})),
+         "{tmp}/friction.json: malformed friction model: "
          "need one value per knot position, got 2 for 3")],
-        ids=["extra-value", "missing-value", "interpolate"])
-    def test_one_value_per_position(self, call, message):
-        # The first used to drop the value 7.0 silently; the others ended in
-        # a bare IndexError.
-        with pytest.raises(FitError, match=f"^{message}$"):
-            call()
+        ids=["extra-value", "missing-value", "interpolate", "Spline1D", "Spline1D-tangent",
+             "load_model"])
+    def test_one_value_per_position(self, tmp_path, call, message):
+        # The first used to drop the value 7.0 silently; the next two ended in
+        # a bare IndexError. Spline1D said "knots_x, knots_y and tangents must
+        # have equal length"; one count rule now gives one message everywhere.
+        with pytest.raises((FitError, SchemaError)) as exc:
+            call(tmp_path)
+        assert str(exc.value) == message.format(tmp=tmp_path)
+        assert isinstance(exc.value, SchemaError if "{tmp}" in message else FitError)
 
 
 class TestFitCurve:
@@ -393,27 +412,76 @@ def outcome(fn, *args):
         return str(exc)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_fit_curve_equals_its_loop_oracle(data):
-    knots = data.draw(knot_layouts())
-    centers = data.draw(points_for(knots, 4 * len(knots)))
-    case = data.draw(st.integers(0, 9))
+@st.composite
+def fit_inputs(draw):
+    """Bins, anchors and knots for ``fit_curve``: some bins on the last knot or past
+    the span, some cases with anchors only."""
+    knots = draw(knot_layouts())
+    centers = draw(points_for(knots, 4 * len(knots)))
+    case = draw(st.integers(0, 9))
     if case < 3:
         centers.append(knots[-1])  # a bin exactly on the last knot
     elif case < 5:
         centers = []               # anchors only
     elif case == 5:
-        centers.append(data.draw(st.floats(knots[-1] + 0.01, knots[-1] + 5.0)))  # past the span
+        centers.append(draw(st.floats(knots[-1] + 0.01, knots[-1] + 5.0)))  # past the span
     forces = st.floats(-500.0, 3000.0)
-    bins = binned(centers, data.draw(st.lists(forces, min_size=len(centers),
-                                              max_size=len(centers))),
-                  data.draw(st.lists(st.integers(1, 500), min_size=len(centers),
-                                     max_size=len(centers))))
-    anchors = [Anchor(x, data.draw(forces), data.draw(st.floats(0.5, 100.0)))
-               for x in data.draw(points_for(knots, 2 * len(knots)))]
-    assert outcome(fit_curve, bins, anchors, knots) == \
-        outcome(fit_curve_loop, bins, anchors, knots)
+    bins = binned(centers, draw(st.lists(forces, min_size=len(centers),
+                                         max_size=len(centers))),
+                  draw(st.lists(st.integers(1, 500), min_size=len(centers),
+                                max_size=len(centers))))
+    anchors = [Anchor(x, draw(forces), draw(st.floats(0.5, 100.0)))
+               for x in draw(points_for(knots, 2 * len(knots)))]
+    return bins, anchors, knots
+
+
+@settings(max_examples=300, deadline=None)
+@given(fit_inputs())
+def test_fit_curve_equals_its_loop_oracle(case):
+    assert outcome(fit_curve, *case) == outcome(fit_curve_loop, *case)
+
+
+def segment_sums(curve, samples=64):
+    """Per segment, its two knot values and its unclamped Hermite sum at ``samples`` + 1
+    speeds across it; ``spline._hermite`` keeps ``eval``'s operation order."""
+    xs, ys, ms = curve.knots_x, curve.knots_y, curve.tangents
+    for i in range(len(xs) - 1):
+        h = xs[i + 1] - xs[i]
+        t = (xs[i] + h * np.linspace(0.0, 1.0, samples + 1) - xs[i]) / h
+        yield ys[i], ys[i + 1], _hermite(t, ys[i], ys[i + 1], ms[i], ms[i + 1], h)
+
+
+def leaves_its_knot_values(curve, ulps=4):
+    """Whether a segment's sum leaves the range of its two knot values by more than
+    ``ulps`` ulps of the larger one."""
+    return any(y.min() < min(y0, y1) - ulps * np.spacing(max(y0, y1))
+               or y.max() > max(y0, y1) + ulps * np.spacing(max(y0, y1))
+               for y0, y1, y in segment_sums(curve))
+
+
+def test_excursion_check_flags_unlimited_tangents():
+    # The neighbour secant at the middle knot, not limited, overshoots the plateau.
+    assert leaves_its_knot_values(Spline1D([0.0, 1.0, 2.0], [0.0, 10.0, 10.0], [10.0, 5.0, 0.0]))
+    assert not leaves_its_knot_values(Spline1D.interpolate([0.0, 1.0, 2.0], [0.0, 10.0, 10.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_built_curves_stay_within_their_knot_values(data):
+    # Every curve the package builds, interpolated or fitted, keeps each segment
+    # within its knot values up to 4 ulps and never below 0, so the clamps at 0 in
+    # eval and eval_many never act on it.
+    knots = data.draw(knot_layouts())
+    values = st.one_of(st.floats(0.0, 1e4), st.sampled_from([0.0, 500.0]))
+    curves = [Spline1D.interpolate(knots, data.draw(st.lists(values, min_size=len(knots),
+                                                             max_size=len(knots))))]
+    try:
+        curves.append(fit_curve(*data.draw(fit_inputs())))
+    except FitError:
+        pass
+    for curve in curves:
+        assert not leaves_its_knot_values(curve)
+        assert all((y >= 0.0).all() for _, _, y in segment_sums(curve))
 
 
 @settings(max_examples=300, deadline=None)
