@@ -15,6 +15,8 @@ message of every error raised:
 * ``ForceSurface.eval``, ``eval_many`` and ``invert`` on the reference
   propulsion and braking surfaces (shared knot grids) and on a propulsion
   surface with one grid per level;
+* ``direct_acceleration`` and ``direct_acceleration_many`` on the reference
+  models (the acceleration and the three forces), at the special speeds too;
 * ``inverse_actuation`` on the reference models;
 * ``simulate`` on the four scenarios of the ``simulate`` benchmark;
 * ``fit_curve``, ``unsupported_knots`` and ``prune_unsupported_knots`` on
@@ -189,6 +191,30 @@ def fit_stages(telemetry: Path) -> "Digest":
     return digest
 
 
+def direct_model(result):
+    """A direct model's ``(accel, (f_p, f_f, f_b))`` as one float array, accel first.
+
+    The forces may come as a tuple or, as a base commit may return them, as a
+    ``ForceBreakdown``; both give the same array.
+    """
+    import numpy as np
+
+    accel, forces = result
+    if hasattr(forces, "propulsion"):
+        forces = (forces.propulsion, forces.friction, forces.braking)
+    return np.concatenate([np.ravel(accel), *map(np.ravel, forces)])
+
+
+def inversion(result):
+    """``ForceSurface.invert``'s ``(signal, saturated, underflow)`` as a float array,
+    from a tuple or from a base commit's ``InversionResult``."""
+    import numpy as np
+
+    if hasattr(result, "signal"):
+        result = (result.signal, result.saturated, result.underflow)
+    return np.array(result, dtype=float)
+
+
 class Digest:
     """SHA-256 over floats (their IEEE-754 bytes) and raised errors (type and message)."""
 
@@ -205,9 +231,7 @@ class Digest:
         except Exception as exc:  # the error is part of the answer
             self.h.update(f"{type(exc).__name__}: {exc}".encode())
             return
-        if hasattr(result, "signal"):    # InversionResult
-            self.floats((result.signal, result.saturated, result.underflow))
-        elif hasattr(result, "throttle"):  # ActuationCommand
+        if hasattr(result, "throttle"):  # ActuationCommand
             self.floats((result.throttle, result.brake, result.saturated, result.underflow))
         elif hasattr(result, "speed"):   # Trajectory
             for column in (result.t, result.speed, result.accel, result.f_p, result.f_f,
@@ -277,14 +301,31 @@ def digests(seed: int, queries: int = QUERIES, scale: float = 1.0,
         top = max(surface.cross_section(20.0))
         forces = [math.nan, -math.inf, math.inf, 0.0, -1.0,
                   *rng.uniform(-100.0, top * 1.1, len(v) - 5)]
+
+        def invert(x, f, surface=surface):
+            return inversion(surface.invert(x, f))
+
         for x, f in zip(v, forces):
-            inverts.call(surface.invert, x, f)
+            inverts.call(invert, x, f)
         for x, s in finite[:queries // 4]:  # forces the surface itself reaches
             if surface.levels[0] < s < surface.levels[-1]:
-                inverts.call(surface.invert, x, surface.eval(x, s))
+                inverts.call(invert, x, surface.eval(x, s))
         out[f"ForceSurface.eval {name}"] = evals
         out[f"ForceSurface.eval_many {name}"] = many
         out[f"ForceSurface.invert {name}"] = inverts
+
+    # Zero throttle (regen on) and zero brake in a third of the rows each.
+    v = speeds()
+    pedals = [[0.0 if rng.random() < 1 / 3 else rng.uniform(-10.0, surface.levels[-1] + 10.0)
+               for _ in v] for surface in (prop, models.braking)]
+    rows = list(zip(v, *pedals, rng.uniform(-0.12, 0.12, len(v)).tolist()))
+    direct = out["direct_acceleration"] = Digest()
+    for row in rows:
+        direct.call(lambda row: direct_model(lf.direct_acceleration(models, *row)), row)
+    direct_many = out["direct_acceleration_many"] = Digest()
+    # The finite rows, then all rows, which names the first non-finite one.
+    for chosen in ([row for row in rows if math.isfinite(row[0])], rows):
+        direct_many.call(lambda: direct_model(lf.direct_acceleration_many(models, *zip(*chosen))))
 
     inverse = Digest()
     for x, slope, accel in zip(rng.uniform(0.0, 40.0, queries).tolist(),

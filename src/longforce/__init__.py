@@ -10,9 +10,8 @@ acceleration.
 
 from .core import (DriveLog, Gear, VehicleParams, Wheel, equivalent_mass, kmh_to_mps,
                    load_vehicle_params, mps_to_kmh, total_mass)
-from .dynamics import (ActuationCommand, ForceBreakdown, ModelSet, Trajectory,
-                       direct_acceleration, direct_acceleration_many,
-                       inverse_actuation, simulate)
+from .dynamics import (ActuationCommand, ModelSet, Trajectory, direct_acceleration,
+                       direct_acceleration_many, inverse_actuation, simulate)
 from .errors import (EmptyReportError, EmptySeriesError, FitError, InversionError,
                      InvalidParameterError, LongforceError, ProtocolViolationError,
                      SchemaError, SegmentSplitRequired)
@@ -21,22 +20,21 @@ from .estimation import (AccelSeries, BinnedPoints, bin_by_speed,
 from .extraction import (extract_braking, extract_friction, extract_propulsion,
                          split_constant_signal)
 from .reference import neutral_model_set, reference_model_set
-from .spline import (Anchor, ForceSurface, InversionResult, Spline1D,
-                     check_signal_monotone, fit_curve, load_model, save_model)
+from .spline import (Anchor, ForceSurface, Spline1D, check_signal_monotone, fit_curve,
+                     load_model, save_model)
 from .validation import ErrorReport, render_table, report_to_dict, validate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AccelSeries", "ActuationCommand", "Anchor", "BinnedPoints", "DriveLog",
-    "EmptyReportError", "EmptySeriesError", "ErrorReport", "FitError", "ForceBreakdown",
-    "ForceSurface", "Gear", "InvalidParameterError", "InversionError",
-    "InversionResult", "LongforceError", "ModelSet", "ProtocolViolationError",
-    "SchemaError", "SegmentSplitRequired", "Spline1D", "Trajectory", "VehicleParams",
-    "Wheel", "bin_by_speed", "check_signal_monotone", "direct_acceleration",
-    "direct_acceleration_many", "equivalent_mass", "estimate_acceleration",
-    "extract_braking", "extract_friction", "extract_propulsion", "fit_curve",
-    "inverse_actuation", "kmh_to_mps", "load_model", "load_vehicle_params",
+    "EmptyReportError", "EmptySeriesError", "ErrorReport", "FitError", "ForceSurface",
+    "Gear", "InvalidParameterError", "InversionError", "LongforceError", "ModelSet",
+    "ProtocolViolationError", "SchemaError", "SegmentSplitRequired", "Spline1D",
+    "Trajectory", "VehicleParams", "Wheel", "bin_by_speed", "check_signal_monotone",
+    "direct_acceleration", "direct_acceleration_many", "equivalent_mass",
+    "estimate_acceleration", "extract_braking", "extract_friction", "extract_propulsion",
+    "fit_curve", "inverse_actuation", "kmh_to_mps", "load_model", "load_vehicle_params",
     "log_spaced_edges", "mps_to_kmh", "neutral_model_set", "reference_model_set",
     "render_table", "report_to_dict", "save_model", "simulate", "split_constant_signal",
     "total_mass", "validate",

@@ -326,6 +326,13 @@ def _write_json_array(fh, column: np.ndarray) -> None:
 
 
 def load_drive_log(path: str | Path) -> DriveLog:
+    """The drive log stored at ``path`` by :func:`save_drive_log`.
+
+    The file must be a JSON object whose ``format`` is ``longforce-drivelog-v1``.
+    Any other file, and any bad value in one, raises :class:`SchemaError`
+    naming the path; a non-finite time, speed or slope is named by its column
+    and row. A missing or unreadable file raises ``OSError``.
+    """
     obj = read_json(path)
     if obj.get("format") != DRIVELOG_FORMAT:
         raise SchemaError(f"{path}: not a {DRIVELOG_FORMAT} file")

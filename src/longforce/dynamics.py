@@ -51,13 +51,6 @@ class ModelSet:
 
 
 @dataclass(frozen=True)
-class ForceBreakdown:
-    propulsion: float
-    friction: float
-    braking: float
-
-
-@dataclass(frozen=True)
 class ActuationCommand:
     """A feedforward command: exactly one of throttle/brake may be nonzero.
 
@@ -75,9 +68,16 @@ class ActuationCommand:
             raise ValueError("throttle and brake must never both be nonzero")
 
 
-def _forces(models: ModelSet, v: float, throttle: float, brake: float,
-            slope: float) -> tuple[float, float, float, float]:
-    """``(accel, f_p, f_f, f_b)`` at one operating point; see :func:`direct_acceleration`."""
+def direct_acceleration(models: ModelSet, v: float, throttle: float, brake: float,
+                        slope: float) -> tuple[float, tuple[float, float, float]]:
+    """``(accel, (f_p, f_f, f_b))`` at one operating point.
+
+    Braking force: at zero throttle the braking surface applies as-is (its
+    level 0 is the regenerative curve); with throttle applied regen is
+    deactivated, so only an explicit brake command produces braking force.
+    Raises :class:`~longforce.errors.InvalidParameterError` naming a
+    non-finite value.
+    """
     # The sum is one test on the hot path; it also overflows on finite values
     # near the float limits, which then pass the per-value test.
     if not math.isfinite(v + throttle + brake + slope) and not all(
@@ -89,29 +89,18 @@ def _forces(models: ModelSet, v: float, throttle: float, brake: float,
     f_p = models.propulsion.eval(v, throttle)
     f_b = models.braking.eval(v, brake) if throttle == 0.0 or brake > 0.0 else 0.0
     accel = (f_p - grade_force(models.params, slope) - f_f - f_b) / models.m_eq
-    return accel, f_p, f_f, f_b
-
-
-def direct_acceleration(models: ModelSet, v: float, throttle: float, brake: float,
-                        slope: float) -> tuple[float, ForceBreakdown]:
-    """Acceleration and force breakdown for one operating point.
-
-    Braking force: at zero throttle the braking surface applies as-is (its
-    level 0 is the regenerative curve); with throttle applied regen is
-    deactivated, so only an explicit brake command produces braking force.
-    """
-    accel, f_p, f_f, f_b = _forces(models, v, throttle, brake, slope)
-    return accel, ForceBreakdown(f_p, f_f, f_b)
+    return accel, (f_p, f_f, f_b)
 
 
 def direct_acceleration_many(models: ModelSet, v, throttle, brake,
-                             slope) -> tuple[np.ndarray, ForceBreakdown]:
-    """Array form of :func:`direct_acceleration`, one row per operating point.
+                             slope) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Array form of :func:`direct_acceleration`: ``(accel, (f_p, f_f, f_b))``, one
+    array row per operating point.
 
     The inputs broadcast against each other. Each row equals the scalar
-    result bit for bit, with the same regen rule; the breakdown holds one
-    array per force. Raises :class:`~longforce.errors.InvalidParameterError`
-    naming the first row with a non-finite value.
+    result bit for bit, with the same regen rule. Raises
+    :class:`~longforce.errors.InvalidParameterError` naming the first row
+    with a non-finite value.
     """
     v, throttle, brake, slope = np.broadcast_arrays(
         *(np.asarray(col, dtype=float).ravel() for col in (v, throttle, brake, slope)))
@@ -128,7 +117,7 @@ def direct_acceleration_many(models: ModelSet, v, throttle, brake,
     f_b[braking] = models.braking.eval_many(v[braking], brake[braking])
     grade = grade_force_many(models.params, slope)
     accel = (f_p - grade - f_f - f_b) / models.m_eq
-    return accel, ForceBreakdown(f_p, f_f, f_b)
+    return accel, (f_p, f_f, f_b)
 
 
 @dataclass(frozen=True)
@@ -188,7 +177,8 @@ def simulate(models: ModelSet, schedule: Schedule, v0: float, dt: float,
     for k in range(steps + 1):
         t = k * dt
         throttle, brake, slope = schedule(t)
-        a, fp_out[k], ff_out[k], fb_out[k] = _forces(models, v, throttle, brake, slope)
+        a, (fp_out[k], ff_out[k], fb_out[k]) = direct_acceleration(models, v, throttle,
+                                                                   brake, slope)
         at_rest = v == 0.0 and a <= 0.0
         t_out[k] = t
         v_out[k] = v
@@ -201,12 +191,12 @@ def simulate(models: ModelSet, schedule: Schedule, v0: float, dt: float,
         # call: -0.0 and NaN pass through as they did.
         throttle, brake, slope = schedule(t + 0.5 * dt)
         x = v + 0.5 * dt * a
-        k2 = _forces(models, 0.0 if 0.0 > x else x, throttle, brake, slope)[0]
+        k2 = direct_acceleration(models, 0.0 if 0.0 > x else x, throttle, brake, slope)[0]
         x = v + 0.5 * dt * k2
-        k3 = _forces(models, 0.0 if 0.0 > x else x, throttle, brake, slope)[0]
+        k3 = direct_acceleration(models, 0.0 if 0.0 > x else x, throttle, brake, slope)[0]
         throttle, brake, slope = schedule(t + dt)
         x = v + dt * k3
-        k4 = _forces(models, 0.0 if 0.0 > x else x, throttle, brake, slope)[0]
+        k4 = direct_acceleration(models, 0.0 if 0.0 > x else x, throttle, brake, slope)[0]
         x = v + dt / 6.0 * (a + 2.0 * k2 + 2.0 * k3 + k4)
         v = 0.0 if 0.0 > x else x
 
@@ -233,12 +223,10 @@ def inverse_actuation(models: ModelSet, v: float, slope: float,
     f_req = models.m_eq * desired_accel + grade + models.friction.eval(v)
     f_p0 = models.propulsion.eval(v, 0.0)
     if f_req >= f_p0:
-        inv = models.propulsion.invert(v, f_req)
-        return ActuationCommand(throttle=inv.signal, brake=0.0,
-                                saturated=inv.saturated, underflow=inv.underflow)
-    inv = models.braking.invert(v, f_p0 - f_req)
-    return ActuationCommand(throttle=0.0, brake=inv.signal,
-                            saturated=inv.saturated, underflow=inv.underflow)
+        throttle, saturated, underflow = models.propulsion.invert(v, f_req)
+        return ActuationCommand(throttle, 0.0, saturated, underflow)
+    brake, saturated, underflow = models.braking.invert(v, f_p0 - f_req)
+    return ActuationCommand(0.0, brake, saturated, underflow)
 
 
 def step_hold_schedule(rows: list[tuple[float, float, float, float]]) -> Schedule:

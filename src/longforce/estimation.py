@@ -20,6 +20,11 @@ from .errors import EmptySeriesError, InvalidParameterError
 
 DEFAULT_WINDOW = 21
 DEFAULT_CUTOFF_HZ = 5.0
+#: Most bins :func:`log_spaced_edges` makes. Every edge is allocated and
+#: :func:`bin_by_speed` scans the points once per bin, so a count of 10^9
+#: asked for 8 GB of edges; 10 000 bins over 0.05-40 m/s are each under
+#: 0.07 % wide, finer than a speed signal resolves.
+MAX_BIN_COUNT = 10_000
 
 #: Windows per block in :func:`_window_slopes` (two 2048 x 51 float blocks
 #: are about 1.7 MB).
@@ -163,6 +168,8 @@ def log_spaced_edges(lo: float = 0.05, hi: float = 40.0, count: int = 40) -> np.
         raise InvalidParameterError("need 0 < lo < hi < inf for log-spaced bin edges")
     if count < 1:
         raise InvalidParameterError(f"bin count must be >= 1, got {count}")
+    if count > MAX_BIN_COUNT:
+        raise InvalidParameterError(f"bin count must be <= {MAX_BIN_COUNT}, got {count}")
     return np.geomspace(lo, hi, count + 1)
 
 

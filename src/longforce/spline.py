@@ -415,15 +415,6 @@ class Anchor:
 
 
 @dataclass(frozen=True)
-class InversionResult:
-    """Signal returned by a surface inversion, with saturation bookkeeping."""
-
-    signal: float
-    saturated: bool = False
-    underflow: bool = False
-
-
-@dataclass(frozen=True)
 class ForceSurface:
     """Force as a function of (speed, command signal).
 
@@ -602,8 +593,8 @@ class ForceSurface:
         out[between] = np.where(0.0 > y, 0.0, y)
         return out
 
-    def invert(self, v: float, force: float) -> InversionResult:
-        """A signal whose force at speed ``v`` reaches ``force``, the smallest to ``SIGNAL_TOL``.
+    def invert(self, v: float, force: float) -> tuple[float, bool, bool]:
+        """``(signal, saturated, underflow)``: the smallest signal reaching ``force`` at ``v``.
 
         Bisection on the one cross-section at ``v``, read once per call: each
         step runs ``_along_signal`` on it, ``eval(v, mid)`` bit for bit. It returns
@@ -629,9 +620,9 @@ class ForceSurface:
         lo, hi = float(self.levels[0]), float(self.levels[-1])
         f_lo, f_hi = values[0], values[-1]
         if force <= f_lo:
-            return InversionResult(lo, underflow=force < f_lo)
+            return lo, False, force < f_lo
         if force > f_hi:
-            return InversionResult(hi, saturated=True)
+            return hi, True, False
         if math.isnan(force):
             raise InvalidParameterError("force is NaN")
         # Invariant: eval(lo) < force <= eval(hi). Every mid lies strictly
@@ -643,7 +634,7 @@ class ForceSurface:
                 hi = mid
             else:
                 lo = mid
-        return InversionResult(hi)
+        return hi, False, False
 
 
 def check_signal_monotone(surface: ForceSurface, speeds=None) -> None:

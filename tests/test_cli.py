@@ -10,7 +10,7 @@ from longforce.cli import main
 from longforce.core import DriveLog, Gear, ingest_csv, load_drive_log, save_drive_log
 from longforce.dynamics import MAX_SIMULATE_STEPS
 from longforce.errors import SchemaError
-from longforce.estimation import BinnedPoints, bin_by_speed
+from longforce.estimation import MAX_BIN_COUNT, BinnedPoints, bin_by_speed
 from longforce.pipeline import (MAX_EXPORT_POINTS, load_model_set, load_pipeline_config,
                                 run_export, run_fit_brake, run_fit_friction, run_fit_propulsion,
                                 run_reference, run_simulate, run_validate)
@@ -748,12 +748,15 @@ class TestMainOutOfRange:
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("bins", "count", 0, "bin count must be >= 1, got 0"),
+        # Used to ask np.geomspace for 8 GB of edges at a count of 10^9.
+        ("bins", "count", 10**9, f"bin count must be <= {MAX_BIN_COUNT}, got {10**9}"),
         ("estimator", "window", 4, "window must be an odd integer >= 3, got 4"),
         ("estimator", "cutoff_hz", 0, "cutoff_hz must be finite and > 0, got 0.0"),
         ("estimator", "cutoff_hz", -1, "cutoff_hz must be finite and > 0, got -1.0"),
         ("knots_mps", "friction", [], "knots_mps for friction: "
                                       "need at least 2 knot positions, got 0")],
-        ids=["bins-count-0", "window-4", "cutoff-0", "cutoff-neg", "knots-empty"])
+        ids=["bins-count-0", "bins-count-huge", "window-4", "cutoff-0", "cutoff-neg",
+             "knots-empty"])
     def test_config_value_is_2(self, inputs, tmp_path, capsys, section, key, value, message):
         path = inputs["config"]
         obj = json.loads(path.read_text())
@@ -761,6 +764,7 @@ class TestMainOutOfRange:
         path.write_text(json.dumps(obj))
         assert main(cli_argv("fit-friction", inputs, str(tmp_path / "out"))) == 2
         assert capsys.readouterr().err == f"error: {path}: invalid pipeline config: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_config_without_a_kinds_knots_is_2(self, inputs, tmp_path, capsys):
         # fit-brake used to load, estimate and extract every log, then fail

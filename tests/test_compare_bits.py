@@ -40,8 +40,10 @@ def test_a_changed_grade_force_moves_only_its_callers(small):
                lambda params, slope: params.weight_n * math.sin(slope) + 1.0):
         after = compare_bits.digests(**small)
     moved = {name for name in before if before[name] != after[name]}
-    assert moved == {"inverse_actuation", "simulate mixed_drive", "simulate stop_and_go",
-                     "simulate neutral_coast_down", "simulate full_throttle_launch"}
+    # The array form reads grade_force_many, which is left as it was.
+    assert moved == {"direct_acceleration", "inverse_actuation", "simulate mixed_drive",
+                     "simulate stop_and_go", "simulate neutral_coast_down",
+                     "simulate full_throttle_launch"}
 
 
 def regrouped_basis(k, xs, original=spline._fit_basis):

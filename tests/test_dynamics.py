@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from longforce import dynamics
 from longforce.core import equivalent_mass
 from longforce.dynamics import (MAX_SIMULATE_STEPS, ActuationCommand, ModelSet,
                                 direct_acceleration, inverse_actuation, load_schedule_csv,
@@ -39,26 +40,26 @@ class TestDirectAcceleration:
                           flat_surface({0: 0.0}), flat_params)
         a, forces = direct_acceleration(models, 0.0, 0, 0, 0.0)
         assert a == 0.0
-        assert (forces.propulsion, forces.friction, forces.braking) == (0.0, 0.0, 0.0)
+        assert forces == (0.0, 0.0, 0.0)
 
     def test_full_throttle_arithmetic(self, toy_models):
         # (6300 - 400) / 1720 = 3.43 m/s^2
-        a, forces = direct_acceleration(toy_models, 5.0, 186, 0, 0.0)
-        assert forces.propulsion == 6300.0 and forces.braking == 0.0
+        a, (f_p, _, f_b) = direct_acceleration(toy_models, 5.0, 186, 0, 0.0)
+        assert f_p == 6300.0 and f_b == 0.0
         assert a == pytest.approx(3.43, abs=0.005)
 
     def test_regen_active_only_at_zero_throttle(self, toy_models):
-        a0, f0 = direct_acceleration(toy_models, 10.0, 0, 0, 0.0)
-        assert f0.braking == 500.0  # regen
-        a1, f1 = direct_acceleration(toy_models, 10.0, 50, 0, 0.0)
-        assert f1.braking == 0.0  # throttle deactivates regen
+        _, (_, _, f_b0) = direct_acceleration(toy_models, 10.0, 0, 0, 0.0)
+        assert f_b0 == 500.0  # regen
+        _, (_, _, f_b1) = direct_acceleration(toy_models, 10.0, 50, 0, 0.0)
+        assert f_b1 == 0.0  # throttle deactivates regen
         assert toy_models.braking.eval(10.0, 0) > 0.0
 
     def test_disc_brake_applies_with_throttle(self, toy_models):
         # mixed commands never come from the inverse model, but logs may
         # contain them: an explicit brake acts regardless of throttle
-        _, forces = direct_acceleration(toy_models, 10.0, 50, 160, 0.0)
-        assert forces.braking == 3000.0
+        _, (_, _, f_b) = direct_acceleration(toy_models, 10.0, 50, 160, 0.0)
+        assert f_b == 3000.0
 
     def test_slope_term(self, toy_models):
         a_flat, _ = direct_acceleration(toy_models, 10.0, 186, 0, 0.0)
@@ -180,6 +181,23 @@ class TestSimulate:
         assert np.all(traj.f_p == 6300.0)
         assert np.all(traj.f_f == 400.0)
         assert np.all(traj.f_b == 0.0)
+
+    @pytest.mark.parametrize("throttle, v0, calls", [(186, 10.0, 4 * 100 + 1), (0, 0.0, 101)],
+                             ids=["moving", "at-rest"])
+    def test_one_direct_acceleration_call_per_stage(self, toy_models, monkeypatch, throttle,
+                                                    v0, calls):
+        # A moving step evaluates the public direct model at its four RK4
+        # stages; a step at rest, and the last row, only at the first.
+        seen = []
+
+        def counting(*args):
+            seen.append(args)
+            return direct_acceleration(*args)
+
+        monkeypatch.setattr(dynamics, "direct_acceleration", counting)
+        traj = simulate(toy_models, lambda t: (throttle, 0, 0.0), v0, 0.01, 1.0)
+        assert len(seen) == calls
+        assert (traj.speed[-1] > v0) == (throttle > 0)
 
 
 class TestInverseActuation:

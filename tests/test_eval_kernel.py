@@ -35,7 +35,7 @@ from longforce.dynamics import (ModelSet, direct_acceleration,  # noqa: E402
 from longforce.errors import FitError, InvalidParameterError, InversionError  # noqa: E402
 from longforce.estimation import AccelSeries, estimate_acceleration  # noqa: E402
 from longforce.reference import data_path  # noqa: E402
-from longforce.spline import (SIGNAL_TOL, ForceSurface, InversionResult, Spline1D,  # noqa: E402
+from longforce.spline import (SIGNAL_TOL, ForceSurface, Spline1D,  # noqa: E402
                               _limited_pass, _limited_tangents_many, check_signal_monotone,
                               limited_tangents)
 from longforce.validation import _histogram, validate  # noqa: E402
@@ -192,9 +192,8 @@ def test_direct_model_many_matches_scalar(gt_models, data):
     assert_same_bits(grade_force_many(models.params, np.array(slope)),
                      [grade_force(models.params, s) for s in slope])
     assert_same_bits(accel, [a for a, _ in oracle])
-    assert_same_bits(forces.propulsion, [f.propulsion for _, f in oracle])
-    assert_same_bits(forces.friction, [f.friction for _, f in oracle])
-    assert_same_bits(forces.braking, [f.braking for _, f in oracle])
+    for k, column in enumerate(forces):  # f_p, f_f, f_b
+        assert_same_bits(column, [f[k] for _, f in oracle])
 
 
 SLOPES = st.one_of(st.floats(-0.35, 0.35),
@@ -224,7 +223,7 @@ def test_grade_force_keeps_signed_zero_and_tiny_slopes(gt_models):
 
 @pytest.mark.parametrize("slope", [math.inf, -math.inf, math.nan])
 def test_direct_model_refuses_a_non_finite_slope_before_the_grade_force(gt_models, slope):
-    # math.sin(inf) would raise a bare ValueError; _forces names the point first.
+    # math.sin(inf) would raise a bare ValueError; the direct model names the point first.
     with pytest.raises(InvalidParameterError) as err:
         direct_acceleration(gt_models, 10.0, 50.0, 0.0, slope)
     assert str(err.value) == (f"non-finite operating point: v=10.0, throttle=50.0, "
@@ -552,7 +551,7 @@ def assert_invert_undoes_eval(surface, v, s):
     force = surface.eval(v, s)
     values = surface.cross_section(v)
     try:
-        result = surface.invert(v, force)
+        signal, saturated, underflow = surface.invert(v, force)
     except InversionError:
         slack = 1e-9 * max(1.0, max(abs(f) for f in values))
         assert any(b < a - slack for a, b in zip(values, values[1:]))
@@ -560,14 +559,14 @@ def assert_invert_undoes_eval(surface, v, s):
     # A section may fall within invert's slack, so a force the surface
     # reaches can lie below the bottom level's value: the flags compare the
     # force with the end levels, as documented.
-    assert result.underflow == (force < values[0])
-    assert result.saturated == (force > values[-1])
-    reached = surface.eval(v, result.signal)
-    assert result.saturated or reached >= force
+    assert underflow == (force < values[0])
+    assert saturated == (force > values[-1])
+    reached = surface.eval(v, signal)
+    assert saturated or reached >= force
     # Where a cross-section is flat to a few ulps, evaluation rounding can dip
     # by an ulp past s and the bisection may stop there; the force it reaches
     # is then the target's to rounding.
-    assert result.signal <= s + SIGNAL_TOL or reached - force <= 4 * math.ulp(force)
+    assert signal <= s + SIGNAL_TOL or reached - force <= 4 * math.ulp(force)
 
 
 @KERNEL
@@ -588,7 +587,7 @@ def test_invert_flags_a_force_below_a_section_that_dips_within_the_slack():
                                     Spline1D.interpolate([0.0, 1.001, 1.002],
                                                          [0, 5, 6.000001])))
     assert surface.eval(1.0, 1.0) == 4.994013958114717
-    assert surface.invert(1.0, 4.994013958114717) == InversionResult(0.0, underflow=True)
+    assert surface.invert(1.0, 4.994013958114717) == (0.0, False, True)
     assert_invert_undoes_eval(surface, 1.0, 1.0)
 
 
@@ -606,9 +605,9 @@ def _invert_by_eval(surface, v, force):
     lo, hi = float(surface.levels[0]), float(surface.levels[-1])
     f_lo, f_hi = values[0], values[-1]
     if force <= f_lo:
-        return InversionResult(lo, underflow=force < f_lo)
+        return lo, False, force < f_lo
     if force > f_hi:
-        return InversionResult(hi, saturated=True)
+        return hi, True, False
     if math.isnan(force):
         raise InvalidParameterError("force is NaN")
     while hi - lo > SIGNAL_TOL:
@@ -617,15 +616,15 @@ def _invert_by_eval(surface, v, force):
             hi = mid
         else:
             lo = mid
-    return InversionResult(hi)
+    return hi, False, False
 
 
 def _outcome(fn, *args):
     try:
-        result = fn(*args)
+        signal, saturated, underflow = fn(*args)
     except (InversionError, InvalidParameterError) as err:
         return type(err), str(err)
-    return (np.float64(result.signal).view(np.uint64), result.saturated, result.underflow)
+    return np.float64(signal).view(np.uint64), saturated, underflow
 
 
 def assert_invert_matches_oracle(surface, v, forces):
@@ -678,7 +677,7 @@ def test_invert_matches_bisection_over_eval_on_an_ulp_flat_section():
         Spline1D.interpolate([0.0, 0.001], [y, y]) for y in (0.0, 3000.0, 3000.000001,
                                                            3000.000001)))
     force = surface.eval(0.0, 124.0)
-    assert surface.invert(0.0, force).signal > 124.0 + SIGNAL_TOL
+    assert surface.invert(0.0, force)[0] > 124.0 + SIGNAL_TOL
     assert_invert_matches_oracle(surface, 0.0, [force, 3000.0000005, 1500.0])
 
 
@@ -692,10 +691,10 @@ def test_invert_reads_one_cross_section_and_no_public_eval(gt_models, kind):
                       side_effect=ForceSurface.cross_section) as section, \
             patch.object(ForceSurface, "eval", autospec=True,
                          side_effect=ForceSurface.eval) as public_eval:
-        result = surface.invert(v, force)
+        _, saturated, underflow = surface.invert(v, force)
     assert section.call_count == 1
     assert public_eval.call_count == 0
-    assert not (result.saturated or result.underflow)
+    assert not (saturated or underflow)
     assert _outcome(surface.invert, v, force) == _outcome(_invert_by_eval, surface, v, force)
 
 
@@ -761,8 +760,7 @@ class TestNonFiniteInputs:
             col[3] = value
         many, breakdown = direct_acceleration_many(gt_models, *columns)
         assert_same_bits(many[3], accel)
-        assert_same_bits([breakdown.propulsion[3], breakdown.friction[3], breakdown.braking[3]],
-                         [forces.propulsion, forces.friction, forces.braking])
+        assert_same_bits([column[3] for column in breakdown], forces)
         command = inverse_actuation(gt_models, 1e308, 1e308, 0.5)
         assert math.isfinite(command.throttle) and math.isfinite(command.brake)
 
@@ -854,10 +852,9 @@ def _rk4_oracle(models, schedule, v0, dt, duration):
     v = float(v0)
     for k in range(steps + 1):
         t = k * dt
-        a, forces = direct_acceleration(models, v, *schedule(t))
+        a, (f_p, f_f, f_b) = direct_acceleration(models, v, *schedule(t))
         at_rest = v == 0.0 and a <= 0.0
-        rows.append((t, v, 0.0 if at_rest else a,
-                     forces.propulsion, forces.friction, forces.braking))
+        rows.append((t, v, 0.0 if at_rest else a, f_p, f_f, f_b))
         if k == steps:
             break
         if at_rest:

@@ -552,9 +552,9 @@ class TestForceSurface:
             # stay away from flat plateaus where the inverse is set-valued
             if min(slopes) < 1.0:
                 continue
-            inv = surface.invert(v, f)
-            assert not inv.saturated and not inv.underflow
-            assert abs(inv.signal - x) <= 1e-3
+            signal, saturated, underflow = surface.invert(v, f)
+            assert not saturated and not underflow
+            assert abs(signal - x) <= 1e-3
 
     def test_plateau_inversion_returns_smallest_signal(self):
         flat = Spline1D.interpolate([0.0, 10.0], [500.0, 500.0])
@@ -562,32 +562,28 @@ class TestForceSurface:
         top = Spline1D.interpolate([0.0, 10.0], [900.0, 900.0])
         surface = ForceSurface((0, 50, 100), (flat, rising, top))
         # at the plateau value the smallest matching signal is the floor
-        inv = surface.invert(5.0, 500.0)
-        assert inv.signal == 0.0
-        assert surface.eval(5.0, inv.signal) >= 500.0
+        signal, _, _ = surface.invert(5.0, 500.0)
+        assert signal == 0.0
+        assert surface.eval(5.0, signal) >= 500.0
         # above the plateau the inverse is unique again
-        inv = surface.invert(5.0, 600.0)
-        assert 50.0 < inv.signal <= 100.0
-        assert surface.eval(5.0, inv.signal) >= 600.0
-        assert surface.eval(5.0, inv.signal - 2e-3) < 600.0
+        signal, _, _ = surface.invert(5.0, 600.0)
+        assert 50.0 < signal <= 100.0
+        assert surface.eval(5.0, signal) >= 600.0
+        assert surface.eval(5.0, signal - 2e-3) < 600.0
 
     def test_saturation_flag(self):
         surface = two_level_surface()
-        inv = surface.invert(5.0, 2000.0)
-        assert inv.saturated and inv.signal == 100.0
+        assert surface.invert(5.0, 2000.0) == (100.0, True, False)
 
     def test_underflow_flag(self):
         lo = Spline1D.interpolate([0.0, 40.0], [300.0, 300.0])
         hi = Spline1D.interpolate([0.0, 40.0], [1000.0, 1000.0])
         surface = ForceSurface((0, 100), (lo, hi))
-        inv = surface.invert(5.0, 100.0)
-        assert inv.underflow and inv.signal == 0.0
+        assert surface.invert(5.0, 100.0) == (0.0, False, True)
 
     def test_zero_force_at_zero_floor_no_flag(self):
         surface = two_level_surface()
-        inv = surface.invert(5.0, 0.0)
-        assert inv.signal == 0.0
-        assert not inv.underflow and not inv.saturated
+        assert surface.invert(5.0, 0.0) == (0.0, False, False)
 
     def test_non_monotone_cross_section_raises(self):
         lo = Spline1D.interpolate([0.0, 40.0], [800.0, 800.0])
