@@ -22,6 +22,9 @@ message of every error raised:
 * ``fit_curve``, ``unsupported_knots`` and ``prune_unsupported_knots`` on
   seeded random knot layouts, bins and anchors (the fitted knots and
   tangents, the flags, the kept knots);
+* ``bin_by_speed`` on seeded random edges and points, some on an edge, on
+  the top edge or outside the span, and on an empty input (each bin's
+  median speed, median value and count);
 * ``load_model`` on the reference models and on curves through seeded
   values at the ``fit_curve`` knot layouts, each written with
   ``save_model`` and read back (the knots and the tangents derived from
@@ -74,12 +77,10 @@ def fit_case(rng):
     Points fall inside the knot span, save one case in ten that reaches past
     it; a third of the cases put a bin exactly on the last knot, a quarter
     have no bins, and where points are few a fit is underdetermined or
-    leaves a knot unsupported.
+    leaves a knot unsupported. Returns the knots and the bins' and the
+    anchors' (speed, value, weight) rows.
     """
     import numpy as np
-
-    from longforce.estimation import BinnedPoints
-    from longforce.spline import Anchor
 
     n = int(rng.integers(2, 9))
     knots = np.cumsum([rng.uniform(0.0, 5.0), *rng.uniform(0.05, 8.0, n - 1)])
@@ -88,12 +89,56 @@ def fit_case(rng):
     centers = np.sort(rng.uniform(knots[0] - reach, knots[-1] + reach, bins))
     if bins and rng.random() < 1 / 3:
         centers[-1] = knots[-1]
-    binned = BinnedPoints(centers, rng.normal(400.0, 300.0, bins),
-                          rng.integers(1, 200, bins, dtype=np.int64))
-    anchors = [Anchor(float(x), float(f), float(w)) for x, f, w in zip(
-        rng.uniform(knots[0], knots[-1], int(rng.integers(0, n + 1))),
-        rng.normal(400.0, 300.0, n), rng.uniform(0.5, 100.0, n))]
+    binned = np.column_stack([centers, rng.normal(400.0, 300.0, bins),
+                              rng.integers(1, 200, bins)])
+    speeds = rng.uniform(knots[0], knots[-1], int(rng.integers(0, n + 1)))
+    anchors = np.column_stack([speeds, rng.normal(400.0, 300.0, n)[:len(speeds)],
+                               rng.uniform(0.5, 100.0, n)[:len(speeds)]])
     return knots.tolist(), binned, anchors
+
+
+def fit(knots, binned, anchors):
+    """``fit_curve`` on the bins' rows followed by the anchors' rows; a base tree
+    that still has ``BinnedPoints`` takes them as one and as ``Anchor`` tuples."""
+    import numpy as np
+
+    import longforce as lf
+    from longforce import estimation
+
+    if hasattr(estimation, "BinnedPoints"):
+        centers, values, counts = binned.T
+        return lf.fit_curve(estimation.BinnedPoints(centers, values, counts.astype(np.int64)),
+                            [lf.Anchor(*map(float, row)) for row in anchors], knots)
+    return lf.fit_curve(np.concatenate([binned, anchors]), knots)
+
+
+def bin_case(rng):
+    """Random edges and (speed, value) points for ``bin_by_speed``: 1 to 60 bins,
+    points on an edge, on the top edge and outside the span; one case in ten has
+    no points."""
+    import numpy as np
+
+    edges = np.cumsum([rng.uniform(0.0, 2.0), *rng.uniform(0.01, 3.0, int(rng.integers(1, 61)))])
+    n = 0 if rng.random() < 0.1 else int(rng.integers(1, 400))
+    speeds = rng.uniform(edges[0] - 1.0, edges[-1] + 1.0, n)
+    where = rng.random(n)
+    on_edge, on_top = where < 0.2, (where >= 0.2) & (where < 0.3)
+    speeds[on_edge] = rng.choice(edges, int(on_edge.sum()))
+    speeds[on_top] = edges[-1]
+    return np.column_stack([speeds, rng.normal(400.0, 300.0, n)]), edges
+
+
+def binned_rows(points, edges):
+    """``bin_by_speed``'s (K, 3) rows, raveled; a base tree's ``BinnedPoints``
+    read as the same rows."""
+    import numpy as np
+
+    import longforce as lf
+
+    binned = lf.bin_by_speed(points, edges)
+    if hasattr(binned, "bin_centers"):
+        binned = np.column_stack([binned.bin_centers, binned.values, binned.counts])
+    return binned.ravel()
 
 
 def write_ingest_inputs(dest: Path) -> Path:
@@ -352,8 +397,8 @@ def digests(seed: int, queries: int = QUERIES, scale: float = 1.0,
     for _ in range(max(20, queries // 20)):
         knots, binned, anchors = fit_case(rng)
         layouts.append(knots)
-        points = [*binned.bin_centers.tolist(), *(a.speed_mps for a in anchors)]
-        fits["fit_curve"].call(lf.fit_curve, binned, anchors, knots)
+        points = [*binned[:, 0].tolist(), *anchors[:, 0].tolist()]
+        fits["fit_curve"].call(fit, knots, binned, anchors)
         fits["unsupported_knots"].call(
             lambda: np.array(unsupported_knots(knots, points), dtype=float))
         fits["prune_unsupported_knots"].call(
@@ -371,6 +416,11 @@ def digests(seed: int, queries: int = QUERIES, scale: float = 1.0,
             _, back, _ = lf.load_model(path)
             for curve in getattr(back, "curves", (back,)):
                 loaded.floats((*curve.knots_x, *curve.knots_y, *curve.tangents))
+
+    binning = out["bin_by_speed"] = Digest()
+    for _ in range(max(20, queries // 20)):
+        binning.call(binned_rows, *bin_case(rng))
+    binning.call(binned_rows, np.empty((0, 2)), [0.0, 1.0, 2.0])
 
     if csv_dir is not None:
         ingest = out["ingest_csv"] = Digest()

@@ -15,8 +15,7 @@ from .dynamics import (ActuationCommand, ModelSet, Trajectory, direct_accelerati
 from .errors import (EmptyReportError, EmptySeriesError, FitError, InversionError,
                      InvalidParameterError, LongforceError, ProtocolViolationError,
                      SchemaError, SegmentSplitRequired)
-from .estimation import (AccelSeries, BinnedPoints, bin_by_speed,
-                         estimate_acceleration, log_spaced_edges)
+from .estimation import AccelSeries, bin_by_speed, estimate_acceleration, log_spaced_edges
 from .extraction import (extract_braking, extract_friction, extract_propulsion,
                          split_constant_signal)
 from .reference import neutral_model_set, reference_model_set
@@ -27,7 +26,7 @@ from .validation import ErrorReport, render_table, report_to_dict, validate
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccelSeries", "ActuationCommand", "Anchor", "BinnedPoints", "DriveLog",
+    "AccelSeries", "ActuationCommand", "Anchor", "DriveLog",
     "EmptyReportError", "EmptySeriesError", "ErrorReport", "FitError", "ForceSurface",
     "Gear", "InvalidParameterError", "InversionError", "LongforceError", "ModelSet",
     "ProtocolViolationError", "SchemaError", "SegmentSplitRequired", "Spline1D",

@@ -20,10 +20,9 @@ from .errors import EmptySeriesError, InvalidParameterError
 
 DEFAULT_WINDOW = 21
 DEFAULT_CUTOFF_HZ = 5.0
-#: Most bins :func:`log_spaced_edges` makes. Every edge is allocated and
-#: :func:`bin_by_speed` scans the points once per bin, so a count of 10^9
-#: asked for 8 GB of edges; 10 000 bins over 0.05-40 m/s are each under
-#: 0.07 % wide, finer than a speed signal resolves.
+#: Most bins :func:`log_spaced_edges` makes. Every edge is allocated, so a
+#: count of 10^9 asked for 8 GB of edges; 10 000 bins over 0.05-40 m/s are
+#: each under 0.07 % wide, finer than a speed signal resolves.
 MAX_BIN_COUNT = 10_000
 
 #: Windows per block in :func:`_window_slopes` (two 2048 x 51 float blocks
@@ -146,22 +145,6 @@ def estimate_acceleration(log: DriveLog, window: int = DEFAULT_WINDOW,
     return AccelSeries(t=log.t.copy(), accel=accel, valid=valid)
 
 
-@dataclass(frozen=True)
-class BinnedPoints:
-    """Median-aggregated (speed, value) observations, one entry per non-empty bin."""
-
-    bin_centers: np.ndarray
-    values: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        for col in (self.bin_centers, self.values, self.counts):
-            np.asarray(col).setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.bin_centers)
-
-
 def log_spaced_edges(lo: float = 0.05, hi: float = 40.0, count: int = 40) -> np.ndarray:
     """``count`` log-spaced speed bins between ``lo`` and ``hi`` m/s."""
     if not 0 < lo < hi < math.inf:
@@ -173,35 +156,25 @@ def log_spaced_edges(lo: float = 0.05, hi: float = 40.0, count: int = 40) -> np.
     return np.geomspace(lo, hi, count + 1)
 
 
-def bin_by_speed(points, edges) -> BinnedPoints:
+def bin_by_speed(points, edges) -> np.ndarray:
     """Aggregate scattered (speed, value) points into per-bin medians.
 
-    ``points`` is an (N, 2) array, used as is, or an iterable of pairs.
-
-    Each bin reports the median value of its members and the median member
-    speed as its center; this is robust to the bump/pothole outliers that
-    contaminate force observations. Points outside the edge span are
-    dropped; empty bins are omitted.
+    ``points`` is an (N, 2) array or a list of pairs. Returns a (K, 3) float
+    array with one row per non-empty bin, in bin order: the median member
+    speed, the median member value and the member count, the (speed, value,
+    weight) rows :func:`~longforce.spline.fit_curve` reads. Medians are
+    robust to the bump/pothole outliers that contaminate force observations.
+    Points outside the edge span are dropped; the top edge is inclusive.
     """
     edges = np.asarray(edges, dtype=float)
     if len(edges) < 2 or not np.all(np.diff(edges) > 0):
         raise ValueError("edges must be strictly increasing with >= 2 entries")
-    if not isinstance(points, np.ndarray):
-        points = list(points)
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if len(pts) == 0:
-        empty = np.array([])
-        return BinnedPoints(empty, empty.copy(), np.array([], dtype=np.int64))
-    speeds, values = pts[:, 0], pts[:, 1]
+    speeds, values = np.asarray(points, dtype=float).reshape(-1, 2).T
     idx = np.digitize(speeds, edges)  # 1..nbins inside; the top edge is inclusive
     idx[speeds == edges[-1]] = len(edges) - 1
-    centers, medians, counts = [], [], []
-    for b in range(1, len(edges)):
-        members = idx == b
-        if not members.any():
-            continue
-        centers.append(float(np.median(speeds[members])))
-        medians.append(float(np.median(values[members])))
-        counts.append(int(members.sum()))
-    return BinnedPoints(np.array(centers), np.array(medians),
-                        np.array(counts, dtype=np.int64))
+    inside = np.flatnonzero((idx >= 1) & (idx < len(edges)))
+    # One stable sort groups the members by bin and keeps their input order.
+    members = inside[np.argsort(idx[inside], kind="stable")]
+    groups = np.split(members, np.flatnonzero(np.diff(idx[members])) + 1)
+    return np.array([(np.median(speeds[g]), np.median(values[g]), len(g))
+                     for g in groups if len(g)], dtype=float).reshape(-1, 3)

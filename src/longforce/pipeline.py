@@ -23,8 +23,8 @@ from .core import (VehicleParams, file_values, json_integers, json_numbers, json
 from .dynamics import ModelSet, load_schedule_csv, simulate
 from .errors import (EmptySeriesError, FitError, InvalidParameterError,
                      ProtocolViolationError, SchemaError)
-from .estimation import (DEFAULT_CUTOFF_HZ, DEFAULT_WINDOW, BinnedPoints, bin_by_speed,
-                         check_estimator, estimate_acceleration, log_spaced_edges)
+from .estimation import (DEFAULT_CUTOFF_HZ, DEFAULT_WINDOW, bin_by_speed, check_estimator,
+                         estimate_acceleration, log_spaced_edges)
 from .extraction import (extract_braking, extract_friction, extract_propulsion,
                          split_constant_signal)
 from .reference import load_anchor_file, reference_model_set
@@ -96,35 +96,33 @@ def _provenance(source_logs: list[str]) -> dict:
     }
 
 
-def _binned_within_knots(points, knots: tuple[float, ...], bin_edges, label: str):
+def _fit_level_curve(points, anchors, knots, bin_edges, label: str) -> Spline1D:
+    """Bin the points and keep the bins inside the knot span, add the anchors as
+    (speed, force, weight) rows after them, prune knots the rows cannot support,
+    fit the curve."""
     binned = bin_by_speed(points, bin_edges)
     lo, hi = knots[0], knots[-1]
-    inside = (binned.bin_centers >= lo) & (binned.bin_centers <= hi)
+    inside = (binned[:, 0] >= lo) & (binned[:, 0] <= hi)
     dropped = int((~inside).sum())
     if dropped:
         print(f"{label}: dropped {dropped} bin(s) outside the knot span [{lo}, {hi}] m/s")
-    return BinnedPoints(binned.bin_centers[inside], binned.values[inside],
-                        binned.counts[inside])
-
-
-def _fit_level_curve(points, anchors, knots, bin_edges, label: str) -> Spline1D:
-    """Bin the points, prune knots the data cannot support, fit the curve."""
-    binned = _binned_within_knots(points, knots, bin_edges, label)
-    xs = list(binned.bin_centers) + [a.speed_mps for a in anchors]
-    kept = prune_unsupported_knots(knots, xs)
+    binned = binned[inside]
+    rows = np.concatenate([binned, np.reshape(
+        [(a.speed_mps, a.force_n, a.weight) for a in anchors], (-1, 3))])
+    kept = prune_unsupported_knots(knots, rows[:, 0])
     if len(kept) < len(knots):
         print(f"{label}: pruned {len(knots) - len(kept)} unsupported knot(s)")
-    curve = fit_curve(binned, anchors, kept)
+    curve = fit_curve(rows, kept)
     rms = _fit_rms(curve, binned)
     print(f"{label}: {len(points)} points in {len(binned)} bins, "
           f"fit residual RMS {rms:.1f} N")
     return curve
 
 
-def _fit_rms(curve: Spline1D, binned) -> float:
+def _fit_rms(curve: Spline1D, binned: np.ndarray) -> float:
     if len(binned) == 0:
         return 0.0
-    resid = binned.values - curve.eval_many(binned.bin_centers)
+    resid = binned[:, 1] - curve.eval_many(binned[:, 0])
     return float(np.sqrt(np.mean(resid**2)))
 
 

@@ -311,27 +311,32 @@ def prune_unsupported_knots(knots: Sequence[float], xs: Sequence[float]) -> tupl
     return tuple(kept)
 
 
-def fit_curve(binned, anchors: Sequence["Anchor"], knots_x: Sequence[float]) -> Spline1D:
-    """Weighted least-squares Hermite fit to binned points plus anchors.
+def fit_curve(points, knots_x: Sequence[float]) -> Spline1D:
+    """Weighted least-squares Hermite fit to (speed, value, weight) rows.
 
-    Binned points weigh in with their sample counts, anchors with their
-    configured weights. A first pass ties the tangents to the knot values
-    through the neighbor-secant rule, which keeps the model linear in the
-    knot values. Because evaluation uses Fritsch-Carlson-limited tangents,
-    the knot values are then re-solved with the limited tangents frozen,
-    alternating until the shape settles; without this the fit is biased by
-    several newtons wherever limiting bends a plateau transition. Fitted
-    values are clamped at zero before deriving tangents, so the returned
-    curve cannot overshoot below zero.
+    ``points`` is an (N, 3) array of rows, bins and anchors alike: binned
+    points weigh in with their sample counts, anchors with their configured
+    weights. A row whose speed or value is not finite, or whose weight is
+    not finite and > 0, is refused with a :class:`~longforce.errors.FitError`
+    naming it. A first pass ties the tangents to the knot values through the
+    neighbor-secant rule, which keeps the model linear in the knot values.
+    Because evaluation uses Fritsch-Carlson-limited tangents, the knot values
+    are then re-solved with the limited tangents frozen, alternating until
+    the shape settles; without this the fit is biased by several newtons
+    wherever limiting bends a plateau transition. Fitted values are clamped
+    at zero before deriving tangents, so the returned curve cannot overshoot
+    below zero.
     """
     k = _knot_positions(knots_x)
     knots, n = k.tolist(), len(k)
-    a = np.array([(p.speed_mps, p.force_n, p.weight) for p in anchors], float).reshape(-1, 3)
-    columns = (binned.bin_centers, binned.values, binned.counts) if len(binned) else ([],) * 3
-    xs, ys, ws = (np.concatenate([np.asarray(c, dtype=float), a[:, j]])
-                  for j, c in enumerate(columns))
+    xs, ys, ws = np.asarray(points, float).reshape(-1, 3).T
     if not len(xs):
         raise FitError("nothing to fit: no binned points and no anchors")
+    bad = ~(np.isfinite(xs) & np.isfinite(ys) & np.isfinite(ws) & (ws > 0))
+    if bad.any():
+        i = int(bad.argmax())
+        raise FitError(f"fit row {i} ({xs[i]} m/s, {ys[i]}, weight {ws[i]}): speed and value "
+                       "must be finite, and the weight finite and > 0")
     if xs.min() < knots[0] or xs.max() > knots[-1]:
         raise FitError(
             f"knot span [{knots[0]}, {knots[-1]}] does not cover the data span "
@@ -366,7 +371,9 @@ def fit_curve(binned, anchors: Sequence["Anchor"], knots_x: Sequence[float]) -> 
     # Re-solve the knot values under the limited tangents (frozen per pass).
     weighted_basis = value_basis * sw[:, None]
     for _ in range(10):
-        clamped = np.maximum(solution, 0.0)
+        # As Python floats, a limiter ratio that overflows gives inf quietly, as it
+        # does in Spline1D.interpolate, not numpy's overflow warning.
+        clamped = np.maximum(solution, 0.0).tolist()
         tangents = np.asarray(limited_tangents(knots, clamped))
         offsets = tan_left * tangents[seg] + tan_right * tangents[seg + 1]
         refined, _, rank2, _ = np.linalg.lstsq(weighted_basis, (ys - offsets) * sw, rcond=None)

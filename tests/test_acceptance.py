@@ -86,7 +86,7 @@ def test_criterion_2_pipeline_round_trip(gt_models, tmp_path):
                               config.bin_edges)
         worst = 0.0
         compared = 0
-        for center, count in zip(binned.bin_centers, binned.counts):
+        for center, _, count in binned:
             if count < 20 or not 0.1 <= center <= 36.0:
                 continue
             got, want = fitted(float(center)), truth(float(center))

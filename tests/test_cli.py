@@ -10,7 +10,7 @@ from longforce.cli import main
 from longforce.core import DriveLog, Gear, ingest_csv, load_drive_log, save_drive_log
 from longforce.dynamics import MAX_SIMULATE_STEPS
 from longforce.errors import SchemaError
-from longforce.estimation import MAX_BIN_COUNT, BinnedPoints, bin_by_speed
+from longforce.estimation import MAX_BIN_COUNT, bin_by_speed
 from longforce.pipeline import (MAX_EXPORT_POINTS, load_model_set, load_pipeline_config,
                                 run_export, run_fit_brake, run_fit_friction, run_fit_propulsion,
                                 run_reference, run_simulate, run_validate)
@@ -223,7 +223,7 @@ class TestFitPipeline:
         assert provenance["source_logs"] == [str(log_path)]
         binned = bin_by_speed(
             np.column_stack([coast.speed, np.zeros(len(coast))]), config.bin_edges)
-        for center, count in zip(binned.bin_centers, binned.counts):
+        for center, _, count in binned:
             if count < 20 or not 0.1 <= center <= 36.0:
                 continue
             want = gt_models.friction.eval(float(center))
@@ -238,8 +238,9 @@ class TestFitPipeline:
         anchors = config.anchors["friction"][None]
         knots = prune_unsupported_knots(config.knots_mps["friction"],
                                         [a.speed_mps for a in anchors])
-        empty = BinnedPoints(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
-        want = fit_curve(empty, anchors, knots)
+        no_bins = np.empty((0, 3))
+        rows = [(a.speed_mps, a.force_n, a.weight) for a in anchors]
+        want = fit_curve(np.vstack([no_bins, rows]), knots)
         _, loaded, _ = load_model(out)
         for got in (curve, loaded):
             assert (np.array([got.knots_x, got.knots_y, got.tangents]).tobytes()

@@ -7,7 +7,7 @@ from unittest.mock import patch
 
 import pytest
 
-from longforce import core, extraction, spline
+from longforce import core, estimation, extraction, pipeline, spline
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_bits.py"
 _spec = importlib.util.spec_from_file_location("compare_bits", SCRIPT)
@@ -108,6 +108,19 @@ def test_a_changed_extraction_moves_only_the_fit_stages_digest(small):
                       original(params, slope) + 1.0):
         after = compare_bits.digests(**small)
     assert {name for name in before if before[name] != after[name]} == {"fit stages"}
+
+
+def test_a_changed_bin_median_moves_only_the_binning_digests(small):
+    # One more in every bin's median value, wherever the package bins.
+    def shifted(points, edges, original=estimation.bin_by_speed):
+        return original(points, edges) + [0.0, 1.0, 0.0]
+
+    before = compare_bits.digests(**small)
+    with patch("longforce.bin_by_speed", shifted), \
+            patch.object(pipeline, "bin_by_speed", shifted):
+        after = compare_bits.digests(**small)
+    assert {name for name in before if before[name] != after[name]} == {"bin_by_speed",
+                                                                        "fit stages"}
 
 
 def test_a_side_in_its_own_interpreter_gives_the_in_process_digests(small):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longforce.core import DriveLog
 from longforce.errors import EmptySeriesError
@@ -96,9 +98,9 @@ class TestEstimateAcceleration:
 class TestBinBySpeed:
     def test_median_arithmetic(self):
         binned = bin_by_speed([(1.0, 10.0), (1.2, 12.0), (5.0, 50.0)], [0.0, 2.0, 10.0])
-        assert binned.bin_centers.tolist() == [1.1, 5.0]
-        assert binned.values.tolist() == [11.0, 50.0]
-        assert binned.counts.tolist() == [2, 1]
+        assert binned[:, 0].tolist() == [1.1, 5.0]
+        assert binned[:, 1].tolist() == [11.0, 50.0]
+        assert binned[:, 2].tolist() == [2, 1]
 
     def test_empty_input(self):
         binned = bin_by_speed([], [0.0, 1.0, 2.0])
@@ -106,8 +108,8 @@ class TestBinBySpeed:
 
     def test_empty_bins_omitted(self):
         binned = bin_by_speed([(0.5, 1.0), (3.5, 2.0)], [0.0, 1.0, 2.0, 3.0, 4.0])
-        assert binned.bin_centers.tolist() == [0.5, 3.5]
-        assert binned.counts.tolist() == [1, 1]
+        assert binned[:, 0].tolist() == [0.5, 3.5]
+        assert binned[:, 2].tolist() == [1, 1]
 
     def test_noise_median_oracle(self):
         # 1000 points with value = speed^2 plus uniform +-1 noise: per-bin
@@ -117,8 +119,8 @@ class TestBinBySpeed:
         values = speeds**2 + rng.uniform(-1.0, 1.0, 1000)
         binned = bin_by_speed(np.column_stack([speeds, values]),
                               log_spaced_edges(0.5, 30.0, 30))
-        assert np.all(binned.counts >= 15)
-        assert np.all(np.abs(binned.values - binned.bin_centers**2) <= 1.0)
+        assert np.all(binned[:, 2] >= 15)
+        assert np.all(np.abs(binned[:, 1] - binned[:, 0]**2) <= 1.0)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(4)
@@ -126,27 +128,66 @@ class TestBinBySpeed:
         edges = np.linspace(0, 10, 11)
         a = bin_by_speed(pts, edges)
         b = bin_by_speed(pts[rng.permutation(500)], edges)
-        assert np.array_equal(a.bin_centers, b.bin_centers)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a[:, 0], b[:, 0])
+        assert np.array_equal(a[:, 1], b[:, 1])
+        assert np.array_equal(a[:, 2], b[:, 2])
 
     def test_centers_strictly_increasing(self):
         rng = np.random.default_rng(9)
         pts = np.column_stack([rng.uniform(0.05, 39, 2000), rng.normal(0, 5, 2000)])
         binned = bin_by_speed(pts, log_spaced_edges())
-        assert np.all(np.diff(binned.bin_centers) > 0)
-        assert np.all(binned.counts >= 1)
+        assert np.all(np.diff(binned[:, 0]) > 0)
+        assert np.all(binned[:, 2] >= 1)
 
     def test_outside_points_dropped(self):
         binned = bin_by_speed([(0.5, 1.0), (5.0, 2.0), (11.0, 3.0)], [1.0, 10.0])
-        assert binned.counts.tolist() == [1]
+        assert binned[:, 2].tolist() == [1]
 
     def test_top_edge_inclusive(self):
         binned = bin_by_speed([(10.0, 7.0)], [0.0, 10.0])
-        assert binned.counts.tolist() == [1]
+        assert binned[:, 2].tolist() == [1]
 
     def test_bad_edges_rejected(self):
         with pytest.raises(ValueError):
             bin_by_speed([(1.0, 1.0)], [2.0, 1.0])
         with pytest.raises(ValueError):
             bin_by_speed([(1.0, 1.0)], [1.0])
+
+
+def bin_by_speed_loop(points, edges):
+    """``bin_by_speed`` as it was, scanning the points once per bin."""
+    edges = np.asarray(edges, dtype=float)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    speeds, values = pts[:, 0], pts[:, 1]
+    idx = np.digitize(speeds, edges)
+    idx[speeds == edges[-1]] = len(edges) - 1
+    rows = []
+    for b in range(1, len(edges)):
+        members = idx == b
+        if not members.any():
+            continue
+        rows.append((float(np.median(speeds[members])), float(np.median(values[members])),
+                     int(members.sum())))
+    return np.array(rows, dtype=float).reshape(-1, 3)
+
+
+@st.composite
+def binning_inputs(draw):
+    """Edges and points: some points on an edge, on the top edge or outside the span,
+    bins with one member, and empty input."""
+    edges = sorted(set(draw(st.lists(st.floats(0.0, 50.0), min_size=2, max_size=12))))
+    if len(edges) < 2:
+        edges.append(edges[0] + 1.0)
+    speeds = st.one_of(st.floats(edges[0], edges[-1]), st.sampled_from(edges),
+                       st.just(edges[-1]), st.floats(edges[0] - 5.0, edges[-1] + 5.0))
+    pairs = draw(st.lists(st.tuples(speeds, st.floats(-1e4, 1e4)), max_size=60))
+    return np.array(pairs, dtype=float).reshape(-1, 2), edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(binning_inputs())
+def test_bin_by_speed_equals_its_loop_oracle(case):
+    points, edges = case
+    got = bin_by_speed(points, edges)
+    assert got.shape[1] == 3 and got.dtype == np.float64
+    assert got.tobytes() == bin_by_speed_loop(points, edges).tobytes()

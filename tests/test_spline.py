@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longforce.errors import FitError, InversionError, SchemaError
-from longforce.estimation import BinnedPoints
 from longforce.pipeline import load_pipeline_config
 from longforce.reference import load_anchor_file
 from longforce.spline import (Anchor, ForceSurface, Spline1D,
@@ -33,11 +32,9 @@ def write_json(path, obj):
 
 
 def binned(centers, values, counts=None):
-    centers = np.asarray(centers, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if counts is None:
-        counts = np.ones(len(centers), dtype=np.int64)
-    return BinnedPoints(centers, values, np.asarray(counts, dtype=np.int64))
+    """(speed, value, count) rows for ``fit_curve``, each count 1 unless given."""
+    counts = np.ones(len(centers)) if counts is None else counts
+    return np.column_stack([centers, values, counts]).astype(float).reshape(-1, 3)
 
 
 class TestSpline1D:
@@ -187,7 +184,7 @@ class TestFitCurve:
     def test_linear_data_reproduced_exactly(self):
         xs = [1.0, 2.0, 4.0, 8.0, 16.0]
         ys = [100.0 + 10.0 * x for x in xs]
-        curve = fit_curve(binned(xs, ys), [], xs)
+        curve = fit_curve(binned(xs, ys), xs)
         for x, y in zip(xs, ys):
             assert abs(curve.eval(x) - y) <= 1e-9
 
@@ -195,8 +192,7 @@ class TestFitCurve:
         # A standstill anchor above a data plateau: both are honored and the
         # curve never dips negative in between.
         bins = binned(np.linspace(1.0, 8.0, 15), np.full(15, 200.0), np.full(15, 50))
-        curve = fit_curve(bins, [Anchor(0.0, 500.0, weight=100.0)],
-                          [0.0, 1.0, 2.0, 4.0, 8.0])
+        curve = fit_curve(np.vstack([bins, (0.0, 500.0, 100.0)]), [0.0, 1.0, 2.0, 4.0, 8.0])
         assert abs(curve.eval(0.0) - 500.0) <= 5.0
         assert abs(curve.eval(4.0) - 200.0) <= 5.0
         sweep = [curve.eval(float(x)) for x in np.linspace(0.0, 8.0, 1000)]
@@ -204,44 +200,59 @@ class TestFitCurve:
 
     def test_full_throttle_plateau_from_anchors(self):
         # 6300 N plateau between 5 and 30 km/h.
-        anchors = [Anchor(0.28, 7000.0), Anchor(5.0 / 3.6, 6300.0), Anchor(3.0, 6300.0),
-                   Anchor(6.0, 6300.0), Anchor(30.0 / 3.6, 6300.0), Anchor(12.0, 4750.0)]
-        knots = [a.speed_mps for a in anchors]
-        curve = fit_curve(binned([], []), anchors, knots)
+        knots = [0.28, 5.0 / 3.6, 3.0, 6.0, 30.0 / 3.6, 12.0]
+        anchors = binned(knots, [7000.0, 6300.0, 6300.0, 6300.0, 6300.0, 4750.0])
+        curve = fit_curve(anchors, knots)
         for v in np.linspace(5.0 / 3.6, 30.0 / 3.6, 200):
             assert abs(curve.eval(float(v)) - 6300.0) <= 63.0
 
     def test_counts_weight_the_fit(self):
         # One heavy bin pulls the curve much closer than a light one.
         knots = [0.0, 1.0, 2.0]
-        heavy = fit_curve(binned([0.0, 1.0, 2.0], [0.0, 100.0, 0.0], [1, 1000, 1]),
-                          [Anchor(1.0, 0.0, weight=1.0)], knots)
-        light = fit_curve(binned([0.0, 1.0, 2.0], [0.0, 100.0, 0.0], [1, 1, 1]),
-                          [Anchor(1.0, 0.0, weight=1000.0)], knots)
+        heavy = fit_curve(binned([0.0, 1.0, 2.0, 1.0], [0.0, 100.0, 0.0, 0.0], [1, 1000, 1, 1]),
+                          knots)
+        light = fit_curve(binned([0.0, 1.0, 2.0, 1.0], [0.0, 100.0, 0.0, 0.0], [1, 1, 1, 1000]),
+                          knots)
         assert heavy.eval(1.0) > 90.0
         assert light.eval(1.0) < 10.0
 
     def test_negative_values_clamped(self):
         bins = binned([0.5, 1.0, 1.5], [-50.0, -80.0, -60.0], [10, 10, 10])
-        curve = fit_curve(bins, [], [0.5, 1.0, 1.5])
+        curve = fit_curve(bins, [0.5, 1.0, 1.5])
         assert curve.knots_y == (0.0, 0.0, 0.0)
 
     def test_fewer_points_than_knots(self):
         with pytest.raises(FitError, match="underdetermined"):
-            fit_curve(binned([1.0, 2.0], [1.0, 2.0]), [], [0.5, 1.0, 2.0, 3.0])
+            fit_curve(binned([1.0, 2.0], [1.0, 2.0]), [0.5, 1.0, 2.0, 3.0])
 
     def test_unsupported_knot_rejected(self):
         bins = binned([0.1, 0.2, 5.5, 5.6, 5.8, 6.0], np.full(6, 100.0))
         with pytest.raises(FitError, match="underdetermined"):
-            fit_curve(bins, [], [0.1, 0.3, 2.0, 5.0, 6.0])
+            fit_curve(bins, [0.1, 0.3, 2.0, 5.0, 6.0])
 
     def test_span_must_cover_data(self):
         with pytest.raises(FitError, match="span"):
-            fit_curve(binned([0.5, 1.0, 3.0], [1.0, 1.0, 1.0]), [], [1.0, 2.0, 3.0])
+            fit_curve(binned([0.5, 1.0, 3.0], [1.0, 1.0, 1.0]), [1.0, 2.0, 3.0])
 
     def test_nothing_to_fit(self):
         with pytest.raises(FitError):
-            fit_curve(binned([], []), [], [0.0, 1.0])
+            fit_curve(binned([], []), [0.0, 1.0])
+
+    @pytest.mark.parametrize("row", [(math.nan, 1.0, 1.0), (1.0, math.nan, 1.0),
+                                     (1.0, 1.0, math.inf), (1.0, 1.0, 0.0), (1.0, 1.0, -1.0)],
+                             ids=["nan-speed", "nan-value", "inf-weight", "zero-weight",
+                                  "negative-weight"])
+    def test_bad_row_refused_by_name(self, capfd, row):
+        # A NaN speed, an infinite or a negative weight used to reach LAPACK, which
+        # printed to stderr and raised LinAlgError; a NaN value ended in "knot value 0
+        # is non-finite", and a zero weight was left to the rank check.
+        rows = np.vstack([binned([0.5, 1.0, 1.5], [1.0, 2.0, 3.0]), row])
+        with pytest.raises(FitError) as exc:
+            fit_curve(rows, [0.5, 1.0, 1.5])
+        x, y, w = (float(v) for v in row)
+        assert str(exc.value) == (f"fit row 3 ({x} m/s, {y}, weight {w}): speed and value "
+                                  "must be finite, and the weight finite and > 0")
+        assert capfd.readouterr().err == ""
 
     def test_anchor_weight_positive(self):
         with pytest.raises(FitError):
@@ -253,7 +264,7 @@ class TestFitCurve:
         ([0.0, math.nan, 2.0], "knot position 1 is non-finite: nan")])
     def test_knot_positions_refused_as_the_limiter_refuses_them(self, knots, message):
         with pytest.raises(FitError, match=f"^{message}$"):
-            fit_curve(binned([0.5, 1.0, 1.5], [1.0, 2.0, 3.0]), [], knots)
+            fit_curve(binned([0.5, 1.0, 1.5], [1.0, 2.0, 3.0]), knots)
 
 
 # --- the one knot-layout rule ---------------------------------------------------------
@@ -286,7 +297,7 @@ def layout_refusal(entry, xs, tmp_path) -> tuple:
     return {"Spline1D": lambda: Spline1D(xs, ys, [0.0] * len(xs)),
             "interpolate": lambda: Spline1D.interpolate(xs, ys),
             "limited_tangents": lambda: limited_tangents(xs, ys),
-            "fit_curve": lambda: fit_curve(binned([1.0, 1.5, 2.0], [1.0, 2.0, 3.0]), [], xs),
+            "fit_curve": lambda: fit_curve(binned([1.0, 1.5, 2.0], [1.0, 2.0, 3.0]), xs),
             }[entry], ""
 
 
@@ -316,19 +327,17 @@ def unsupported_knots_loop(knots, xs):
     return flags
 
 
-def fit_curve_loop(binned, anchors, knots_x):
+def fit_curve_loop(points, knots_x):
     """``fit_curve`` as it was, building its design point by point and knot by knot."""
     knots = [float(k) for k in knots_x]
     n = len(knots)
     if n < 2 or not all(a < b for a, b in zip(knots, knots[1:])):
         raise FitError("knots must be strictly increasing with >= 2 entries")
-    xs = list(np.asarray(binned.bin_centers, dtype=float)) if len(binned) else []
-    ys = list(np.asarray(binned.values, dtype=float)) if len(binned) else []
-    ws = list(np.asarray(binned.counts, dtype=float)) if len(binned) else []
-    for a in anchors:
-        xs.append(float(a.speed_mps))
-        ys.append(float(a.force_n))
-        ws.append(float(a.weight))
+    xs, ys, ws = [], [], []
+    for x, y, w in points:
+        xs.append(float(x))
+        ys.append(float(y))
+        ws.append(float(w))
     if not xs:
         raise FitError("nothing to fit: no binned points and no anchors")
     if min(xs) < knots[0] or max(xs) > knots[-1]:
@@ -376,7 +385,7 @@ def fit_curve_loop(binned, anchors, knots_x):
         raise FitError(
             f"underdetermined fit: data supports rank {rank} of {n} knots; use fewer knots")
     for _ in range(10):
-        clamped = np.maximum(solution, 0.0)
+        clamped = np.maximum(solution, 0.0).tolist()
         tangents = np.asarray(limited_tangents(knots, clamped))
         offsets = tan_left * tangents[seg] + tan_right * tangents[seg + 1]
         refined, _, rank2, _ = np.linalg.lstsq(value_basis * sw[:, None],
@@ -414,8 +423,8 @@ def outcome(fn, *args):
 
 @st.composite
 def fit_inputs(draw):
-    """Bins, anchors and knots for ``fit_curve``: some bins on the last knot or past
-    the span, some cases with anchors only."""
+    """Rows and knots for ``fit_curve``, the bins' rows before the anchors': some bins
+    on the last knot or past the span, some cases with anchors only."""
     knots = draw(knot_layouts())
     centers = draw(points_for(knots, 4 * len(knots)))
     case = draw(st.integers(0, 9))
@@ -430,9 +439,9 @@ def fit_inputs(draw):
                                          max_size=len(centers))),
                   draw(st.lists(st.integers(1, 500), min_size=len(centers),
                                 max_size=len(centers))))
-    anchors = [Anchor(x, draw(forces), draw(st.floats(0.5, 100.0)))
+    anchors = [(x, draw(forces), draw(st.floats(0.5, 100.0)))
                for x in draw(points_for(knots, 2 * len(knots)))]
-    return bins, anchors, knots
+    return np.vstack([bins, np.reshape(anchors, (-1, 3))]), knots
 
 
 @settings(max_examples=300, deadline=None)
