@@ -25,6 +25,8 @@ message of every error raised:
 * ``bin_by_speed`` on seeded random edges and points, some on an edge, on
   the top edge or outside the span, and on an empty input (each bin's
   median speed, median value and count);
+* ``load_anchor_file`` on the shipped ``anchors_zoe.json`` and on seeded
+  random anchor files (each level's (speed, force, weight) rows);
 * ``load_model`` on the reference models and on curves through seeded
   values at the ``fit_curve`` knot layouts, each written with
   ``save_model`` and read back (the knots and the tangents derived from
@@ -139,6 +141,47 @@ def binned_rows(points, edges):
     if hasattr(binned, "bin_centers"):
         binned = np.column_stack([binned.bin_centers, binned.values, binned.counts])
     return binned.ravel()
+
+
+def write_anchor_file(rng, path: Path) -> Path:
+    """Write a seeded random anchor file at ``path``: friction and one to five
+    levels, in random order, for propulsion and braking, with 0 to 12 anchors each;
+    speeds from 0 to 40 m/s, forces of either sign, some of them JSON integers, and
+    weights from 0.5 to 100 or, for one anchor in five, none (which reads as 1)."""
+    def anchors():
+        n = int(rng.integers(0, 13))
+        speeds, forces = rng.uniform(0.0, 40.0, n), rng.normal(2000.0, 1500.0, n)
+        weights, whole, unweighted = rng.uniform(0.5, 100.0, n), rng.random(n), rng.random(n)
+        return [{"speed_mps": v, "force_n": round(f) if w < 0.2 else f,
+                 **({} if u < 0.2 else {"weight": wt})}
+                for v, f, wt, w, u in zip(speeds.tolist(), forces.tolist(), weights.tolist(),
+                                          whole.tolist(), unweighted.tolist())]
+
+    obj = {"friction": anchors(), **{
+        kind: {str(level): anchors()
+               for level in rng.choice(200, int(rng.integers(1, 6)), replace=False).tolist()}
+        for kind in ("propulsion", "braking")}}
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return path
+
+
+def anchor_rows(path):
+    """``load_anchor_file``'s rows as one float array: per level, in file order, its
+    kind's index, its level (-1 for friction's), its row count and its rows; a base
+    tree's ``Anchor`` tuples read as the same rows."""
+    import numpy as np
+
+    from longforce.reference import load_anchor_file
+
+    kinds = ("friction", "propulsion", "braking")
+    out = []
+    for kind, by_level in load_anchor_file(path).items():
+        for level, rows in by_level.items():
+            if isinstance(rows, tuple):
+                rows = [(a.speed_mps, a.force_n, a.weight) for a in rows]
+            rows = np.reshape(rows, (-1, 3))
+            out += [kinds.index(kind), -1 if level is None else level, len(rows), *rows.ravel()]
+    return np.array(out, dtype=float)
 
 
 def write_ingest_inputs(dest: Path) -> Path:
@@ -421,6 +464,12 @@ def digests(seed: int, queries: int = QUERIES, scale: float = 1.0,
     for _ in range(max(20, queries // 20)):
         binning.call(binned_rows, *bin_case(rng))
     binning.call(binned_rows, np.empty((0, 2)), [0.0, 1.0, 2.0])
+
+    anchor_files = out["load_anchor_file"] = Digest()
+    anchor_files.call(anchor_rows, lf.reference.data_path("anchors_zoe.json"))
+    with tempfile.TemporaryDirectory(prefix="compare_bits-anchors-") as tmp:
+        for k in range(max(5, queries // 400)):
+            anchor_files.call(anchor_rows, write_anchor_file(rng, Path(tmp) / f"{k}.json"))
 
     if csv_dir is not None:
         ingest = out["ingest_csv"] = Digest()

@@ -19,14 +19,14 @@ from .estimation import AccelSeries, bin_by_speed, estimate_acceleration, log_sp
 from .extraction import (extract_braking, extract_friction, extract_propulsion,
                          split_constant_signal)
 from .reference import neutral_model_set, reference_model_set
-from .spline import (Anchor, ForceSurface, Spline1D, check_signal_monotone, fit_curve,
-                     load_model, save_model)
+from .spline import (ForceSurface, Spline1D, check_signal_monotone, fit_curve, load_model,
+                     save_model)
 from .validation import ErrorReport, render_table, report_to_dict, validate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccelSeries", "ActuationCommand", "Anchor", "DriveLog",
+    "AccelSeries", "ActuationCommand", "DriveLog",
     "EmptyReportError", "EmptySeriesError", "ErrorReport", "FitError", "ForceSurface",
     "Gear", "InvalidParameterError", "InversionError", "LongforceError", "ModelSet",
     "ProtocolViolationError", "SchemaError", "SegmentSplitRequired", "Spline1D",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -43,11 +43,6 @@ class ModelSet:
     propulsion: ForceSurface
     braking: ForceSurface
     params: VehicleParams
-    #: ``params.m_eq_kg``, read on every RK4 stage.
-    m_eq: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "m_eq", self.params.m_eq_kg)
 
 
 @dataclass(frozen=True)
@@ -88,7 +83,7 @@ def direct_acceleration(models: ModelSet, v: float, throttle: float, brake: floa
     f_f = models.friction.eval(v)
     f_p = models.propulsion.eval(v, throttle)
     f_b = models.braking.eval(v, brake) if throttle == 0.0 or brake > 0.0 else 0.0
-    accel = (f_p - grade_force(models.params, slope) - f_f - f_b) / models.m_eq
+    accel = (f_p - grade_force(models.params, slope) - f_f - f_b) / models.params.m_eq_kg
     return accel, (f_p, f_f, f_b)
 
 
@@ -116,7 +111,7 @@ def direct_acceleration_many(models: ModelSet, v, throttle, brake,
     braking = (throttle == 0.0) | (brake > 0.0)
     f_b[braking] = models.braking.eval_many(v[braking], brake[braking])
     grade = grade_force_many(models.params, slope)
-    accel = (f_p - grade - f_f - f_b) / models.m_eq
+    accel = (f_p - grade - f_f - f_b) / models.params.m_eq_kg
     return accel, (f_p, f_f, f_b)
 
 
@@ -220,7 +215,7 @@ def inverse_actuation(models: ModelSet, v: float, slope: float,
             f"non-finite operating point: v={v}, slope={slope}, "
             f"desired_accel={desired_accel}")
     grade = grade_force(models.params, slope)
-    f_req = models.m_eq * desired_accel + grade + models.friction.eval(v)
+    f_req = models.params.m_eq_kg * desired_accel + grade + models.friction.eval(v)
     f_p0 = models.propulsion.eval(v, 0.0)
     if f_req >= f_p0:
         throttle, saturated, underflow = models.propulsion.invert(v, f_req)

@@ -28,7 +28,7 @@ from .estimation import (DEFAULT_CUTOFF_HZ, DEFAULT_WINDOW, bin_by_speed, check_
 from .extraction import (extract_braking, extract_friction, extract_propulsion,
                          split_constant_signal)
 from .reference import load_anchor_file, reference_model_set
-from .spline import (DEFAULT_KNOTS_MPS, MODEL_KINDS, Anchor, ForceSurface, Spline1D,
+from .spline import (DEFAULT_KNOTS_MPS, MODEL_KINDS, ForceSurface, Spline1D,
                      _knot_positions, check_signal_monotone, fit_curve, load_model,
                      load_typed_model, prune_unsupported_knots, save_model)
 from .validation import render_table, report_to_dict, validate
@@ -45,7 +45,7 @@ class PipelineConfig:
     """
 
     params: VehicleParams
-    anchors: dict[str, dict[int | None, tuple[Anchor, ...]]]
+    anchors: dict[str, dict[int | None, np.ndarray]]
     window: int
     cutoff_hz: float
     bin_edges: np.ndarray
@@ -107,8 +107,7 @@ def _fit_level_curve(points, anchors, knots, bin_edges, label: str) -> Spline1D:
     if dropped:
         print(f"{label}: dropped {dropped} bin(s) outside the knot span [{lo}, {hi}] m/s")
     binned = binned[inside]
-    rows = np.concatenate([binned, np.reshape(
-        [(a.speed_mps, a.force_n, a.weight) for a in anchors], (-1, 3))])
+    rows = np.concatenate([binned, np.reshape(anchors, (-1, 3))])
     kept = prune_unsupported_knots(knots, rows[:, 0])
     if len(kept) < len(knots):
         print(f"{label}: pruned {len(knots) - len(kept)} unsupported knot(s)")

@@ -68,6 +68,25 @@ def _one_per_knot(xs: Sequence[float], values: Sequence[float], what: str = "val
         raise FitError(f"need one {what} per knot position, got {len(values)} for {len(xs)}")
 
 
+def _weighted_rows(rows, what: str, max_value: float = math.inf,
+                   max_weight: float = math.inf) -> np.ndarray:
+    """``rows`` as (N, 3) float (speed, value, weight) rows if each has a finite speed
+    and value and a finite weight > 0 (and, for anchors, |value| <= ``max_value`` and
+    weight <= ``max_weight``), else a FitError naming the first bad row: the row rule."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, 3)
+    xs, ys, ws = rows.T
+    good = (np.isfinite(rows).all(axis=1) & (ws > 0)
+            & (np.abs(ys) <= max_value) & (ws <= max_weight))
+    if not good.all():
+        i = int(good.argmin())
+        rule = ("speed and value must be finite, and the weight finite and > 0"
+                if max_value == max_weight == math.inf else
+                f"speed must be finite, |value| <= {max_value:g} and the weight > 0 "
+                f"and <= {max_weight:g}")
+        raise FitError(f"{what} {i} ({xs[i]} m/s, {ys[i]}, weight {ws[i]}): {rule}")
+    return rows
+
+
 def limited_tangents(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, ...]:
     """Hermite tangents from neighbor secants, Fritsch-Carlson limited.
 
@@ -85,8 +104,10 @@ def limited_tangents(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, .
     The positions must be a knot layout (see :func:`_knot_positions`) with
     one value each; anything else raises :class:`~longforce.errors.FitError`.
     """
-    _knot_positions(xs)
+    # Python floats whatever the input: an overflowing ratio is inf, not a numpy warning
+    xs = _knot_positions(xs).tolist()
     _one_per_knot(xs, ys)
+    ys = [float(y) for y in ys]
     spans = [b - a for a, b in zip(xs, xs[1:])]
     spans2 = [b - a for a, b in zip(xs, xs[2:])]
     return tuple(_limited_pass(ys, spans, spans2, len(xs) - 1))
@@ -316,10 +337,10 @@ def fit_curve(points, knots_x: Sequence[float]) -> Spline1D:
 
     ``points`` is an (N, 3) array of rows, bins and anchors alike: binned
     points weigh in with their sample counts, anchors with their configured
-    weights. A row whose speed or value is not finite, or whose weight is
-    not finite and > 0, is refused with a :class:`~longforce.errors.FitError`
-    naming it. A first pass ties the tangents to the knot values through the
-    neighbor-secant rule, which keeps the model linear in the knot values.
+    weights. A row that breaks the row rule (see :func:`_weighted_rows`) is
+    refused with a :class:`~longforce.errors.FitError` naming it. A first
+    pass ties the tangents to the knot values through the neighbor-secant
+    rule, which keeps the model linear in the knot values.
     Because evaluation uses Fritsch-Carlson-limited tangents, the knot values
     are then re-solved with the limited tangents frozen, alternating until
     the shape settles; without this the fit is biased by several newtons
@@ -329,14 +350,9 @@ def fit_curve(points, knots_x: Sequence[float]) -> Spline1D:
     """
     k = _knot_positions(knots_x)
     knots, n = k.tolist(), len(k)
-    xs, ys, ws = np.asarray(points, float).reshape(-1, 3).T
+    xs, ys, ws = _weighted_rows(points, "fit row").T
     if not len(xs):
         raise FitError("nothing to fit: no binned points and no anchors")
-    bad = ~(np.isfinite(xs) & np.isfinite(ys) & np.isfinite(ws) & (ws > 0))
-    if bad.any():
-        i = int(bad.argmax())
-        raise FitError(f"fit row {i} ({xs[i]} m/s, {ys[i]}, weight {ws[i]}): speed and value "
-                       "must be finite, and the weight finite and > 0")
     if xs.min() < knots[0] or xs.max() > knots[-1]:
         raise FitError(
             f"knot span [{knots[0]}, {knots[-1]}] does not cover the data span "
@@ -371,10 +387,7 @@ def fit_curve(points, knots_x: Sequence[float]) -> Spline1D:
     # Re-solve the knot values under the limited tangents (frozen per pass).
     weighted_basis = value_basis * sw[:, None]
     for _ in range(10):
-        # As Python floats, a limiter ratio that overflows gives inf quietly, as it
-        # does in Spline1D.interpolate, not numpy's overflow warning.
-        clamped = np.maximum(solution, 0.0).tolist()
-        tangents = np.asarray(limited_tangents(knots, clamped))
+        tangents = np.asarray(limited_tangents(knots, np.maximum(solution, 0.0)))
         offsets = tan_left * tangents[seg] + tan_right * tangents[seg + 1]
         refined, _, rank2, _ = np.linalg.lstsq(weighted_basis, (ys - offsets) * sw, rcond=None)
         if rank2 < n:
@@ -402,23 +415,6 @@ def _fit_basis(k: np.ndarray, xs: np.ndarray):
     value_basis[rows, seg] = 2.0 * t3 - 3.0 * t2 + 1.0
     value_basis[rows, seg + 1] = -2.0 * t3 + 3.0 * t2
     return seg, value_basis, (t3 - 2.0 * t2 + t) * h, (t3 - t2) * h
-
-
-@dataclass(frozen=True)
-class Anchor:
-    """A hand-specified (speed, force) point with a fit weight."""
-
-    speed_mps: float
-    force_n: float
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.speed_mps) and math.isfinite(self.force_n)):
-            raise FitError(f"anchor ({self.speed_mps} m/s, {self.force_n} N) is non-finite")
-        if not self.weight > 0:
-            raise FitError(f"anchor weight must be > 0, got {self.weight}")
-        if self.weight == math.inf:
-            raise FitError("anchor weight must be finite, got inf")
 
 
 @dataclass(frozen=True)

@@ -235,11 +235,9 @@ class TestFitPipeline:
         config = load_pipeline_config(config_path)
         out = tmp_path / "friction.json"
         curve = run_fit_friction([], config, out)
-        anchors = config.anchors["friction"][None]
-        knots = prune_unsupported_knots(config.knots_mps["friction"],
-                                        [a.speed_mps for a in anchors])
+        rows = config.anchors["friction"][None]
+        knots = prune_unsupported_knots(config.knots_mps["friction"], rows[:, 0])
         no_bins = np.empty((0, 3))
-        rows = [(a.speed_mps, a.force_n, a.weight) for a in anchors]
         want = fit_curve(np.vstack([no_bins, rows]), knots)
         _, loaded, _ = load_model(out)
         for got in (curve, loaded):
@@ -647,19 +645,36 @@ class TestMainInputFiles:
             f"[50, 100] in {logs[0]}, {logs[1]}\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("weight", [0.0, -1.0])
-    def test_anchor_weight_not_positive_is_2(self, cli_inputs, tmp_path, capsys, weight):
-        # Used to exit 3, as a numerical failure, without naming the file.
+    # A zero or negative weight used to exit 3 without naming the file; a force of
+    # 1e160 N exited 3 with "overflow encountered in square", and a weight of 1e30 as
+    # an underdetermined fit.
+    @pytest.mark.parametrize("kind, level", [("friction", None), ("propulsion", "100")],
+                             ids=["friction", "propulsion-100"])
+    @pytest.mark.parametrize("field, value", [
+        ("speed_mps", math.nan), ("speed_mps", math.inf), ("force_n", math.nan),
+        ("force_n", -math.inf), ("force_n", 1e160), ("force_n", -2e6),
+        ("weight", 0.0), ("weight", -1.0), ("weight", math.inf), ("weight", 1e30)],
+        ids=["speed-nan", "speed-inf", "force-nan", "force-inf", "force-huge",
+             "force-over-bound", "weight-zero", "weight-negative", "weight-inf",
+             "weight-over-bound"])
+    def test_anchor_weight_not_positive_is_2(self, cli_inputs, tmp_path, capsys, field,
+                                             value, kind, level):
         path = tmp_path / "anchors.json"
         obj = json.loads(data_path("anchors_zoe.json").read_text())
-        obj["friction"][0]["weight"] = weight
+        anchors = obj[kind] if level is None else obj[kind][level]
+        anchors[3][field] = value
         path.write_text(json.dumps(obj))
         config = json.loads(cli_inputs["config"].read_text())
         config["anchors"] = str(path)
         cli_inputs["config"].write_text(json.dumps(config))
+        speed, force, weight = (float(anchors[3].get(key, 1.0))
+                                for key in ("speed_mps", "force_n", "weight"))
+        where = "friction" if level is None else f"{kind} level {level}"
         assert main(cli_argv("fit-friction", cli_inputs, str(tmp_path / "out"))) == 2
-        assert (f"{path}: invalid anchor config: anchor weight must be > 0, got {weight}"
-                in capsys.readouterr().err)
+        assert capsys.readouterr().err == (
+            f"error: {path}: invalid anchor config: {where} anchor 3 ({speed} m/s, {force}, "
+            f"weight {weight}): speed must be finite, |value| <= 1e+06 and the weight > 0 "
+            "and <= 1e+06\n")
 
     @pytest.mark.parametrize("command", ["fit-brake", "simulate", "validate"])
     def test_edited_tangent_is_ignored(self, gt_models, cli_inputs, tmp_path, capsys,

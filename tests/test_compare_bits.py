@@ -7,7 +7,7 @@ from unittest.mock import patch
 
 import pytest
 
-from longforce import core, estimation, extraction, pipeline, spline
+from longforce import core, estimation, extraction, pipeline, reference, spline
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_bits.py"
 _spec = importlib.util.spec_from_file_location("compare_bits", SCRIPT)
@@ -120,6 +120,19 @@ def test_a_changed_bin_median_moves_only_the_binning_digests(small):
             patch.object(pipeline, "bin_by_speed", shifted):
         after = compare_bits.digests(**small)
     assert {name for name in before if before[name] != after[name]} == {"bin_by_speed",
+                                                                        "fit stages"}
+
+
+def test_a_changed_anchor_parse_moves_only_the_anchor_digests(small):
+    # One more in every anchor weight read. The reference models interpolate the
+    # anchors' speeds and forces only, so every evaluation digest stays.
+    def shifted(obj, key, default=None, original=reference.json_numbers):
+        return original(obj, key, default) + (1.0 if key == "weight" else 0.0)
+
+    before = compare_bits.digests(**small)
+    with patch.object(reference, "json_numbers", shifted):
+        after = compare_bits.digests(**small)
+    assert {name for name in before if before[name] != after[name]} == {"load_anchor_file",
                                                                         "fit stages"}
 
 

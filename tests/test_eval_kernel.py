@@ -909,7 +909,7 @@ def test_simulate_matches_rk4_oracle(gt_models):
 def test_model_set_caches_equivalent_mass(gt_models):
     models = ModelSet(gt_models.friction, gt_models.propulsion, gt_models.braking,
                       gt_models.params)
-    assert models.m_eq == equivalent_mass(gt_models.params)
+    assert models.params.m_eq_kg == equivalent_mass(gt_models.params)
 
 
 def test_schedule_calls_per_step(gt_models):

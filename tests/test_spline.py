@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from longforce.errors import FitError, InversionError, SchemaError
 from longforce.pipeline import load_pipeline_config
 from longforce.reference import load_anchor_file
-from longforce.spline import (Anchor, ForceSurface, Spline1D,
+from longforce.spline import (ForceSurface, Spline1D,
                               check_signal_monotone, fit_curve, limited_tangents,
                               load_model, model_from_dict, model_to_dict,
                               prune_unsupported_knots, save_model,
@@ -137,6 +137,20 @@ class TestLimitedTangents:
         # 0 * inf = NaN tangents.
         assert limited_tangents([0.0, 0.001, 0.002], [0.0, 5e-313, 1.0]) == (0.0, 0.0, 1000.0)
 
+    @pytest.mark.parametrize("xs, ys", [
+        ([0.0, 1.0, 2.0], [0.0, 1e-300, 1e300]),
+        ([0.0, 0.001, 0.002], [0.0, 5e-313, 1.0]),
+        ([0.1, 0.7, 2.0, 2.5, 9.0], [3.0, 3.0, 17.5, 2.0, 40.0])],
+        ids=["overflowing-secant", "overflowing-ratio", "mixed"])
+    def test_list_tuple_and_array_inputs_give_equal_tangents(self, xs, ys):
+        # Array positions used to give numpy-scalar arithmetic, whose overflow
+        # warning (an error here) the Python floats of a list do not raise.
+        want = np.array(limited_tangents(xs, ys)).tobytes()
+        for kind in (tuple, np.array):
+            assert np.array(limited_tangents(kind(xs), kind(ys))).tobytes() == want
+        assert (np.array(Spline1D.interpolate(np.array(xs), np.array(ys)).tangents).tobytes()
+                == np.array(Spline1D.interpolate(xs, ys).tangents).tobytes())
+
     def test_steep_tangents_scaled_into_monotone_region(self):
         xs = [0.0, 1.0, 1.001, 2.0]
         ys = [0.0, 100.0, 100.1, 200.0]
@@ -254,9 +268,17 @@ class TestFitCurve:
                                   "must be finite, and the weight finite and > 0")
         assert capfd.readouterr().err == ""
 
-    def test_anchor_weight_positive(self):
-        with pytest.raises(FitError):
-            Anchor(1.0, 1.0, weight=0.0)
+    def test_anchor_weight_positive(self, tmp_path):
+        # Anchors load as rows under the fit's row rule, weight > 0 included.
+        path = write_json(tmp_path / "anchors.json", {
+            "friction": [{"speed_mps": 1.0, "force_n": 1.0}],
+            "braking": {"0": [{"speed_mps": 1.0, "force_n": 1.0, "weight": 0.0}]}})
+        with pytest.raises(SchemaError) as exc:
+            load_anchor_file(path)
+        assert str(exc.value) == (
+            f"{path}: invalid anchor config: braking level 0 anchor 0 (1.0 m/s, 1.0, "
+            "weight 0.0): speed must be finite, |value| <= 1e+06 and the weight > 0 "
+            "and <= 1e+06")
 
     @pytest.mark.parametrize("knots, message", [
         ([1.0], "need at least 2 knot positions, got 1"),
@@ -746,8 +768,14 @@ def test_anchor_set_lookup(tmp_path):
     path = tmp_path / "anchors.json"
     path.write_text(json.dumps({
         "friction": [{"speed_mps": 0.1, "force_n": 300.0}],
-        "propulsion": {"50": [{"speed_mps": 1.0, "force_n": 2000.0, "weight": 5.0}]}}))
+        "propulsion": {"50": [{"speed_mps": 1.0, "force_n": 2000.0, "weight": 5.0},
+                              {"speed_mps": 0.5, "force_n": 1500.0, "weight": 0.25}],
+                       "0": []}}))
     anchors = load_anchor_file(path)
-    assert anchors["friction"] == {None: (Anchor(0.1, 300.0),)}
-    assert anchors["propulsion"] == {50: (Anchor(1.0, 2000.0, 5.0),)}
+    # (speed_mps, force_n, weight) rows in file order, the weight 1 when absent
+    assert list(anchors["friction"]) == [None]
+    assert anchors["friction"][None].tolist() == [[0.1, 300.0, 1.0]]
+    assert list(anchors["propulsion"]) == [50, 0]
+    assert anchors["propulsion"][50].tolist() == [[1.0, 2000.0, 5.0], [0.5, 1500.0, 0.25]]
+    assert anchors["propulsion"][0].shape == (0, 3)
     assert "braking" not in anchors
