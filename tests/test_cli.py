@@ -245,6 +245,25 @@ class TestFitPipeline:
                     == np.array([want.knots_x, want.knots_y, want.tangents]).tobytes())
         assert "friction: 0 points in 0 bins" in capsys.readouterr().out
 
+    def test_sparse_anchors_prune_the_knots_they_cannot_support(self, gt_models, config_path,
+                                                                tmp_path, capsys):
+        # No anchor lies between 12 and 20 m/s or between 25 and 36 m/s, so the
+        # friction knots at 16, 30 and 34.72 m/s are dropped before the fit.
+        speeds = [0.1, 0.2, 0.5, 0.8, 2.0, 2.5, 5.0, 10.0, 11.0, 22.0, 23.0, 36.0]
+        anchors = tmp_path / "anchors.json"
+        anchors.write_text(json.dumps({"friction": [
+            {"speed_mps": v, "force_n": gt_models.friction.eval(v), "weight": 30.0}
+            for v in speeds]}))
+        obj = json.loads(config_path.read_text())
+        obj["anchors"] = str(anchors)
+        config_path.write_text(json.dumps(obj))
+        out = tmp_path / "friction.json"
+        curve = run_fit_friction([], load_pipeline_config(config_path), out)
+        assert "friction: pruned 3 unsupported knot(s)\n" in capsys.readouterr().out
+        kept = (0.1, 0.25, 1.0, 3.0, 8.333333333333334, 12.0, 20.0, 25.0, 36.0)
+        assert curve.knots_x == kept
+        assert load_model(out)[1].knots_x == kept
+
     def test_propulsion_fit_level_bookkeeping(self, gt_models, config_path, tmp_path):
         coast = coast_down_log(gt_models)
         save_drive_log(tmp_path / "coast.json", coast)
