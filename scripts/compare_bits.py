@@ -19,9 +19,8 @@ message of every error raised:
   models (the acceleration and the three forces), at the special speeds too;
 * ``inverse_actuation`` on the reference models;
 * ``simulate`` on the four scenarios of the ``simulate`` benchmark;
-* ``fit_curve``, ``unsupported_knots`` and ``prune_unsupported_knots`` on
-  seeded random knot layouts, bins and anchors (the fitted knots and
-  tangents, the flags, the kept knots);
+* ``fit_curve`` on seeded random knot layouts, bins and anchors (the
+  knots it keeps, their fitted values and tangents);
 * ``bin_by_speed`` on seeded random edges and points, some on an edge, on
   the top edge or outside the span, and on an empty input (each bin's
   median speed, median value and count);
@@ -100,13 +99,18 @@ def fit_case(rng):
 
 
 def fit(knots, binned, anchors):
-    """``fit_curve`` on the bins' rows followed by the anchors' rows; a base tree
-    that still has ``BinnedPoints`` takes them as one and as ``Anchor`` tuples."""
+    """``fit_curve`` on the bins' rows followed by the anchors' rows. A base tree
+    that still has ``prune_unsupported_knots`` fits on the knots it keeps for the
+    rows' speeds, as its pipeline did; one that still has ``BinnedPoints`` takes
+    the rows as one and as ``Anchor`` tuples."""
     import numpy as np
 
     import longforce as lf
-    from longforce import estimation
+    from longforce import estimation, spline
 
+    if hasattr(spline, "prune_unsupported_knots"):
+        knots = spline.prune_unsupported_knots(
+            knots, np.concatenate([binned[:, 0], anchors[:, 0]]))
     if hasattr(estimation, "BinnedPoints"):
         centers, values, counts = binned.T
         return lf.fit_curve(estimation.BinnedPoints(centers, values, counts.astype(np.int64)),
@@ -350,7 +354,6 @@ def digests(seed: int, queries: int = QUERIES, scale: float = 1.0,
 
     import longforce as lf
     from longforce.core import ingest_csv
-    from longforce.spline import prune_unsupported_knots, unsupported_knots
 
     workloads = load_module(ROOT / "bench" / "workloads.py")
 
@@ -434,19 +437,12 @@ def digests(seed: int, queries: int = QUERIES, scale: float = 1.0,
                  float(spec["v0"]), workloads.DT, float(spec["duration"]))
         out[f"simulate {spec['name']}"] = sim
 
-    fits = {"fit_curve": Digest(), "unsupported_knots": Digest(),
-            "prune_unsupported_knots": Digest()}
+    fits = out["fit_curve"] = Digest()
     layouts = []
     for _ in range(max(20, queries // 20)):
         knots, binned, anchors = fit_case(rng)
         layouts.append(knots)
-        points = [*binned[:, 0].tolist(), *anchors[:, 0].tolist()]
-        fits["fit_curve"].call(fit, knots, binned, anchors)
-        fits["unsupported_knots"].call(
-            lambda: np.array(unsupported_knots(knots, points), dtype=float))
-        fits["prune_unsupported_knots"].call(
-            lambda: np.array(prune_unsupported_knots(knots, points)))
-    out.update(fits)
+        fits.call(fit, knots, binned, anchors)
 
     loaded = out["load_model"] = Digest()
     saved = [("friction", models.friction), ("propulsion", prop), ("braking", models.braking),

@@ -261,4 +261,5 @@ def load_schedule_csv(path: str | Path) -> Schedule:
                     if value < 0 and name in ("throttle", "brake"):
                         raise ValueError(f"{name} must be >= 0, got {value}")
                 rows.append(values)
-    return step_hold_schedule(rows)
+    with file_values(path, "invalid schedule"):
+        return step_hold_schedule(rows)

@@ -30,7 +30,7 @@ from .extraction import (extract_braking, extract_friction, extract_propulsion,
 from .reference import load_anchor_file, reference_model_set
 from .spline import (DEFAULT_KNOTS_MPS, MODEL_KINDS, ForceSurface, Spline1D,
                      _knot_positions, check_signal_monotone, fit_curve, load_model,
-                     load_typed_model, prune_unsupported_knots, save_model)
+                     load_typed_model, save_model)
 from .validation import render_table, report_to_dict, validate
 
 
@@ -54,7 +54,8 @@ class PipelineConfig:
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
     """The config at ``path``; a value the stages cannot use is a SchemaError naming the file.
-    Each ``knots_mps`` layout must pass the curves' knot-layout rule, ``_knot_positions``."""
+    Each ``knots_mps`` layout must pass the curves' knot-layout rule, ``_knot_positions``,
+    and span every anchor of its kind."""
     path = Path(path)
     obj = read_json(path)
     with file_values(path, "invalid pipeline config"):
@@ -80,8 +81,18 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
             except FitError as exc:
                 raise FitError(f"knots_mps for {kind}: {exc}") from None
     # Read outside the block, so that their errors name their own file once.
-    return PipelineConfig(load_vehicle_params(params_path), load_anchor_file(anchors_path),
-                          window, cutoff, edges, knots)
+    params, anchors = load_vehicle_params(params_path), load_anchor_file(anchors_path)
+    with file_values(anchors_path, "invalid anchor config"):
+        for kind, by_level in anchors.items():
+            lo, hi = knots[kind][0], knots[kind][-1]
+            for level, rows in by_level.items():
+                outside = (rows[:, 0] < lo) | (rows[:, 0] > hi)
+                if outside.any():
+                    i = int(outside.argmax())
+                    name = kind if level is None else f"{kind} level {level}"
+                    raise ValueError(f"{name} anchor {i} at {rows[i, 0]} m/s lies outside "
+                                     f"the {kind} knot span [{lo}, {hi}] m/s")
+    return PipelineConfig(params, anchors, window, cutoff, edges, knots)
 
 
 def _provenance(source_logs: list[str]) -> dict:
@@ -98,8 +109,7 @@ def _provenance(source_logs: list[str]) -> dict:
 
 def _fit_level_curve(points, anchors, knots, bin_edges, label: str) -> Spline1D:
     """Bin the points and keep the bins inside the knot span, add the anchors as
-    (speed, force, weight) rows after them, prune knots the rows cannot support,
-    fit the curve."""
+    (speed, force, weight) rows after them, fit the curve on the knots they support."""
     binned = bin_by_speed(points, bin_edges)
     lo, hi = knots[0], knots[-1]
     inside = (binned[:, 0] >= lo) & (binned[:, 0] <= hi)
@@ -108,10 +118,9 @@ def _fit_level_curve(points, anchors, knots, bin_edges, label: str) -> Spline1D:
         print(f"{label}: dropped {dropped} bin(s) outside the knot span [{lo}, {hi}] m/s")
     binned = binned[inside]
     rows = np.concatenate([binned, np.reshape(anchors, (-1, 3))])
-    kept = prune_unsupported_knots(knots, rows[:, 0])
-    if len(kept) < len(knots):
-        print(f"{label}: pruned {len(knots) - len(kept)} unsupported knot(s)")
-    curve = fit_curve(rows, kept)
+    curve = fit_curve(rows, knots)
+    if len(curve.knots_x) < len(knots):
+        print(f"{label}: pruned {len(knots) - len(curve.knots_x)} unsupported knot(s)")
     rms = _fit_rms(curve, binned)
     print(f"{label}: {len(points)} points in {len(binned)} bins, "
           f"fit residual RMS {rms:.1f} N")
@@ -230,7 +239,7 @@ def run_export(model_path: str | Path, out_path: str | Path,
     grid_kmh = grid(EXPORT_LO_KMH, EXPORT_HI_KMH, points)
     if kind == "friction":
         if levels:
-            raise SchemaError("a friction model has no levels")
+            raise SchemaError(f"{model_path}: a friction model has no levels")
         level_list: list[int | None] = [None]
     else:
         available = list(model.levels)
@@ -238,7 +247,7 @@ def run_export(model_path: str | Path, out_path: str | Path,
         unknown = [lv for lv in level_list if lv not in available]
         if unknown:
             raise SchemaError(
-                f"unknown level(s) {unknown}; available levels: {available}")
+                f"{model_path}: unknown level(s) {unknown}; available levels: {available}")
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["speed_kmh", "force_N", "level"])

@@ -292,44 +292,28 @@ class Spline1D:
         return out
 
 
-def unsupported_knots(knots: Sequence[float], xs: Sequence[float]) -> list[bool]:
-    """Flag knots whose value no data point can pin down.
+def _supported_knots(k: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The knots of layout ``k`` that the speeds ``xs`` (at least one) can pin down.
 
     A knot's basis function lives on the open interval between its
     neighbors; a knot with no point there is determined only through the
     weak tangent coupling, which makes the normal equations nearly singular
-    and the solution oscillate wildly. Such knots must be dropped (or
-    anchored) before fitting.
+    and the solution oscillate wildly. Knots outside the points' span go
+    first, keeping one bracketing knot on each side where there is one. Then,
+    left to right, an interior knot goes when no point lies strictly between
+    the last kept knot and the next knot; dropping a knot only widens its
+    neighbors' supports, so one pass leaves every interior knot supported.
     """
-    k = np.asarray(knots, dtype=float)
-    points = np.sort(np.asarray(xs, dtype=float).ravel())
-    lo = np.concatenate(([-math.inf], k))[:-1]  # each knot's open support (lo, hi)
-    hi = np.concatenate((k, [math.inf]))[1:]
-    inside = np.searchsorted(points, hi, side="left") - np.searchsorted(points, lo, side="right")
-    return (inside <= 0).tolist()
-
-
-def prune_unsupported_knots(knots: Sequence[float], xs: Sequence[float]) -> tuple[float, ...]:
-    """Drop knots until every survivor has a point within its support.
-
-    Dropping a knot widens its neighbors' support, so the check iterates to
-    a fixed point. Knots outside the data span are dropped first, keeping
-    one bracketing knot on each side when available.
-    """
-    kept = [float(k) for k in knots]
-    arr = np.asarray(xs, dtype=float)
-    if len(arr) == 0:
-        return tuple(kept)
-    lo, hi = float(arr.min()), float(arr.max())
-    first = max((k for k in kept if k <= lo), default=kept[0])
-    last = min((k for k in kept if k >= hi), default=kept[-1])
-    kept = [k for k in kept if first <= k <= last]
-    while len(kept) > 2:
-        interior = unsupported_knots(kept, arr)[1:-1]
-        if True not in interior:
-            break
-        del kept[interior.index(True) + 1]
-    return tuple(kept)
+    points = np.sort(xs)
+    below = np.searchsorted(points, k, side="left").tolist()   # points < each knot
+    upto = np.searchsorted(points, k, side="right").tolist()   # points <= each knot
+    first = max(below.count(0), 1) - 1               # last knot <= every point, or the first
+    last = len(k) - max(upto.count(len(points)), 1)  # first knot >= every point, or the last
+    kept = [first]
+    for j in range(first + 1, last + 1):
+        if j == last or below[j + 1] > upto[kept[-1]]:
+            kept.append(j)
+    return k[kept]
 
 
 def fit_curve(points, knots_x: Sequence[float]) -> Spline1D:
@@ -338,9 +322,11 @@ def fit_curve(points, knots_x: Sequence[float]) -> Spline1D:
     ``points`` is an (N, 3) array of rows, bins and anchors alike: binned
     points weigh in with their sample counts, anchors with their configured
     weights. A row that breaks the row rule (see :func:`_weighted_rows`) is
-    refused with a :class:`~longforce.errors.FitError` naming it. A first
-    pass ties the tangents to the knot values through the neighbor-secant
-    rule, which keeps the model linear in the knot values.
+    refused with a :class:`~longforce.errors.FitError` naming it. Knots no
+    row can pin down are dropped (see :func:`_supported_knots`), so the
+    curve's ``knots_x`` may be a subset of ``knots_x``. A first pass ties
+    the tangents to the knot values through the neighbor-secant rule, which
+    keeps the model linear in the knot values.
     Because evaluation uses Fritsch-Carlson-limited tangents, the knot values
     are then re-solved with the limited tangents frozen, alternating until
     the shape settles; without this the fit is biased by several newtons
@@ -349,10 +335,11 @@ def fit_curve(points, knots_x: Sequence[float]) -> Spline1D:
     below zero.
     """
     k = _knot_positions(knots_x)
-    knots, n = k.tolist(), len(k)
     xs, ys, ws = _weighted_rows(points, "fit row").T
     if not len(xs):
         raise FitError("nothing to fit: no binned points and no anchors")
+    k = _knot_positions(_supported_knots(k, xs))  # one knot may be all that is left
+    knots, n = k.tolist(), len(k)
     if xs.min() < knots[0] or xs.max() > knots[-1]:
         raise FitError(
             f"knot span [{knots[0]}, {knots[-1]}] does not cover the data span "
@@ -360,13 +347,6 @@ def fit_curve(points, knots_x: Sequence[float]) -> Spline1D:
     if len(xs) < n:
         raise FitError(
             f"underdetermined fit: {len(xs)} data points for {n} knots; use fewer knots")
-    unsupported = unsupported_knots(k, xs)
-    if True in unsupported:
-        i = unsupported.index(True)
-        raise FitError(
-            f"underdetermined fit: no data or anchor supports the knot at "
-            f"{knots[i]} m/s (support ({knots[max(i - 1, 0)]}, {knots[min(i + 1, n - 1)]})); "
-            "use fewer knots")
 
     seg, value_basis, tan_left, tan_right = _fit_basis(k, xs)
     # Tangents as a linear map of knot values: m = C @ y (neighbor secants).

@@ -15,7 +15,7 @@ from longforce.pipeline import (MAX_EXPORT_POINTS, load_model_set, load_pipeline
                                 run_export, run_fit_brake, run_fit_friction, run_fit_propulsion,
                                 run_reference, run_simulate, run_validate)
 from longforce.reference import data_path, load_anchor_file
-from longforce.spline import fit_curve, limited_tangents, load_model, prune_unsupported_knots
+from longforce.spline import fit_curve, limited_tangents, load_model
 
 from conftest import coast_down_log, mixed_drive, protocol_log
 
@@ -236,9 +236,8 @@ class TestFitPipeline:
         out = tmp_path / "friction.json"
         curve = run_fit_friction([], config, out)
         rows = config.anchors["friction"][None]
-        knots = prune_unsupported_knots(config.knots_mps["friction"], rows[:, 0])
         no_bins = np.empty((0, 3))
-        want = fit_curve(np.vstack([no_bins, rows]), knots)
+        want = fit_curve(np.vstack([no_bins, rows]), config.knots_mps["friction"])
         _, loaded, _ = load_model(out)
         for got in (curve, loaded):
             assert (np.array([got.knots_x, got.knots_y, got.tangents]).tobytes()
@@ -998,6 +997,48 @@ class TestInputBoundary:
         assert main(cli_argv("fit-friction", cli_inputs, str(tmp_path / "out"))) == 2
         assert capsys.readouterr().err == (
             f"error: {path}: malformed drive log: {column} must be >= 0; violated at row 1\n")
+
+    # A friction anchor at 100 m/s used to end fit-friction in exit 3 with "knot
+    # span [0.1, 36.0] does not cover the data span [0.1, 100.0]", naming no file.
+    @pytest.mark.parametrize("command, kind, level, speed", [
+        ("fit-friction", "friction", None, 100.0),
+        ("fit-friction", "friction", None, -1.0),
+        ("fit-propulsion", "propulsion", "100", 40.0)],
+        ids=["friction-100", "friction-negative", "propulsion-40"])
+    def test_anchor_outside_the_knot_span_is_2(self, cli_inputs, tmp_path, capsys, command,
+                                               kind, level, speed):
+        path = tmp_path / "anchors.json"
+        obj = json.loads(data_path("anchors_zoe.json").read_text())
+        anchors = obj[kind] if level is None else obj[kind][level]
+        anchors[1]["speed_mps"] = speed
+        path.write_text(json.dumps(obj))
+        config = json.loads(cli_inputs["config"].read_text())
+        config["anchors"] = str(path)
+        cli_inputs["config"].write_text(json.dumps(config))
+        name = kind if level is None else f"{kind} level {level}"
+        assert main(cli_argv(command, cli_inputs, str(tmp_path / "out"))) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: invalid anchor config: {name} anchor 1 at {speed} m/s lies "
+            f"outside the {kind} knot span [0.1, 36.0] m/s\n")
+
+    # Each used to exit 2 with the message alone, naming no file.
+    def test_header_only_schedule_names_its_file(self, cli_inputs, tmp_path, capsys):
+        path = cli_inputs["schedule"]
+        path.write_text("t_s,throttle,brake,slope_rad\n")
+        assert main(cli_argv("simulate", cli_inputs, str(tmp_path / "out"))) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: invalid schedule: a schedule needs at least one row\n")
+
+    @pytest.mark.parametrize("kind, level, message", [
+        ("friction", "1", "a friction model has no levels"),
+        ("propulsion", "42", "unknown level(s) [42]; available levels: [0, 50, 100, 150, 186]")],
+        ids=["friction", "unknown-level"])
+    def test_export_level_error_names_the_model_file(self, cli_inputs, tmp_path, capsys, kind,
+                                                     level, message):
+        path = cli_inputs[kind]
+        assert main(["export-plot-data", str(path), "--level", level,
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 class TestFitDeterminism:

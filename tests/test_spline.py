@@ -13,9 +13,8 @@ from longforce.pipeline import load_pipeline_config
 from longforce.reference import load_anchor_file
 from longforce.spline import (ForceSurface, Spline1D,
                               check_signal_monotone, fit_curve, limited_tangents,
-                              load_model, model_from_dict, model_to_dict,
-                              prune_unsupported_knots, save_model,
-                              unsupported_knots, _hermite)
+                              load_model, model_from_dict, model_to_dict, save_model,
+                              _hermite, _supported_knots)
 
 
 def model_bits(model):
@@ -236,13 +235,16 @@ class TestFitCurve:
         assert curve.knots_y == (0.0, 0.0, 0.0)
 
     def test_fewer_points_than_knots(self):
-        with pytest.raises(FitError, match="underdetermined"):
-            fit_curve(binned([1.0, 2.0], [1.0, 2.0]), [0.5, 1.0, 2.0, 3.0])
+        # Every knot is supported, so none is pruned.
+        with pytest.raises(FitError, match="^underdetermined fit: 2 data points for 3 knots"):
+            fit_curve(binned([0.5, 1.5], [1.0, 2.0]), [0.0, 1.0, 2.0])
 
-    def test_unsupported_knot_rejected(self):
+    def test_unsupported_knot_pruned(self):
+        # No point lies between 0.3 and 5.0 m/s, so the knot at 2.0 m/s goes.
         bins = binned([0.1, 0.2, 5.5, 5.6, 5.8, 6.0], np.full(6, 100.0))
-        with pytest.raises(FitError, match="underdetermined"):
-            fit_curve(bins, [0.1, 0.3, 2.0, 5.0, 6.0])
+        curve = fit_curve(bins, [0.1, 0.3, 2.0, 5.0, 6.0])
+        assert curve.knots_x == (0.1, 0.3, 5.0, 6.0)
+        assert model_bits(curve) == model_bits(fit_curve(bins, curve.knots_x))
 
     def test_span_must_cover_data(self):
         with pytest.raises(FitError, match="span"):
@@ -336,7 +338,7 @@ def test_every_entry_point_refuses_a_bad_layout_with_one_message(tmp_path, layou
     assert str(exc.value) == prefix + message
 
 
-# --- fit_curve and unsupported_knots against their per-point loops -----------------
+# --- fit_curve and its knot pruning against their per-point loops ------------------
 
 def unsupported_knots_loop(knots, xs):
     """``unsupported_knots`` as it was, one knot at a time."""
@@ -349,12 +351,39 @@ def unsupported_knots_loop(knots, xs):
     return flags
 
 
+def prune_loop(knots, xs):
+    """The knot pruning as it was: knots outside the points' span go, save one
+    bracketing knot each side, then the first unsupported interior knot, until
+    none is left."""
+    kept = [float(k) for k in knots]
+    if len(xs) == 0:
+        return kept
+    lo, hi = min(xs), max(xs)
+    first = max((k for k in kept if k <= lo), default=kept[0])
+    last = min((k for k in kept if k >= hi), default=kept[-1])
+    kept = [k for k in kept if first <= k <= last]
+    while len(kept) > 2:
+        interior = unsupported_knots_loop(kept, xs)[1:-1]
+        if True not in interior:
+            break
+        del kept[interior.index(True) + 1]
+    return kept
+
+
+def pruned_fit_loop(points, knots_x):
+    """``fit_curve`` as it was, on the knots ``prune_loop`` keeps for the rows."""
+    return fit_curve_loop(points, prune_loop(knots_x, [float(row[0]) for row in points]))
+
+
 def fit_curve_loop(points, knots_x):
-    """``fit_curve`` as it was, building its design point by point and knot by knot."""
+    """``fit_curve`` without pruning, building its design point by point and knot by
+    knot; it refuses a knot no point supports."""
     knots = [float(k) for k in knots_x]
     n = len(knots)
-    if n < 2 or not all(a < b for a, b in zip(knots, knots[1:])):
-        raise FitError("knots must be strictly increasing with >= 2 entries")
+    if n < 2:
+        raise FitError(f"need at least 2 knot positions, got {n}")
+    if not all(a < b for a, b in zip(knots, knots[1:])):
+        raise FitError("knot positions must be strictly increasing")
     xs, ys, ws = [], [], []
     for x, y, w in points:
         xs.append(float(x))
@@ -469,7 +498,7 @@ def fit_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(fit_inputs())
 def test_fit_curve_equals_its_loop_oracle(case):
-    assert outcome(fit_curve, *case) == outcome(fit_curve_loop, *case)
+    assert outcome(fit_curve, *case) == outcome(pruned_fit_loop, *case)
 
 
 def segment_sums(curve, samples=64):
@@ -517,32 +546,53 @@ def test_built_curves_stay_within_their_knot_values(data):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_unsupported_knots_equals_its_loop_oracle(data):
-    # Unsorted points, repeated points and points on a knot included.
-    knots = data.draw(knot_layouts(min_size=1))
-    points = data.draw(st.lists(st.one_of(st.floats(knots[0] - 2.0, knots[-1] + 2.0),
-                                          st.sampled_from(knots)), max_size=12))
-    points += data.draw(st.lists(st.sampled_from(points), max_size=4)) if points else []
-    assert unsupported_knots(knots, points) == unsupported_knots_loop(knots, points)
-    assert unsupported_knots(knots, np.array(points)) == unsupported_knots_loop(knots, points)
+def test_fit_curve_prunes_as_its_loop_oracle(data):
+    # No point in the support of knot ``gap``, so that it goes, and maybe others;
+    # unsorted, repeated and on a knot included. Points all on one knot, or all past
+    # either end, leave one knot, which fit_curve refuses with the layout rule's message.
+    knots = data.draw(knot_layouts(min_size=3))
+    gap = data.draw(st.integers(1, len(knots) - 2))
+    others = [i for i in range(len(knots) - 1) if i not in (gap - 1, gap)]
+    inside = st.tuples(st.sampled_from(others or [0]), st.floats(0.0, 0.99)).map(
+        lambda p: knots[p[0]] + p[1] * (knots[p[0] + 1] - knots[p[0]]))
+    on_knot = st.sampled_from(knots[:gap] + knots[gap + 1:])
+    speeds = data.draw(st.lists(st.one_of(inside, inside, on_knot) if others else on_knot,
+                                min_size=len(knots), max_size=3 * len(knots)))
+    case = data.draw(st.integers(0, 9))
+    if case == 0:
+        speeds = [data.draw(st.sampled_from(knots))] * len(speeds)
+    elif case == 1:
+        speeds = [knots[-1] + 1.0 + x for x in speeds]
+    elif case == 2:
+        speeds = [knots[0] - 1.0 - x for x in speeds]
+    speeds += data.draw(st.lists(st.sampled_from(speeds), max_size=4))
+    rows = binned(speeds, data.draw(st.lists(st.floats(0.0, 3000.0), min_size=len(speeds),
+                                             max_size=len(speeds))),
+                  data.draw(st.lists(st.floats(0.5, 100.0), min_size=len(speeds),
+                                     max_size=len(speeds))))
+    assert len(prune_loop(knots, speeds)) < len(knots)
+    assert outcome(fit_curve, rows, knots) == outcome(pruned_fit_loop, rows, knots)
 
 
 class TestKnotSupport:
-    def test_unsupported_flags(self):
-        flags = unsupported_knots([0.0, 1.0, 2.0, 3.0], [0.5, 3.5])
-        assert flags == [False, False, True, False]
+    def supported(self, knots, xs):
+        return tuple(_supported_knots(np.array(knots), np.array(xs)).tolist())
 
     def test_prune_drops_gap_knots(self):
-        kept = prune_unsupported_knots([0.0, 1.0, 2.0, 3.0, 4.0], [0.5, 3.5])
-        assert kept == (0.0, 1.0, 3.0, 4.0)
+        assert self.supported([0.0, 1.0, 2.0, 3.0, 4.0], [0.5, 3.5]) == (0.0, 1.0, 3.0, 4.0)
 
     def test_prune_trims_span(self):
-        kept = prune_unsupported_knots([0.0, 1.0, 2.0, 4.0, 8.0], [1.2, 1.8])
-        assert kept == (1.0, 2.0)
+        assert self.supported([0.0, 1.0, 2.0, 4.0, 8.0], [1.2, 1.8]) == (1.0, 2.0)
 
     def test_prune_keeps_supported(self):
         knots = (0.0, 1.0, 2.0)
-        assert prune_unsupported_knots(knots, [0.5, 1.5]) == knots
+        assert self.supported(knots, [0.5, 1.5]) == knots
+
+    def test_one_knot_left_is_refused(self):
+        # Every point past the last knot: only the last knot brackets them.
+        assert self.supported([0.0, 1.0, 2.0], [3.0, 4.0]) == (2.0,)
+        with pytest.raises(FitError, match="^need at least 2 knot positions, got 1$"):
+            fit_curve(binned([3.0, 4.0], [1.0, 1.0]), [0.0, 1.0, 2.0])
 
 
 def two_level_surface():
