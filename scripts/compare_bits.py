@@ -99,22 +99,11 @@ def fit_case(rng):
 
 
 def fit(knots, binned, anchors):
-    """``fit_curve`` on the bins' rows followed by the anchors' rows. A base tree
-    that still has ``prune_unsupported_knots`` fits on the knots it keeps for the
-    rows' speeds, as its pipeline did; one that still has ``BinnedPoints`` takes
-    the rows as one and as ``Anchor`` tuples."""
+    """``fit_curve`` on the bins' rows followed by the anchors' rows."""
     import numpy as np
 
     import longforce as lf
-    from longforce import estimation, spline
 
-    if hasattr(spline, "prune_unsupported_knots"):
-        knots = spline.prune_unsupported_knots(
-            knots, np.concatenate([binned[:, 0], anchors[:, 0]]))
-    if hasattr(estimation, "BinnedPoints"):
-        centers, values, counts = binned.T
-        return lf.fit_curve(estimation.BinnedPoints(centers, values, counts.astype(np.int64)),
-                            [lf.Anchor(*map(float, row)) for row in anchors], knots)
     return lf.fit_curve(np.concatenate([binned, anchors]), knots)
 
 
@@ -135,16 +124,10 @@ def bin_case(rng):
 
 
 def binned_rows(points, edges):
-    """``bin_by_speed``'s (K, 3) rows, raveled; a base tree's ``BinnedPoints``
-    read as the same rows."""
-    import numpy as np
-
+    """``bin_by_speed``'s (K, 3) rows, raveled."""
     import longforce as lf
 
-    binned = lf.bin_by_speed(points, edges)
-    if hasattr(binned, "bin_centers"):
-        binned = np.column_stack([binned.bin_centers, binned.values, binned.counts])
-    return binned.ravel()
+    return lf.bin_by_speed(points, edges).ravel()
 
 
 def write_anchor_file(rng, path: Path) -> Path:
@@ -171,8 +154,7 @@ def write_anchor_file(rng, path: Path) -> Path:
 
 def anchor_rows(path):
     """``load_anchor_file``'s rows as one float array: per level, in file order, its
-    kind's index, its level (-1 for friction's), its row count and its rows; a base
-    tree's ``Anchor`` tuples read as the same rows."""
+    kind's index, its level (-1 for friction's), its row count and its rows."""
     import numpy as np
 
     from longforce.reference import load_anchor_file
@@ -181,8 +163,6 @@ def anchor_rows(path):
     out = []
     for kind, by_level in load_anchor_file(path).items():
         for level, rows in by_level.items():
-            if isinstance(rows, tuple):
-                rows = [(a.speed_mps, a.force_n, a.weight) for a in rows]
             rows = np.reshape(rows, (-1, 3))
             out += [kinds.index(kind), -1 if level is None else level, len(rows), *rows.ravel()]
     return np.array(out, dtype=float)
@@ -284,26 +264,17 @@ def fit_stages(telemetry: Path) -> "Digest":
 
 
 def direct_model(result):
-    """A direct model's ``(accel, (f_p, f_f, f_b))`` as one float array, accel first.
-
-    The forces may come as a tuple or, as a base commit may return them, as a
-    ``ForceBreakdown``; both give the same array.
-    """
+    """A direct model's ``(accel, (f_p, f_f, f_b))`` as one float array, accel first."""
     import numpy as np
 
     accel, forces = result
-    if hasattr(forces, "propulsion"):
-        forces = (forces.propulsion, forces.friction, forces.braking)
     return np.concatenate([np.ravel(accel), *map(np.ravel, forces)])
 
 
 def inversion(result):
-    """``ForceSurface.invert``'s ``(signal, saturated, underflow)`` as a float array,
-    from a tuple or from a base commit's ``InversionResult``."""
+    """``ForceSurface.invert``'s ``(signal, saturated, underflow)`` as a float array."""
     import numpy as np
 
-    if hasattr(result, "signal"):
-        result = (result.signal, result.saturated, result.underflow)
     return np.array(result, dtype=float)
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from longforce.core import mps_to_kmh
+from longforce.core import KMH_PER_MPS
 from longforce.dynamics import simulate
 from longforce.reference import data_path, neutral_model_set, reference_model_set
 
@@ -41,7 +41,7 @@ def write_csv(path: Path, traj, throttle, brake, slope, rng, cut_below=None) -> 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,speed,throttle,brake,slope\n")
         for k in range(n):
-            fh.write(f"{traj.t[k]:.2f},{mps_to_kmh(float(speed[k])):.4f},"
+            fh.write(f"{traj.t[k]:.2f},{float(speed[k]) * KMH_PER_MPS:.4f},"
                      f"{int(throttle[k])},{int(brake[k])},{float(slope[k]):.6f}\n")
     print(f"wrote {path} ({n} rows)")
 

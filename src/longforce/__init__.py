@@ -8,8 +8,7 @@ validation pipeline comparing model-estimated against measured
 acceleration.
 """
 
-from .core import (DriveLog, Gear, VehicleParams, Wheel, equivalent_mass, kmh_to_mps,
-                   load_vehicle_params, mps_to_kmh, total_mass)
+from .core import DriveLog, Gear, VehicleParams, Wheel, kmh_to_mps, load_vehicle_params
 from .dynamics import (ActuationCommand, ModelSet, Trajectory, direct_acceleration,
                        direct_acceleration_many, inverse_actuation, simulate)
 from .errors import (EmptyReportError, EmptySeriesError, FitError, InversionError,
@@ -31,10 +30,9 @@ __all__ = [
     "Gear", "InvalidParameterError", "InversionError", "LongforceError", "ModelSet",
     "ProtocolViolationError", "SchemaError", "SegmentSplitRequired", "Spline1D",
     "Trajectory", "VehicleParams", "Wheel", "bin_by_speed", "check_signal_monotone",
-    "direct_acceleration", "direct_acceleration_many", "equivalent_mass",
-    "estimate_acceleration", "extract_braking", "extract_friction", "extract_propulsion",
-    "fit_curve", "inverse_actuation", "kmh_to_mps", "load_model", "load_vehicle_params",
-    "log_spaced_edges", "mps_to_kmh", "neutral_model_set", "reference_model_set",
-    "render_table", "report_to_dict", "save_model", "simulate", "split_constant_signal",
-    "total_mass", "validate",
+    "direct_acceleration", "direct_acceleration_many", "estimate_acceleration",
+    "extract_braking", "extract_friction", "extract_propulsion", "fit_curve",
+    "inverse_actuation", "kmh_to_mps", "load_model", "load_vehicle_params",
+    "log_spaced_edges", "neutral_model_set", "reference_model_set", "render_table",
+    "report_to_dict", "save_model", "simulate", "split_constant_signal", "validate",
 ]

@@ -34,10 +34,6 @@ def kmh_to_mps(v_kmh: float) -> float:
     return v_kmh / KMH_PER_MPS
 
 
-def mps_to_kmh(v_mps: float) -> float:
-    return v_mps * KMH_PER_MPS
-
-
 class Gear(Enum):
     NEUTRAL = "neutral"
     DRIVE = "drive"
@@ -65,7 +61,9 @@ class VehicleParams:
 
     ``base_mass_kg`` is the curb mass; ``payload_mass_kg`` covers equipment
     and occupants during the recorded tests. The wheel list feeds the
-    equivalent-mass computation; an empty list means rotating bodies are
+    equivalent mass: each wheel in pure rolling adds J/R^2 on top of the
+    translational mass (base plus payload), so the kinetic energy of the
+    rotating bodies is accounted for; an empty list means rotating bodies are
     neglected. Parameters whose weight or equivalent mass is not a finite
     float, such as masses near 1e308 or a wheel radius whose square leaves
     the float range, raise :class:`~longforce.errors.InvalidParameterError`.
@@ -78,7 +76,7 @@ class VehicleParams:
     #: The weight m*g in N, computed once for :func:`grade_force` and
     #: :func:`grade_force_many`.
     weight_n: float = field(init=False, repr=False, compare=False)
-    #: :func:`equivalent_mass` in kg, computed once for the force balance.
+    #: The equivalent mass in kg, computed once for the force balance.
     m_eq_kg: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -92,35 +90,20 @@ class VehicleParams:
             raise InvalidParameterError(
                 f"gravity must be finite and > 0, got {self.gravity_mps2}")
         object.__setattr__(self, "wheels", tuple(self.wheels))
+        m_eq = mass = self.base_mass_kg + self.payload_mass_kg
         try:
-            m_eq = equivalent_mass(self)
+            for wheel in self.wheels:
+                m_eq += wheel.inertia_kgm2 / wheel.radius_m**2
         except (OverflowError, ZeroDivisionError):  # radius_m**2 overflows, or rounds to 0
             raise InvalidParameterError(
                 "equivalent mass is not finite: the square of a wheel radius in "
                 f"{[w.radius_m for w in self.wheels]} m is out of the float range") from None
-        weight = total_mass(self) * self.gravity_mps2
+        weight = mass * self.gravity_mps2
         for name, value, unit in (("weight", weight, "N"), ("equivalent mass", m_eq, "kg")):
             if not math.isfinite(value):
                 raise InvalidParameterError(f"{name} must be finite, got {value} {unit}")
         object.__setattr__(self, "weight_n", weight)
         object.__setattr__(self, "m_eq_kg", m_eq)
-
-
-def total_mass(params: VehicleParams) -> float:
-    """Translational mass in kg: base plus payload."""
-    return params.base_mass_kg + params.payload_mass_kg
-
-
-def equivalent_mass(params: VehicleParams) -> float:
-    """Mass seen by the longitudinal force balance, in kg.
-
-    Each wheel in pure rolling adds J/R^2 on top of the translational mass,
-    so the kinetic energy of the rotating bodies is accounted for.
-    """
-    m = total_mass(params)
-    for wheel in params.wheels:
-        m += wheel.inertia_kgm2 / wheel.radius_m**2
-    return m
 
 
 @dataclass(frozen=True)
@@ -377,18 +360,17 @@ def ingest_csv(csv_path: str | Path, units: str, gear: Gear = Gear.DRIVE,
     the header are ignored, and a header name given twice names its last
     column.
 
-    The data rows of a file that holds no quote, NUL or 0x1c-0x1f byte are
-    parsed in one ``np.loadtxt`` call, whose values are ``float()``'s bit
-    for bit. Where ``loadtxt`` refuses a line (a cell ``float()`` refuses,
-    a short or whitespace-only row, a cell only ``float()`` takes such as
-    ``1_0``, invalid UTF-8), or the file holds one of those bytes, the rows
-    are read again from the top and parsed ``_BLOCK_ROWS`` (4096) at a time,
-    so only one block is held as Python strings. Such a file also pays for
-    the ``loadtxt`` pass up to the refused line. Both paths give the same
-    log, report and errors, with one exception: a cell longer than
-    ``csv.field_size_limit()`` is parsed by ``loadtxt``, where the block
-    path raises :class:`~longforce.errors.SchemaError` naming the file and
-    line, as a header holding such a cell does.
+    The data rows of a file that holds no quote, NUL or 0x1c-0x1f byte and
+    no line of more bytes than ``csv.field_size_limit()`` are parsed in one
+    ``np.loadtxt`` call, whose values are ``float()``'s bit for bit. Where
+    ``loadtxt`` refuses a line (a cell ``float()`` refuses, a short or
+    whitespace-only row, a cell only ``float()`` takes such as ``1_0``,
+    invalid UTF-8), or the file fails that scan, the rows are read again
+    from the top and parsed ``_BLOCK_ROWS`` (4096) at a time, so only one
+    block is held as Python strings. Such a file also pays for the
+    ``loadtxt`` pass up to the refused line. Both paths give the same log,
+    report and errors; a cell longer than ``csv.field_size_limit()`` raises
+    :class:`~longforce.errors.SchemaError` naming the file and line.
     """
     if units not in UNIT_SPECS:
         raise SchemaError(f"unknown unit spec {units!r}; expected one of {UNIT_SPECS}")
@@ -451,11 +433,22 @@ def ingest_csv(csv_path: str | Path, units: str, gear: Gear = Gear.DRIVE,
 
 def _loadtxt_columns(csv_path: str | Path, fh, indices: list[int]):
     """The ``indices`` columns of the rest of ``fh`` as :func:`_parse_records`
-    returns them, parsed by ``np.loadtxt``; None where the two could differ."""
+    returns them, parsed by ``np.loadtxt``; None where the two could differ.
+
+    A line of no more bytes than ``csv.field_size_limit()`` holds no cell
+    that ``csv.reader`` refuses. Chunks are read no longer than the limit,
+    so only the lines that cross chunks need measuring.
+    """
+    limit = csv.field_size_limit()
     with open(csv_path, "rb") as raw:
-        while chunk := raw.read(1 << 16):
+        line = 0  # bytes read since the last newline
+        while chunk := raw.read(max(1, min(1 << 16, limit))):
             if any(byte in chunk for byte in _LOADTXT_UNSAFE):
                 return None
+            end = chunk.find(b"\n")
+            if line + (len(chunk) if end < 0 else end) > limit:
+                return None
+            line = line + len(chunk) if end < 0 else len(chunk) - 1 - chunk.rfind(b"\n")
     try:
         with warnings.catch_warnings():
             # A file without data rows gives an empty log, not a warning.

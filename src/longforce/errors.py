@@ -36,10 +36,6 @@ class ProtocolViolationError(LongforceError):
 class SegmentSplitRequired(LongforceError):
     """A log holds a non-constant command signal and must be split first."""
 
-    def __init__(self, message: str, signal: str):
-        super().__init__(message)
-        self.signal = signal
-
 
 class EmptySeriesError(LongforceError):
     """No valid acceleration samples could be produced from a log."""

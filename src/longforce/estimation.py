@@ -36,19 +36,30 @@ class AccelSeries:
 
     Samples too close to a segment boundary for the centered window to fit
     are marked invalid (``valid`` False, ``accel`` NaN) and must be excluded
-    downstream.
+    downstream. Arrays of unequal length raise
+    :class:`~longforce.errors.InvalidParameterError`.
     """
 
-    t: np.ndarray
     accel: np.ndarray
     valid: np.ndarray
 
     def __post_init__(self):
-        for col in (self.t, self.accel, self.valid):
+        if len(self.accel) != len(self.valid):
+            raise InvalidParameterError(
+                f"acceleration series has {len(self.accel)} estimates but "
+                f"{len(self.valid)} validity flags")
+        for col in (self.accel, self.valid):
             np.asarray(col).setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.accel)
+
+
+def _require_aligned(log: DriveLog, accel: AccelSeries) -> None:
+    """Refuse an ``accel`` that does not hold one estimate per sample of ``log``."""
+    if len(accel) != len(log):
+        raise InvalidParameterError(
+            f"acceleration series has {len(accel)} samples, the log {len(log)}")
 
 
 def _window_slopes(t: np.ndarray, v: np.ndarray, window: int) -> np.ndarray:
@@ -142,7 +153,7 @@ def estimate_acceleration(log: DriveLog, window: int = DEFAULT_WINDOW,
     if not valid.any():
         raise EmptySeriesError(
             f"no segment of the log holds >= {window} samples; cannot estimate acceleration")
-    return AccelSeries(t=log.t.copy(), accel=accel, valid=valid)
+    return AccelSeries(accel=accel, valid=valid)
 
 
 def log_spaced_edges(lo: float = 0.05, hi: float = 40.0, count: int = 40) -> np.ndarray:

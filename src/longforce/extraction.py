@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import DriveLog, Gear, VehicleParams, grade_force_many
 from .errors import ProtocolViolationError, SegmentSplitRequired
-from .estimation import AccelSeries
+from .estimation import AccelSeries, _require_aligned
 from .spline import Spline1D
 
 #: Below this speed (m/s) the acceleration estimate is dominated by speed
@@ -53,12 +53,11 @@ def _require_constant(log: DriveLog, signal: str, protocol: str) -> None:
     if np.any(values != values[:1]):
         raise SegmentSplitRequired(
             f"{protocol} requires a constant {signal}; split the log into "
-            f"constant-{signal} segments first", signal=signal)
+            f"constant-{signal} segments first")
 
 
 def _valid_mask(log: DriveLog, accel: AccelSeries) -> np.ndarray:
-    if len(accel) != len(log):
-        raise ValueError("acceleration series is not aligned with the log")
+    _require_aligned(log, accel)
     return accel.valid & (log.speed >= MIN_EXTRACTION_SPEED)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .core import _INT64_SPAN, DriveLog
 from .dynamics import ModelSet, direct_acceleration_many
 from .errors import EmptyReportError, InvalidParameterError
-from .estimation import AccelSeries
+from .estimation import AccelSeries, _require_aligned
 
 DEFAULT_HIST_BIN = 0.1
 #: Most histogram bins a bin width may ask for over the errors' range.
@@ -48,8 +48,7 @@ def validate(models: ModelSet, log: DriveLog, accel: AccelSeries,
     standard deviation is the population one. Total distance integrates
     speed over the whole log with the trapezoidal rule.
     """
-    if len(accel) != len(log):
-        raise EmptyReportError("acceleration series is not aligned with the log")
+    _require_aligned(log, accel)
     idx = np.flatnonzero(accel.valid)
     if len(idx) == 0:
         raise EmptyReportError("no valid samples to compare")

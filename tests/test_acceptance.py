@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from longforce.core import Gear, VehicleParams, Wheel, equivalent_mass, save_drive_log
+from longforce.core import Gear, VehicleParams, Wheel, save_drive_log
 from longforce.dynamics import (ModelSet, direct_acceleration, inverse_actuation,
                                 simulate)
 from longforce.estimation import AccelSeries, bin_by_speed, estimate_acceleration
@@ -33,8 +33,12 @@ def verdict(ok: bool, label: str, detail: str) -> None:
 def test_criterion_1_equivalent_mass():
     params = VehicleParams(1480.0, 200.0,
                            wheels=tuple(Wheel(0.86, 0.29) for _ in range(4)))
-    m_eq = equivalent_mass(params)
-    verdict(abs(m_eq - 1720.0) <= 1.0, "criterion 1 (equivalent mass)",
+    # base plus payload, then J/R^2 for each of the four wheels
+    formula = 1480.0 + 200.0
+    for _ in range(4):
+        formula += 0.86 / 0.29**2
+    m_eq = params.m_eq_kg
+    verdict(m_eq == formula and abs(m_eq - 1720.0) <= 1.0, "criterion 1 (equivalent mass)",
             f"m_eq = {m_eq:.2f} kg vs 1720 +- 1 kg")
 
 
@@ -120,7 +124,7 @@ def test_criterion_3_validation_statistics(gt_models):
     distance = float(np.trapezoid(traj.speed, traj.t))
     assert distance >= 10_000.0
     rng = np.random.default_rng(7)
-    measured = AccelSeries(traj.t.copy(), traj.accel + rng.normal(0.0, 0.35, len(traj)),
+    measured = AccelSeries(traj.accel + rng.normal(0.0, 0.35, len(traj)),
                            np.ones(len(traj), dtype=bool))
     report = validate(gt_models, log, measured, hist_bin=0.1)
     ok = (report.count >= 10_000 and -0.02 <= report.mean <= 0.02

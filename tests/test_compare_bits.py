@@ -5,7 +5,6 @@ import math
 from pathlib import Path
 from unittest.mock import patch
 
-import numpy as np
 import pytest
 
 from longforce import core, estimation, extraction, pipeline, reference, spline
@@ -70,22 +69,6 @@ def test_a_changed_knot_pruning_moves_only_the_fit_digest(small):
     with patch.object(spline, "_supported_knots", lambda k, xs: k):
         after = compare_bits.digests(**small)
     assert {name for name in before if before[name] != after[name]} == {"fit_curve"}
-
-
-def test_a_tree_that_prunes_before_fit_curve_gives_the_same_digests(small):
-    # A base tree's pipeline pruned with prune_unsupported_knots, which kept every
-    # knot when there were no rows, and then called a fit_curve that did not prune.
-    prune = spline._supported_knots
-
-    def prune_unsupported_knots(knots, xs):
-        knots = np.asarray(knots, dtype=float)
-        return knots if len(xs) == 0 else prune(knots, np.asarray(xs, dtype=float))
-
-    before = compare_bits.digests(**small)
-    with patch.object(spline, "prune_unsupported_knots", prune_unsupported_knots,
-                      create=True), \
-            patch.object(spline, "_supported_knots", lambda k, xs: k):
-        assert compare_bits.digests(**small) == before
 
 
 def regrouped_curve_from_dict(obj, lower_clamp, original=spline._curve_from_dict):

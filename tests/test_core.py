@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from longforce.core import (DriveLog, Gear, VehicleParams, Wheel, equivalent_mass,
-                            kmh_to_mps, load_vehicle_params, mps_to_kmh, total_mass)
+from longforce.core import (KMH_PER_MPS, DriveLog, Gear, VehicleParams, Wheel, kmh_to_mps,
+                            load_vehicle_params)
 from longforce.errors import InvalidParameterError, SchemaError
 
 
@@ -13,28 +13,38 @@ def zoe_wheels():
     return tuple(Wheel(inertia_kgm2=0.86, radius_m=0.29) for _ in range(4))
 
 
+def equivalent_mass(base, payload, wheels):
+    """The equivalent mass written out: base plus payload, then J/R^2 per wheel in order."""
+    m = base + payload
+    for wheel in wheels:
+        m += wheel.inertia_kgm2 / wheel.radius_m**2
+    return m
+
+
 class TestMasses:
     def test_total_mass_zoe(self):
         params = VehicleParams(1480.0, 200.0)
-        assert total_mass(params) == 1680.0
+        assert params.weight_n == 1680.0 * 9.81
 
     def test_total_mass_zero_payload(self):
-        assert total_mass(VehicleParams(1480.0)) == 1480.0
+        assert VehicleParams(1480.0).weight_n == 1480.0 * 9.81
 
     def test_total_mass_addition(self):
-        assert total_mass(VehicleParams(1000.0, 250.0)) == 1250.0
+        params = VehicleParams(1000.0, 250.0, gravity_mps2=2.0)
+        assert params.weight_n == (1000.0 + 250.0) * 2.0 == 2500.0
 
     def test_equivalent_mass_zoe(self):
         params = VehicleParams(1480.0, 200.0, wheels=zoe_wheels())
-        assert abs(equivalent_mass(params) - 1720.0) <= 1.0
+        assert params.m_eq_kg == equivalent_mass(1480.0, 200.0, zoe_wheels())
+        assert abs(params.m_eq_kg - 1720.0) <= 1.0
 
     def test_equivalent_mass_no_wheels(self):
         params = VehicleParams(1480.0, 200.0)
-        assert equivalent_mass(params) == total_mass(params)
+        assert params.m_eq_kg == 1680.0
 
     def test_equivalent_mass_zero_inertia(self):
         params = VehicleParams(1480.0, 200.0, wheels=(Wheel(0.0, 0.3),))
-        assert equivalent_mass(params) == total_mass(params)
+        assert params.m_eq_kg == 1680.0
 
     def test_equivalent_mass_zero_radius_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -46,16 +56,21 @@ class TestMasses:
             params = VehicleParams(
                 base_mass_kg=float(rng.uniform(500, 3000)),
                 payload_mass_kg=float(rng.uniform(0, 500)),
+                gravity_mps2=float(rng.uniform(1.0, 25.0)),
                 wheels=tuple(Wheel(float(rng.uniform(0, 2)), float(rng.uniform(0.1, 0.5)))
                              for _ in range(rng.integers(0, 6))),
             )
-            assert equivalent_mass(params) >= total_mass(params)
+            mass = params.base_mass_kg + params.payload_mass_kg
+            assert params.weight_n == mass * params.gravity_mps2
+            assert params.m_eq_kg == equivalent_mass(params.base_mass_kg,
+                                                     params.payload_mass_kg, params.wheels)
+            assert params.m_eq_kg >= mass
 
     def test_equivalent_mass_wheel_order_invariant(self):
         wheels = (Wheel(0.9, 0.3), Wheel(0.5, 0.25), Wheel(1.2, 0.35))
         a = VehicleParams(1000.0, wheels=wheels)
         b = VehicleParams(1000.0, wheels=wheels[::-1])
-        assert equivalent_mass(a) == equivalent_mass(b)
+        assert a.m_eq_kg == b.m_eq_kg
 
 
 class TestParamValidation:
@@ -87,7 +102,8 @@ class TestParamsFile:
         path = tmp_path / "params.json"
         path.write_text(json.dumps(obj))
         params = load_vehicle_params(path)
-        assert total_mass(params) == 1680.0
+        assert params.weight_n == (1480.0 + 200.0) * 9.81
+        assert params.m_eq_kg == equivalent_mass(1480.0, 200.0, zoe_wheels())
         assert len(params.wheels) == 4
 
     @pytest.mark.parametrize("ranges", [
@@ -190,5 +206,20 @@ class TestDriveLog:
 
 def test_unit_conversions():
     assert kmh_to_mps(36.0) == pytest.approx(10.0)
-    assert mps_to_kmh(10.0) == pytest.approx(36.0)
-    assert mps_to_kmh(kmh_to_mps(87.3)) == pytest.approx(87.3)
+    assert kmh_to_mps(87.3) * KMH_PER_MPS == pytest.approx(87.3)
+
+
+def test_public_names_import_and_the_dropped_ones_are_gone():
+    import dataclasses
+
+    import longforce
+    from longforce import core
+    from longforce.errors import SegmentSplitRequired
+
+    namespace = {}
+    exec("from longforce import *", namespace)
+    assert set(longforce.__all__) <= set(namespace)
+    for name in ("total_mass", "equivalent_mass", "mps_to_kmh"):
+        assert not hasattr(longforce, name) and not hasattr(core, name), name
+    assert [f.name for f in dataclasses.fields(longforce.AccelSeries)] == ["accel", "valid"]
+    assert not hasattr(SegmentSplitRequired("a message"), "signal")

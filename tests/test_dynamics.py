@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from longforce import dynamics
-from longforce.core import equivalent_mass
 from longforce.dynamics import (MAX_SIMULATE_STEPS, ActuationCommand, ModelSet,
                                 direct_acceleration, inverse_actuation, load_schedule_csv,
                                 simulate, step_hold_schedule)
@@ -64,7 +63,7 @@ class TestDirectAcceleration:
     def test_slope_term(self, toy_models):
         a_flat, _ = direct_acceleration(toy_models, 10.0, 186, 0, 0.0)
         a_up, _ = direct_acceleration(toy_models, 10.0, 186, 0, 0.05)
-        m_eq = equivalent_mass(toy_models.params)
+        m_eq = toy_models.params.m_eq_kg
         expected_drop = 1720.0 * 9.81 * math.sin(0.05) / m_eq
         assert a_flat - a_up == pytest.approx(expected_drop, rel=1e-12)
 
@@ -101,7 +100,7 @@ class TestSimulate:
         models = ModelSet(friction, zero, zero, flat_params)
         v0 = 125.0 / 3.6
         traj = simulate(models, lambda t: (0, 0, 0.0), v0, 0.01, 60.0)
-        m_eq = equivalent_mass(flat_params)
+        m_eq = flat_params.m_eq_kg
         vc = math.sqrt(c0 / c)
         analytic = vc * np.tan(np.arctan(v0 / vc) - math.sqrt(c0 * c) / m_eq * traj.t)
         assert np.max(np.abs(traj.speed - analytic)) <= 0.01
@@ -206,7 +205,7 @@ class TestInverseActuation:
         # the (near-)zero command: the branch boundary lands on coast up to
         # the inversion tolerance in the last float digit
         v = 1.0
-        m_eq = equivalent_mass(gt_models.params)
+        m_eq = gt_models.params.m_eq_kg
         f_p0 = gt_models.propulsion.eval(v, 0)
         a_des = (f_p0 - gt_models.friction.eval(v)) / m_eq
         cmd = inverse_actuation(gt_models, v, 0.0, a_des)
@@ -236,7 +235,7 @@ class TestInverseActuation:
         # at 20 m/s regen alone brakes harder than -0.3 m/s^2; the request
         # cannot be met without throttle, so the command coasts and flags it
         v = 20.0
-        m_eq = equivalent_mass(gt_models.params)
+        m_eq = gt_models.params.m_eq_kg
         f_p0 = gt_models.propulsion.eval(v, 0)
         f_b0 = gt_models.braking.eval(v, 0)
         a_coast = (f_p0 - gt_models.friction.eval(v) - f_b0) / m_eq

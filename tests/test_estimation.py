@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longforce.core import DriveLog
-from longforce.errors import EmptySeriesError
-from longforce.estimation import (bin_by_speed, estimate_acceleration,
+from longforce.errors import EmptySeriesError, InvalidParameterError
+from longforce.estimation import (AccelSeries, bin_by_speed, estimate_acceleration,
                                   log_spaced_edges)
 
 
@@ -14,6 +14,20 @@ def speed_log(t, speed):
     zeros = np.zeros(n, dtype=np.int64)
     return DriveLog(np.asarray(t, float), np.asarray(speed, float), zeros, zeros,
                     np.zeros(n))
+
+
+class TestAccelSeries:
+    def test_unequal_lengths_refused(self):
+        with pytest.raises(InvalidParameterError) as exc_info:
+            AccelSeries(np.zeros(5), np.ones(4, dtype=bool))
+        assert str(exc_info.value) == \
+            "acceleration series has 5 estimates but 4 validity flags"
+
+    def test_length_and_read_only_columns(self):
+        series = estimate_acceleration(speed_log(np.arange(30) * 0.01, np.full(30, 5.0)), 5)
+        assert len(series) == len(series.accel) == len(series.valid) == 30
+        assert not series.accel.flags.writeable and not series.valid.flags.writeable
+        assert not hasattr(series, "t")
 
 
 class TestEstimateAcceleration:

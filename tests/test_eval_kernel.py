@@ -28,8 +28,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from longforce.cli import main  # noqa: E402
-from longforce.core import (DriveLog, equivalent_mass, grade_force,  # noqa: E402
-                            grade_force_many)
+from longforce.core import DriveLog, grade_force, grade_force_many  # noqa: E402
 from longforce.dynamics import (ModelSet, direct_acceleration,  # noqa: E402
                                 direct_acceleration_many, inverse_actuation, simulate)
 from longforce.errors import FitError, InvalidParameterError, InversionError  # noqa: E402
@@ -709,7 +708,7 @@ class TestValidateMatchesScalarLoop:
         log = mixed_log
         accel = estimate_acceleration(log, 51, 2.0)
         # Every 7th sample left out of the comparison, as a caller clears it.
-        accel = AccelSeries(accel.t, accel.accel, accel.valid & (np.arange(len(log)) % 7 != 0))
+        accel = AccelSeries(accel.accel, accel.valid & (np.arange(len(log)) % 7 != 0))
         report = validate(gt_models, log, accel)
         idx = np.flatnonzero(accel.valid)
         errors = np.array([
@@ -772,7 +771,7 @@ class TestNonFiniteInputs:
         speed[1500] = slope[1500] = 1e308
         log = DriveLog(mixed_log.t[part], speed, mixed_log.throttle[part],
                        mixed_log.brake[part], slope)
-        accel = AccelSeries(log.t.copy(), np.zeros(len(log)), np.ones(len(log), dtype=bool))
+        accel = AccelSeries(np.zeros(len(log)), np.ones(len(log), dtype=bool))
         report = validate(gt_models, log, accel)
         assert report.count == len(log)
         assert math.isfinite(report.std_dev)
@@ -909,7 +908,11 @@ def test_simulate_matches_rk4_oracle(gt_models):
 def test_model_set_caches_equivalent_mass(gt_models):
     models = ModelSet(gt_models.friction, gt_models.propulsion, gt_models.braking,
                       gt_models.params)
-    assert models.params.m_eq_kg == equivalent_mass(gt_models.params)
+    params = gt_models.params
+    m_eq = params.base_mass_kg + params.payload_mass_kg
+    for wheel in params.wheels:
+        m_eq += wheel.inertia_kgm2 / wheel.radius_m**2
+    assert params.wheels and models.params.m_eq_kg == m_eq
 
 
 def test_schedule_calls_per_step(gt_models):

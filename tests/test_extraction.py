@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from longforce.core import DriveLog, Gear, VehicleParams, equivalent_mass, total_mass
-from longforce.errors import ProtocolViolationError, SegmentSplitRequired
+from longforce.core import DriveLog, Gear, VehicleParams
+from longforce.errors import (InvalidParameterError, ProtocolViolationError,
+                             SegmentSplitRequired)
 from longforce.estimation import AccelSeries, estimate_acceleration
 from longforce.extraction import (MIN_EXTRACTION_SPEED, extract_braking,
                                   extract_friction, extract_propulsion,
@@ -25,8 +26,7 @@ def make_log(speeds, throttle=0, brake=0, slope=0.0, gear=Gear.NEUTRAL):
 
 def series_for(log, accel_value):
     n = len(log)
-    return AccelSeries(log.t.copy(), np.full(n, accel_value, float),
-                       np.ones(n, dtype=bool))
+    return AccelSeries(np.full(n, accel_value, float), np.ones(n, dtype=bool))
 
 
 def flat_curve(value, lo=0.0, hi=40.0):
@@ -111,8 +111,7 @@ class TestExtractFriction:
 
     def test_invalid_accel_samples_excluded(self, flat_params):
         log = make_log([10.0] * 6)
-        accel = AccelSeries(log.t.copy(), np.full(6, -0.1),
-                            np.array([False, True, True, True, True, False]))
+        accel = AccelSeries(np.full(6, -0.1), np.array([False, True, True, True, True, False]))
         obs = extract_friction(log, accel, flat_params)
         assert len(obs) == 4
 
@@ -167,7 +166,8 @@ class TestExtractPropulsion:
                        np.zeros(n, dtype=np.int64), np.zeros(n), gear=Gear.DRIVE)
         with pytest.raises(SegmentSplitRequired) as exc_info:
             extract_propulsion(log, series_for(log, 0.0), flat_curve(200.0), flat_params)
-        assert exc_info.value.signal == "throttle"
+        assert str(exc_info.value) == ("propulsion extraction requires a constant throttle; "
+                                       "split the log into constant-throttle segments first")
 
     def test_simulate_then_extract_recovers_surface(self, gt_models):
         # Noiseless constant-throttle run: recovered forces match the
@@ -186,9 +186,13 @@ class TestExtractPropulsion:
     def test_round_trip_identity(self, gt_models):
         # Plugging the extracted force back into the balance returns the
         # measured acceleration exactly, for all three extractors.
-        m = total_mass(gt_models.params)
-        m_eq = equivalent_mass(gt_models.params)
-        g = gt_models.params.gravity_mps2
+        params = gt_models.params
+        m = params.base_mass_kg + params.payload_mass_kg
+        m_eq = m
+        for wheel in params.wheels:
+            m_eq += wheel.inertia_kgm2 / wheel.radius_m**2
+        assert params.m_eq_kg == m_eq and params.weight_n == m * params.gravity_mps2
+        g = params.gravity_mps2
         rng = np.random.default_rng(41)
         for _ in range(50):
             v = float(rng.uniform(0.1, 34.0))
@@ -243,7 +247,8 @@ class TestExtractBraking:
         with pytest.raises(SegmentSplitRequired) as exc_info:
             extract_braking(log, series_for(log, 0.0), flat_curve(300.0),
                             flat_curve(0.0), flat_params)
-        assert exc_info.value.signal == "brake"
+        assert str(exc_info.value) == ("braking extraction requires a constant brake; "
+                                       "split the log into constant-brake segments first")
 
     def test_simulate_then_extract_recovers_surface(self, gt_models):
         log = protocol_log(gt_models, 0, 120, 125.0 / 3.6, 30.0, Gear.DRIVE,
@@ -255,6 +260,21 @@ class TestExtractBraking:
         err = np.abs(obs[:, 1] - want)
         assert err[obs[:, 0] >= 2.5].max() <= 25.0
         assert err.max() <= 250.0
+
+
+@pytest.mark.parametrize("gear, extract", [
+    (Gear.NEUTRAL, lambda log, accel, params: extract_friction(log, accel, params)),
+    (Gear.DRIVE, lambda log, accel, params: extract_propulsion(log, accel, flat_curve(200.0),
+                                                               params)),
+    (Gear.DRIVE, lambda log, accel, params: extract_braking(log, accel, flat_curve(300.0),
+                                                            flat_curve(0.0), params))],
+    ids=["friction", "propulsion", "braking"])
+def test_misaligned_series_raises(flat_params, gear, extract):
+    # An InvalidParameterError, so that the CLI reports it with exit 2.
+    log = make_log([10.0] * 6, gear=gear)
+    with pytest.raises(InvalidParameterError) as exc_info:
+        extract(log, series_for(make_log([10.0] * 5), 0.0), flat_params)
+    assert str(exc_info.value) == "acceleration series has 5 samples, the log 6"
 
 
 class TestSplitConstantSignal:

@@ -364,6 +364,44 @@ class TestIngestCsv:
             ingest_csv_oracle(path, "speed_mps")
         assert str(new.value) == str(old.value)
 
+    @pytest.mark.parametrize("other_bad_row", [False, True], ids=["alone", "with-abc-row"])
+    def test_cell_past_the_field_limit_raises_whatever_the_other_rows(self, tmp_path,
+                                                                       other_bad_row):
+        # The answer may not depend on whether another row sends the file to
+        # the block path.
+        rows = [f"0.{k:02d},10,0,0,0" for k in range(10)]
+        rows[3] = "0.03," + "1" * 200_001 + ",0,0,0"
+        if other_bad_row:
+            rows.append("abc,10,0,0,0")
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(["t,speed,throttle,brake,slope", *rows]) + "\n")
+        with pytest.raises(SchemaError) as exc_info:
+            ingest_csv(path, "speed_mps")
+        assert str(exc_info.value) == (
+            f"{path}: line 5: field larger than field limit ({csv.field_size_limit()})")
+
+    @pytest.mark.parametrize("note, error", [
+        ("a" * 80, "line 3: field larger than field limit (64)"),
+        (",".join(["a" * 20] * 6), None)], ids=["long-cell", "long-line-short-cells"])
+    def test_a_field_limit_below_the_chunk_size_is_kept(self, tmp_path, note, error):
+        # Each line lies inside the first 64 KiB of the file, so the scan must
+        # measure lines, not only the chunks they cross.
+        path = tmp_path / "log.csv"
+        path.write_text("t,speed,throttle,brake,slope,note\n0.00,10,0,0,0,a\n"
+                        f"0.01,11,0,0,0,{note}\n0.02,12,0,0,0,b\n")
+        old_limit = csv.field_size_limit(64)
+        try:
+            if error:
+                with pytest.raises(SchemaError) as exc_info:
+                    ingest_csv(path, "speed_mps")
+                assert str(exc_info.value) == f"{path}: {error}"
+            else:
+                log, report = ingest_csv(path, "speed_mps")
+                assert log.speed.tolist() == [10.0, 11.0, 12.0] and report["rejected"] == 0
+                self.assert_matches_oracle(path, "speed_mps", core._BLOCK_ROWS)
+        finally:
+            csv.field_size_limit(old_limit)
+
     def test_out_of_range_signal_is_rejected_row(self, tmp_path, capsys):
         path = tmp_path / "log.csv"
         path.write_text("t,speed,throttle,brake,slope\n0.00,10,0,0,0\n0.01,10,1e20,0,0\n"

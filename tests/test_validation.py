@@ -14,7 +14,7 @@ from conftest import mixed_drive
 
 def exact_series(traj, noise=None):
     accel = traj.accel if noise is None else traj.accel + noise
-    return AccelSeries(traj.t.copy(), accel, np.ones(len(traj), dtype=bool))
+    return AccelSeries(accel, np.ones(len(traj), dtype=bool))
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +47,7 @@ class TestValidate:
         t = np.arange(n) * 0.1
         log = DriveLog(t, np.full(n, 10.0), np.zeros(n, dtype=np.int64),
                        np.zeros(n, dtype=np.int64), np.zeros(n), gear=Gear.DRIVE)
-        accel = AccelSeries(t.copy(), np.zeros(n), np.ones(n, dtype=bool))
+        accel = AccelSeries(np.zeros(n), np.ones(n, dtype=bool))
         report = validate(gt_models, log, accel)
         assert report.total_distance_m == pytest.approx(9840.0, abs=1e-6)
 
@@ -69,13 +69,13 @@ class TestValidate:
         t = np.arange(n) * 0.01
         log = DriveLog(t, np.full(n, 10.0), np.zeros(n, dtype=np.int64),
                        np.zeros(n, dtype=np.int64), np.zeros(n), gear=Gear.DRIVE)
-        accel = AccelSeries(t.copy(), np.linspace(-1.0, 1.0, n), np.ones(n, dtype=bool))
+        accel = AccelSeries(np.linspace(-1.0, 1.0, n), np.ones(n, dtype=bool))
         assert len(validate(gt_models, log, accel, hist_bin=1e-4).histogram) < MAX_HIST_BINS
         with pytest.raises(InvalidParameterError, match="histogram bin width 1e-06 gives"):
             validate(gt_models, log, accel, hist_bin=1e-6)
         # Equal errors span no bins at all, but at a width of 1e-300 their bin
         # index overflows the int64 cast (it used to give one bin at -0.0).
-        same = AccelSeries(t.copy(), np.full(n, 0.05), np.ones(n, dtype=bool))
+        same = AccelSeries(np.full(n, 0.05), np.ones(n, dtype=bool))
         with pytest.raises(InvalidParameterError, match="beyond the int64 bin indices"):
             validate(gt_models, log, same, hist_bin=1e-300)
         with pytest.raises(InvalidParameterError, match="beyond the int64 bin indices"):
@@ -105,7 +105,7 @@ class TestValidate:
             t = np.arange(n) * 0.01
             log = DriveLog(t, sp, th.astype(np.int64), np.zeros(n, dtype=np.int64),
                            np.zeros(n), gear=Gear.DRIVE)
-            acc = AccelSeries(t.copy(), accel_meas[order], np.ones(n, dtype=bool))
+            acc = AccelSeries(accel_meas[order], np.ones(n, dtype=bool))
             return log, acc
 
         first = np.arange(n)
@@ -124,7 +124,7 @@ class TestValidate:
         rng = np.random.default_rng(35)
         accel = exact_series(traj, rng.normal(0.0, 0.35, len(traj)))
         # Samples left out of the comparison, as a caller clears them.
-        accel = AccelSeries(accel.t, accel.accel, accel.valid & (rng.random(len(log)) < 0.9))
+        accel = AccelSeries(accel.accel, accel.valid & (rng.random(len(log)) < 0.9))
         predicted = []
 
         def recorded(*args):
@@ -145,16 +145,17 @@ class TestValidate:
 
     def test_empty_comparison_raises(self, gt_models, drive):
         log, traj = drive
-        accel = AccelSeries(log.t.copy(), np.full(len(log), np.nan),
-                            np.zeros(len(log), dtype=bool))
+        accel = AccelSeries(np.full(len(log), np.nan), np.zeros(len(log), dtype=bool))
         with pytest.raises(EmptyReportError):
             validate(gt_models, log, accel)
 
     def test_misaligned_series_raises(self, gt_models, drive):
         log, traj = drive
-        accel = AccelSeries(log.t[:10].copy(), np.zeros(10), np.ones(10, dtype=bool))
-        with pytest.raises(EmptyReportError):
+        accel = AccelSeries(np.zeros(10), np.ones(10, dtype=bool))
+        with pytest.raises(InvalidParameterError) as exc_info:
             validate(gt_models, log, accel)
+        assert str(exc_info.value) == \
+            f"acceleration series has 10 samples, the log {len(log)}"
 
 
 class TestReportOutput:
