@@ -445,6 +445,7 @@ def _loadtxt_columns(csv_path: str | Path, fh, indices: list[int]):
         while chunk := raw.read(max(1, min(1 << 16, limit))):
             if any(byte in chunk for byte in _LOADTXT_UNSAFE):
                 return None
+            chunk = chunk.replace(b"\r", b"\n")  # csv.reader ends a line at either
             end = chunk.find(b"\n")
             if line + (len(chunk) if end < 0 else end) > limit:
                 return None

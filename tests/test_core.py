@@ -13,7 +13,7 @@ def zoe_wheels():
     return tuple(Wheel(inertia_kgm2=0.86, radius_m=0.29) for _ in range(4))
 
 
-def equivalent_mass(base, payload, wheels):
+def m_eq_formula(base, payload, wheels):
     """The equivalent mass written out: base plus payload, then J/R^2 per wheel in order."""
     m = base + payload
     for wheel in wheels:
@@ -24,7 +24,7 @@ def equivalent_mass(base, payload, wheels):
 class TestMasses:
     def test_total_mass_zoe(self):
         params = VehicleParams(1480.0, 200.0)
-        assert params.weight_n == 1680.0 * 9.81
+        assert params.weight_n == (1480.0 + 200.0) * 9.81
 
     def test_total_mass_zero_payload(self):
         assert VehicleParams(1480.0).weight_n == 1480.0 * 9.81
@@ -35,7 +35,7 @@ class TestMasses:
 
     def test_equivalent_mass_zoe(self):
         params = VehicleParams(1480.0, 200.0, wheels=zoe_wheels())
-        assert params.m_eq_kg == equivalent_mass(1480.0, 200.0, zoe_wheels())
+        assert params.m_eq_kg == m_eq_formula(1480.0, 200.0, zoe_wheels())
         assert abs(params.m_eq_kg - 1720.0) <= 1.0
 
     def test_equivalent_mass_no_wheels(self):
@@ -62,8 +62,8 @@ class TestMasses:
             )
             mass = params.base_mass_kg + params.payload_mass_kg
             assert params.weight_n == mass * params.gravity_mps2
-            assert params.m_eq_kg == equivalent_mass(params.base_mass_kg,
-                                                     params.payload_mass_kg, params.wheels)
+            assert params.m_eq_kg == m_eq_formula(params.base_mass_kg,
+                                                  params.payload_mass_kg, params.wheels)
             assert params.m_eq_kg >= mass
 
     def test_equivalent_mass_wheel_order_invariant(self):
@@ -103,7 +103,7 @@ class TestParamsFile:
         path.write_text(json.dumps(obj))
         params = load_vehicle_params(path)
         assert params.weight_n == (1480.0 + 200.0) * 9.81
-        assert params.m_eq_kg == equivalent_mass(1480.0, 200.0, zoe_wheels())
+        assert params.m_eq_kg == m_eq_formula(1480.0, 200.0, zoe_wheels())
         assert len(params.wheels) == 4
 
     @pytest.mark.parametrize("ranges", [

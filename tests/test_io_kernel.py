@@ -402,6 +402,18 @@ class TestIngestCsv:
         finally:
             csv.field_size_limit(old_limit)
 
+    def test_lines_ended_by_a_carriage_return_alone_are_measured_one_by_one(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"t,speed,throttle,brake,slope\r"
+                         + b"".join(b"%d,10,0,0,0\r" % k for k in range(20)))
+        old_limit = csv.field_size_limit(64)
+        try:
+            with patch.object(core, "_parse_block", side_effect=AssertionError("block path")):
+                log, _ = ingest_csv(path, "speed_mps")
+        finally:
+            csv.field_size_limit(old_limit)
+        assert log.t.tolist() == list(range(20))
+
     def test_out_of_range_signal_is_rejected_row(self, tmp_path, capsys):
         path = tmp_path / "log.csv"
         path.write_text("t,speed,throttle,brake,slope\n0.00,10,0,0,0\n0.01,10,1e20,0,0\n"
