@@ -263,7 +263,7 @@ class TestExtractBraking:
 
 
 @pytest.mark.parametrize("gear, extract", [
-    (Gear.NEUTRAL, lambda log, accel, params: extract_friction(log, accel, params)),
+    (Gear.NEUTRAL, extract_friction),
     (Gear.DRIVE, lambda log, accel, params: extract_propulsion(log, accel, flat_curve(200.0),
                                                                params)),
     (Gear.DRIVE, lambda log, accel, params: extract_braking(log, accel, flat_curve(300.0),
