@@ -11,9 +11,8 @@ acceleration.
 from .core import DriveLog, Gear, VehicleParams, Wheel, kmh_to_mps, load_vehicle_params
 from .dynamics import (ActuationCommand, ModelSet, Trajectory, direct_acceleration,
                        direct_acceleration_many, inverse_actuation, simulate)
-from .errors import (EmptyReportError, EmptySeriesError, FitError, InversionError,
-                     InvalidParameterError, LongforceError, ProtocolViolationError,
-                     SchemaError, SegmentSplitRequired)
+from .errors import (EmptyReportError, EmptySeriesError, FitError, InvalidParameterError,
+                     LongforceError, ProtocolViolationError, SchemaError, SegmentSplitRequired)
 from .estimation import AccelSeries, bin_by_speed, estimate_acceleration, log_spaced_edges
 from .extraction import (extract_braking, extract_friction, extract_propulsion,
                          split_constant_signal)
@@ -27,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AccelSeries", "ActuationCommand", "DriveLog",
     "EmptyReportError", "EmptySeriesError", "ErrorReport", "FitError", "ForceSurface",
-    "Gear", "InvalidParameterError", "InversionError", "LongforceError", "ModelSet",
+    "Gear", "InvalidParameterError", "LongforceError", "ModelSet",
     "ProtocolViolationError", "SchemaError", "SegmentSplitRequired", "Spline1D",
     "Trajectory", "VehicleParams", "Wheel", "bin_by_speed", "check_signal_monotone",
     "direct_acceleration", "direct_acceleration_many", "estimate_acceleration",

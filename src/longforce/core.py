@@ -127,14 +127,12 @@ class DriveLog:
     description: str = ""
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        speed = np.asarray(self.speed, dtype=float)
-        throttle = np.asarray(self.throttle, dtype=np.int64)
-        brake = np.asarray(self.brake, dtype=np.int64)
-        slope = np.asarray(self.slope, dtype=float)
+        kinds = {"t": float, "speed": float, "throttle": np.int64, "brake": np.int64,
+                 "slope": float}
+        cols = {name: np.asarray(getattr(self, name), dtype=kind) for name, kind in kinds.items()}
+        t, speed, throttle, brake, slope = cols.values()
         n = len(t)
-        for name, col in (("speed", speed), ("throttle", throttle),
-                          ("brake", brake), ("slope", slope)):
+        for name, col in cols.items():
             if len(col) != n:
                 raise SchemaError(f"column '{name}' has {len(col)} rows, expected {n}")
         for name, col in (("t", t), ("speed", speed), ("slope", slope)):
@@ -152,13 +150,9 @@ class DriveLog:
             if n and col.min() < 0:
                 bad = int(np.argmax(col < 0))
                 raise SchemaError(f"{name} must be >= 0; violated at row {bad}")
-        for col in (t, speed, throttle, brake, slope):
+        for name, col in cols.items():
             col.setflags(write=False)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "speed", speed)
-        object.__setattr__(self, "throttle", throttle)
-        object.__setattr__(self, "brake", brake)
-        object.__setattr__(self, "slope", slope)
+            object.__setattr__(self, name, col)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -170,10 +164,8 @@ class DriveLog:
             return []
         with np.errstate(over="ignore"):  # an inf gap is a gap
             gaps = np.diff(self.t)
-        breaks = np.flatnonzero(gaps > MAX_SAMPLE_GAP_S) + 1
-        starts = [0, *breaks.tolist()]
-        ends = [*breaks.tolist(), n]
-        return [slice(a, b) for a, b in zip(starts, ends)]
+        bounds = [0, *(np.flatnonzero(gaps > MAX_SAMPLE_GAP_S) + 1).tolist(), n]
+        return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
     def slice(self, sl: slice) -> "DriveLog":
         """A new log holding the given sample range."""

@@ -60,7 +60,7 @@ class ActuationCommand:
 
     def __post_init__(self):
         if self.throttle != 0.0 and self.brake != 0.0:
-            raise ValueError("throttle and brake must never both be nonzero")
+            raise InvalidParameterError("throttle and brake must never both be nonzero")
 
 
 def direct_acceleration(models: ModelSet, v: float, throttle: float, brake: float,

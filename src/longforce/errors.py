@@ -2,8 +2,8 @@
 
 Two broad families matter to callers: input/protocol problems (bad files,
 logs that violate a test protocol) and numerical problems (fits that cannot
-be computed, inversions that are not well posed). The CLI maps the first
-family to exit code 2 and the second to exit code 3.
+be computed or give a surface that falls with the signal). The CLI maps the
+first family to exit code 2 and the second to exit code 3.
 """
 
 
@@ -43,10 +43,6 @@ class EmptySeriesError(LongforceError):
 
 class FitError(LongforceError):
     """A curve or surface fit is underdetermined or violates a constraint."""
-
-
-class InversionError(LongforceError):
-    """A force surface cross-section is not monotone, so it cannot be inverted."""
 
 
 class EmptyReportError(LongforceError):

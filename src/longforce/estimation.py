@@ -10,6 +10,7 @@ runs off-line over a whole log segment.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,20 +37,21 @@ class AccelSeries:
 
     Samples too close to a segment boundary for the centered window to fit
     are marked invalid (``valid`` False, ``accel`` NaN) and must be excluded
-    downstream. Arrays of unequal length raise
-    :class:`~longforce.errors.InvalidParameterError`.
+    downstream. Both are kept as read-only arrays, of floats and of bools;
+    unequal lengths raise :class:`~longforce.errors.InvalidParameterError`.
     """
 
     accel: np.ndarray
     valid: np.ndarray
 
     def __post_init__(self):
-        if len(self.accel) != len(self.valid):
+        accel, valid = np.asarray(self.accel, dtype=float), np.asarray(self.valid, dtype=bool)
+        if len(accel) != len(valid):
             raise InvalidParameterError(
-                f"acceleration series has {len(self.accel)} estimates but "
-                f"{len(self.valid)} validity flags")
-        for col in (self.accel, self.valid):
-            np.asarray(col).setflags(write=False)
+                f"acceleration series has {len(accel)} estimates but {len(valid)} validity flags")
+        for name, col in (("accel", accel), ("valid", valid)):
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
 
     def __len__(self) -> int:
         return len(self.accel)
@@ -160,8 +162,8 @@ def log_spaced_edges(lo: float = 0.05, hi: float = 40.0, count: int = 40) -> np.
     """``count`` log-spaced speed bins between ``lo`` and ``hi`` m/s."""
     if not 0 < lo < hi < math.inf:
         raise InvalidParameterError("need 0 < lo < hi < inf for log-spaced bin edges")
-    if count < 1:
-        raise InvalidParameterError(f"bin count must be >= 1, got {count}")
+    if not isinstance(count, numbers.Integral) or count < 1:
+        raise InvalidParameterError(f"bin count must be an integer >= 1, got {count!r}")
     if count > MAX_BIN_COUNT:
         raise InvalidParameterError(f"bin count must be <= {MAX_BIN_COUNT}, got {count}")
     return np.geomspace(lo, hi, count + 1)
@@ -179,7 +181,7 @@ def bin_by_speed(points, edges) -> np.ndarray:
     """
     edges = np.asarray(edges, dtype=float)
     if len(edges) < 2 or not np.all(np.diff(edges) > 0):
-        raise ValueError("edges must be strictly increasing with >= 2 entries")
+        raise InvalidParameterError("edges must be strictly increasing with >= 2 entries")
     speeds, values = np.asarray(points, dtype=float).reshape(-1, 2).T
     idx = np.digitize(speeds, edges)  # 1..nbins inside; the top edge is inclusive
     idx[speeds == edges[-1]] = len(edges) - 1

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DriveLog, Gear, VehicleParams, grade_force_many
-from .errors import ProtocolViolationError, SegmentSplitRequired
+from .errors import InvalidParameterError, ProtocolViolationError, SegmentSplitRequired
 from .estimation import AccelSeries, _require_aligned
 from .spline import Spline1D
 
@@ -124,11 +124,9 @@ def split_constant_signal(log: DriveLog, signal: str) -> list[DriveLog]:
     returned log satisfies the constant-signal precondition.
     """
     if signal not in ("throttle", "brake"):
-        raise ValueError(f"signal must be 'throttle' or 'brake', got {signal!r}")
+        raise InvalidParameterError(f"signal must be 'throttle' or 'brake', got {signal!r}")
     values = getattr(log, signal)
     if len(log) == 0:
         return []
-    breaks = np.flatnonzero(np.diff(values) != 0) + 1
-    starts = [0, *breaks.tolist()]
-    ends = [*breaks.tolist(), len(log)]
-    return [log.slice(slice(a, b)) for a, b in zip(starts, ends)]
+    bounds = [0, *(np.flatnonzero(np.diff(values) != 0) + 1).tolist(), len(log)]
+    return [log.slice(slice(a, b)) for a, b in zip(bounds, bounds[1:])]

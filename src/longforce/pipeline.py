@@ -29,8 +29,7 @@ from .extraction import (extract_braking, extract_friction, extract_propulsion,
                          split_constant_signal)
 from .reference import load_anchor_file, reference_model_set
 from .spline import (DEFAULT_KNOTS_MPS, MODEL_KINDS, ForceSurface, Spline1D,
-                     _knot_positions, check_signal_monotone, fit_curve, load_model,
-                     load_typed_model, save_model)
+                     _knot_positions, fit_curve, load_model, load_typed_model, save_model)
 from .validation import render_table, report_to_dict, validate
 
 
@@ -186,13 +185,11 @@ def _fit_surface(kind: str, signal: str, log_paths: list[str], config: PipelineC
     curves = []
     for level in levels:
         try:
-            curve = _fit_level_curve(np.concatenate(points[level]), anchors.get(level, ()),
-                                     knots, config.bin_edges, f"{kind} level {level}")
+            curves.append(_fit_level_curve(np.concatenate(points[level]), anchors.get(level, ()),
+                                           knots, config.bin_edges, f"{kind} level {level}"))
         except FitError as exc:
             raise FitError(f"{kind} level {level}: {exc}") from exc
-        curves.append(curve)
     surface = ForceSurface(tuple(levels), tuple(curves))
-    check_signal_monotone(surface)
     save_model(out_path, kind, surface, _provenance(log_paths))
     return surface
 

@@ -10,9 +10,9 @@ and the hand-shaped low-speed regions must not grow spurious wiggles.
 A force surface is a family of such curves indexed by an integer command
 signal (throttle or brake). Evaluation between defining levels interpolates
 the per-level values with the same monotone-limited Hermite scheme along
-the signal axis, so the surface passes exactly through its defining curves
-and cross-sections in the signal axis stay monotone whenever the level
-values are.
+the signal axis, so the surface passes exactly through its defining curves.
+A surface is built only if its level values never fall with the signal, at
+any speed, so its cross-sections are monotone and can be inverted.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import file_values, json_integers, json_numbers, json_object, read_json
-from .errors import FitError, InvalidParameterError, InversionError, SchemaError
+from .errors import FitError, InvalidParameterError, SchemaError
 
 #: Default knot layout (m/s): log-spaced, dense at low speed where the
 #: shapes carry the creep/Stribeck/regen-cutoff features.
@@ -224,9 +224,8 @@ class Spline1D:
             raise FitError(f"lower clamp must be 0, got {self.lower_clamp}")
         if any(y < 0.0 for y in ys):
             raise FitError("knot values must be >= 0")
-        object.__setattr__(self, "knots_x", xs)
-        object.__setattr__(self, "knots_y", ys)
-        object.__setattr__(self, "tangents", ms)
+        for name, values in (("knots_x", xs), ("knots_y", ys), ("tangents", ms)):
+            object.__setattr__(self, name, values)
         # Per segment, the factors of _hermite's terms that do not depend on
         # the speed: (y0, y1 - y0, m0 * h, m1 * h).
         object.__setattr__(self, "_segments", tuple(
@@ -335,6 +334,9 @@ def fit_curve(points, knots_x: Sequence[float]) -> Spline1D:
     below zero.
     """
     k = _knot_positions(knots_x)
+    if np.size(points) and (np.ndim(points) > 2 or np.shape(points)[-1] != 3):
+        raise InvalidParameterError(f"points must be (speed, value, weight) rows, got shape "
+                                    f"{np.shape(points)}")
     xs, ys, ws = _weighted_rows(points, "fit row").T
     if not len(xs):
         raise FitError("nothing to fit: no binned points and no anchors")
@@ -404,8 +406,10 @@ class ForceSurface:
     Built from one curve per defining signal level; the lowest is 0, the
     released pedal (creep or regeneration), which every reader needs.
     Cross-sections along the signal axis pass exactly through the defining
-    curves and are interpolated with monotone-limited Hermite in between, so
-    they are monotone whenever the defining values are.
+    curves and are interpolated with monotone-limited Hermite in between.
+    Invariant, checked when built (:func:`check_signal_monotone`): no level's
+    curve lies below the one under it, so every cross-section is monotone in
+    the signal, within a rounding slack, and :meth:`invert` is well posed.
     """
 
     levels: tuple[int, ...]
@@ -427,17 +431,15 @@ class ForceSurface:
         object.__setattr__(self, "curves", curves)
         # The level spans the limiter divides by along the signal axis. Stored
         # as floats: Python converts an int operand on every operation.
-        object.__setattr__(self, "_spans",
-                           tuple(float(b - a) for a, b in zip(levels, levels[1:])))
-        object.__setattr__(self, "_spans2",
-                           tuple(float(b - a) for a, b in zip(levels, levels[2:])))
-        # When every curve shares one knot grid, a cross-section needs one
-        # bisect and one set of Hermite basis terms for all of them; each
-        # segment then holds every curve's terms.
+        object.__setattr__(self, "_spans", tuple(float(b - a) for a, b in zip(levels, levels[1:])))
+        object.__setattr__(self, "_spans2", tuple(float(b - a) for a, b in zip(levels, levels[2:])))
+        # On one knot grid shared by every curve, a cross-section needs one bisect and
+        # one set of Hermite basis terms; each segment then holds every curve's terms.
         shared = all(c.knots_x == curves[0].knots_x for c in curves)
         object.__setattr__(self, "_grid", curves[0].knots_x if shared else None)
-        object.__setattr__(self, "_rows", tuple(zip(*(c._segments for c in curves)))
-                           if shared else None)
+        object.__setattr__(self, "_rows", tuple(zip(*(c._segments for c in curves))) if shared
+                           else None)
+        check_signal_monotone(self)
 
     def cross_section(self, v: float) -> list[float]:
         """Values of every defining curve at speed ``v``, in level order.
@@ -579,27 +581,19 @@ class ForceSurface:
     def invert(self, v: float, force: float) -> tuple[float, bool, bool]:
         """``(signal, saturated, underflow)``: the smallest signal reaching ``force`` at ``v``.
 
-        Bisection on the one cross-section at ``v``, read once per call: each
-        step runs ``_along_signal`` on it, ``eval(v, mid)`` bit for bit. It returns
-        the upper end of the last bracket, a signal where ``eval(v, signal)
-        >= force``, within ``SIGNAL_TOL`` signal units of the smallest such
-        signal on a section that is monotone at the ulp level. On a section
-        flat to a few ulps, rounding can dip below ``force`` past that
-        smallest signal, and the bisection then stops later. Forces above
-        the cross-section's maximum return the top level with ``saturated``
-        set; forces below the minimum return the bottom level with
-        ``underflow`` set. Raises :class:`~longforce.errors.InversionError`
-        when the cross-section is not monotone non-decreasing in the signal,
-        and :class:`~longforce.errors.InvalidParameterError` when ``v`` or
-        ``force`` is NaN.
+        Bisection on the one cross-section at ``v``, monotone by the surface's
+        invariant and read once per call: each step runs ``_along_signal`` on
+        it, ``eval(v, mid)`` bit for bit. It returns the upper end of the last
+        bracket, a signal where ``eval(v, signal) >= force``, within
+        ``SIGNAL_TOL`` signal units of the smallest such signal on a section
+        that is monotone at the ulp level. On a section flat to a few ulps,
+        rounding can dip below ``force`` past that smallest signal, and the
+        bisection then stops later. Forces above the section's top value return
+        the top level with ``saturated`` set, forces below its bottom value the
+        bottom level with ``underflow`` set. A NaN ``v`` or ``force`` raises
+        :class:`~longforce.errors.InvalidParameterError`.
         """
         values = self.cross_section(v)
-        slack = 1e-9 * max(1.0, max(abs(f) for f in values))
-        for i in range(len(values) - 1):
-            if values[i + 1] < values[i] - slack:
-                raise InversionError(
-                    f"cross-section at v={v:.3f} m/s decreases between levels "
-                    f"{self.levels[i]} and {self.levels[i + 1]}; inversion unsupported")
         lo, hi = float(self.levels[0]), float(self.levels[-1])
         f_lo, f_hi = values[0], values[-1]
         if force <= f_lo:
@@ -620,28 +614,52 @@ class ForceSurface:
         return hi, False, False
 
 
-def check_signal_monotone(surface: ForceSurface, speeds=None) -> None:
-    """Verify cross-sections never decrease with the signal; raise FitError if they do.
+def check_signal_monotone(surface: ForceSurface) -> None:
+    """FitError, naming both levels and the speed of the worst fall, unless each
+    level's curve is at least the one below it, within ``1e-9 * max(1, f)`` N.
 
-    Checked on a dense speed grid over the union of the curve domains, with
-    the slack :meth:`ForceSurface.invert` allows, at fit time and at load
-    time, so that inversion later is well posed everywhere.
+    The invariant :class:`ForceSurface` checks when built, exactly: on each
+    segment of the union of the levels' knots each curve is one Hermite piece
+    or a held end, so two levels differ by a cubic, lowest at an end or where
+    its derivative is 0. The clamp at 0 is monotone, so it is left out.
     """
-    if speeds is None:
-        lo = min(c.domain[0] for c in surface.curves)
-        hi = max(c.domain[1] for c in surface.curves)
-        speeds = np.geomspace(max(lo, 1e-3), hi, 200)
-    speeds = np.asarray(speeds, dtype=float).ravel()
-    values = np.array([curve.eval_many(speeds) for curve in surface.curves])
-    slack = 1e-9 * np.maximum(1.0, np.abs(values).max(axis=0))
-    falls = values[1:] < values[:-1] - slack
-    if falls.any():
-        k = int(falls.any(axis=0).argmax())
-        i = int(falls[:, k].argmax())
+    curves = surface.curves
+    if len(curves) < 2:
+        return
+    n = np.array([len(c.knots_x) for c in curves])
+    kx, ky, km = (np.concatenate([getattr(c, name) for c in curves])
+                  for name in ("knots_x", "knots_y", "tangents"))
+    grid = np.unique(kx)
+    # In the flat arrays, the knot starting each curve's piece on each grid segment
+    on_grid = np.zeros((len(curves), len(grid)), dtype=int)
+    on_grid[np.repeat(np.arange(len(curves)), n), np.searchsorted(grid, kx)] = 1
+    k = (n.cumsum() - n)[:, None] + np.clip(on_grid.cumsum(axis=1)[:, :-1] - 1, 0, n[:, None] - 2)
+    # The segment's ends in the piece's own t, clamped to it: a held end is constant.
+    h = kx[k + 1] - kx[k]
+    a, a1 = (np.minimum(np.maximum((x - kx[k]) / h, 0.0), 1.0) for x in (grid[:-1], grid[1:]))
+    b, y0, y1, scale = a1 - a, ky[k], ky[k + 1], max(1.0, ky.max())
+    # The piece's power-basis terms in t, over ``scale`` to stay finite, then the
+    # derivative's in the segment's u, with t = a + b * u
+    c1, dy, s1 = km[k] * h / scale, (y1 - y0) / scale, km[k + 1] * h / scale
+    c2, c3 = 3.0 * dy - 2.0 * c1 - s1, c1 + s1 - 2.0 * dy
+    d = np.diff([b * (c1 + a * (2.0 * c2 + 3.0 * a * c3)), 2.0 * b * b * (c2 + 3.0 * a * c3),
+                 3.0 * b ** 3 * c3], axis=1)  # each level less its neighbour below
+    with np.errstate(all="ignore"):  # the roots of d, by the formula that does not cancel
+        r = -0.5 * (d[1] + np.copysign(np.sqrt(d[1] * d[1] - 4.0 * d[2] * d[0]), d[1]))
+        u = np.array([np.zeros_like(r), np.ones_like(r), r / d[2], d[0] / r])
+    u = np.where((u >= 0.0) & (u <= 1.0), u, 0.0)  # NaN fails both tests
+    # Each pair's lower and upper level there, knot values exact
+    pair = np.array([np.arange(len(curves) - 1), np.arange(1, len(curves))])[:, None]
+    a, a1, y0, y1, c1, c2, c3 = np.array([a, a1, y0, y1, c1, c2, c3])[:, pair]
+    t = (1.0 - u) * a + u * a1
+    lower, upper = np.where(t < 1.0, y0 + scale * (t * (c1 + t * (c2 + t * c3))), y1)
+    excess = lower - upper - 1e-9 * np.maximum(1.0, np.maximum(lower, upper))
+    i = _, p, j = np.unravel_index(excess.argmax(), excess.shape)
+    if excess[i] > 0.0:
         raise FitError(
-            f"level {surface.levels[i + 1]} falls below level {surface.levels[i]} "
-            f"by {values[i, k] - values[i + 1, k]:.3g} N at {speeds[k]:.2f} m/s; "
-            "surface would not be monotone in the signal")
+            f"level {surface.levels[p + 1]} falls below level {surface.levels[p]} by "
+            f"{lower[i] - upper[i]:.3g} N at {grid[j] + u[i] * (grid[j + 1] - grid[j]):.6g} "
+            "m/s; surface would not be monotone in the signal")
 
 
 # --- model file serialization -------------------------------------------------
@@ -689,10 +707,8 @@ def model_from_dict(obj: dict) -> tuple[str, Spline1D | ForceSurface, dict]:
             raise SchemaError("a friction model holds exactly one curve")
         return kind, _curve_from_dict(curves[0], clamp), provenance
     levels = json_integers(obj, "levels", [])
-    surface = ForceSurface(tuple(int(v) for v in levels),
-                           tuple(_curve_from_dict(c, clamp) for c in curves))
-    check_signal_monotone(surface)
-    return kind, surface, provenance
+    return kind, ForceSurface(tuple(int(v) for v in levels),
+                              tuple(_curve_from_dict(c, clamp) for c in curves)), provenance
 
 
 def save_model(path: str | Path, kind: str, model: Spline1D | ForceSurface,

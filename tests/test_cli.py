@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -282,21 +283,21 @@ class TestFitPipeline:
         assert surface.levels == (0, 100, 186)
 
     def test_brake_fit_flags_non_monotone_level(self, gt_models, config_path, tmp_path):
-        # adversarial generator: the disc force at brake 80 is weaker than
+        # adversarial generators: the disc force at brake 80 is weaker than
         # at brake 40, so the assembled surface cannot be monotone in the
-        # signal and the fit must name the offending level
+        # signal and the fit must name the offending level. No surface holds
+        # both levels, so each run has its own generator.
         from longforce.dynamics import ModelSet
         from longforce.spline import ForceSurface, Spline1D
 
         def flat(value):
             return Spline1D.interpolate([0.0, 40.0], [value, value])
 
-        bad = ModelSet(
-            friction=gt_models.friction,
-            propulsion=gt_models.propulsion,
-            braking=ForceSurface((0, 40, 80), (flat(0.0), flat(3000.0), flat(1200.0))),
-            params=gt_models.params,
-        )
+        def generator(level, force):
+            return ModelSet(gt_models.friction, gt_models.propulsion,
+                            ForceSurface((0, level), (flat(0.0), flat(force))),
+                            gt_models.params)
+
         coast = coast_down_log(gt_models)
         save_drive_log(tmp_path / "coast.json", coast)
         config = load_pipeline_config(config_path)
@@ -306,9 +307,10 @@ class TestFitPipeline:
         run_fit_propulsion([str(tmp_path / "creep.json")], tmp_path / "friction.json",
                            config, tmp_path / "propulsion.json")
         paths = []
-        for level in (0, 40, 80):  # level 0, the released pedal, as every brake fit needs
-            log = protocol_log(bad, 0, level, 125.0 / 3.6, 40.0, Gear.DRIVE,
-                               cut_below=0.02)
+        # level 0, the released pedal, as every brake fit needs
+        for level, force in ((0, 0.0), (40, 3000.0), (80, 1200.0)):
+            log = protocol_log(generator(max(level, 1), force), 0, level, 125.0 / 3.6, 40.0,
+                               Gear.DRIVE, cut_below=0.02)
             p = tmp_path / f"brake_{level}.json"
             save_drive_log(p, log)
             paths.append(str(p))
@@ -736,6 +738,62 @@ class TestMainInputFiles:
                 in capsys.readouterr().err)
 
 
+#: A surface a sampled check let through: between 20.0 and 20.1 m/s, level
+#: 100 falls below level 0 by up to 0.46 N.
+BASELINE_KNOTS = [0.1, 20.0, 20.1, 36.0]
+BASELINE_VALUES = {0: [0.0, 500.0, 600.0, 600.0], 100: [0.0, 500.0, 600.0, 1000.0]}
+
+
+def assert_names_baseline_fall(message):
+    found = re.search(r"level 100 falls below level 0 by 0\.46\d* N at ([0-9.]+) m/s", message)
+    assert found, message
+    assert 20.0 < float(found[1]) < 20.1
+
+
+class TestBaselineSurface:
+    """The surface that falls with the signal is refused wherever it would enter."""
+
+    @pytest.mark.parametrize("command", ["simulate", "validate", "export-plot-data",
+                                         "fit-brake"])
+    def test_model_file_holding_it_is_2(self, cli_inputs, tmp_path, capsys, command):
+        path = cli_inputs["propulsion"]
+        obj = json.loads(path.read_text())
+        obj["levels"] = list(BASELINE_VALUES)
+        obj["curves"] = [{"knots_x_mps": BASELINE_KNOTS, "knots_y_N": ys}
+                         for ys in BASELINE_VALUES.values()]
+        path.write_text(json.dumps(obj))
+        assert main(cli_argv(command, cli_inputs, str(tmp_path / "out"))) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: malformed propulsion model: level 100 falls below level 0" in err
+        assert_names_baseline_fall(err)
+        assert not (tmp_path / "out").exists()
+
+    def test_fit_producing_it_is_3_before_any_file_is_written(self, gt_models, cli_inputs,
+                                                              config_path, tmp_path, capsys):
+        # Anchors on the knots, and runs above the knot span, whose bins are
+        # dropped: each level's fit goes through its anchors.
+        anchors = tmp_path / "anchors.json"
+        anchors.write_text(json.dumps({"propulsion": {
+            str(level): [{"speed_mps": x, "force_n": y, "weight": 1e6}
+                         for x, y in zip(BASELINE_KNOTS, ys)]
+            for level, ys in BASELINE_VALUES.items()}}))
+        obj = json.loads(config_path.read_text())
+        obj["anchors"] = str(anchors)
+        obj["knots_mps"]["propulsion"] = BASELINE_KNOTS
+        config_path.write_text(json.dumps(obj))
+        logs = []
+        for level in BASELINE_VALUES:
+            logs.append(str(tmp_path / f"throttle_{level}.json"))
+            save_drive_log(logs[-1], protocol_log(gt_models, level, 0, 38.0, 1.0, Gear.DRIVE))
+        out = tmp_path / "propulsion_fit.json"
+        assert main(["fit-propulsion", *logs, "--friction", str(cli_inputs["friction"]),
+                     "--config", str(config_path), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "dropped" in captured.out  # the runs' bins, outside the knot span
+        assert_names_baseline_fall(captured.err)
+        assert not out.exists()
+
+
 class TestMainOutOfRange:
     """An argument or config value out of range ends in exit 2 with a message naming it."""
 
@@ -781,7 +839,7 @@ class TestMainOutOfRange:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section, key, value, message", [
-        ("bins", "count", 0, "bin count must be >= 1, got 0"),
+        ("bins", "count", 0, "bin count must be an integer >= 1, got 0"),
         # Used to ask np.geomspace for 8 GB of edges at a count of 10^9.
         ("bins", "count", 10**9, f"bin count must be <= {MAX_BIN_COUNT}, got {10**9}"),
         ("estimator", "window", 4, "window must be an odd integer >= 3, got 4"),

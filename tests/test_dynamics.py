@@ -73,6 +73,12 @@ class TestActuationCommand:
         with pytest.raises(ValueError):
             ActuationCommand(throttle=10.0, brake=5.0)
 
+    def test_both_pedals_is_an_invalid_parameter(self):
+        # Was a bare ValueError, which a caller catching LongforceError missed.
+        with pytest.raises(InvalidParameterError,
+                           match="^throttle and brake must never both be nonzero$"):
+            ActuationCommand(1.0, 1.0)
+
     def test_flags(self):
         cmd = ActuationCommand(throttle=10.0, brake=0.0, saturated=True)
         assert (cmd.saturated, cmd.underflow) == (True, False)

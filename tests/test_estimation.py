@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longforce.core import DriveLog
+from longforce.core import DriveLog, Gear
 from longforce.errors import EmptySeriesError, InvalidParameterError
 from longforce.estimation import (AccelSeries, bin_by_speed, estimate_acceleration,
                                   log_spaced_edges)
+from longforce.extraction import extract_friction, split_constant_signal
+from longforce.spline import fit_curve
+from longforce.validation import validate
 
 
 def speed_log(t, speed):
@@ -16,12 +19,44 @@ def speed_log(t, speed):
                     np.zeros(n))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: bin_by_speed([(1.0, 2.0)], [0.0, 2.0, 1.0]),
+     "edges must be strictly increasing with >= 2 entries"),
+    (lambda: split_constant_signal(speed_log([0.0, 0.01], [1.0, 1.0]), "gear"),
+     "signal must be 'throttle' or 'brake', got 'gear'"),
+    (lambda: fit_curve(np.ones((4, 2)), [0.0, 1.0]),
+     "points must be (speed, value, weight) rows, got shape (4, 2)"),
+    (lambda: log_spaced_edges(1.0, 2.0, 2.5), "bin count must be an integer >= 1, got 2.5"),
+], ids=["bin_by_speed", "split_constant_signal", "fit_curve", "log_spaced_edges"])
+def test_bad_argument_is_an_invalid_parameter_naming_it(call, message):
+    # Each was a bare ValueError or TypeError; InvalidParameterError is both a
+    # LongforceError, which the CLI maps to exit 2, and a ValueError.
+    with pytest.raises(InvalidParameterError) as err:
+        call()
+    assert str(err.value) == message
+
+
 class TestAccelSeries:
     def test_unequal_lengths_refused(self):
         with pytest.raises(InvalidParameterError) as exc_info:
             AccelSeries(np.zeros(5), np.ones(4, dtype=bool))
         assert str(exc_info.value) == \
             "acceleration series has 5 estimates but 4 validity flags"
+
+    def test_lists_become_read_only_float_and_bool_arrays(self, gt_models):
+        # From lists, validate and extract_friction used to fail with a bare
+        # TypeError; the series now holds arrays, as DriveLog does.
+        zeros = np.zeros(8, dtype=np.int64)
+        log = DriveLog(np.arange(8) * 0.01, np.linspace(10.0, 9.9, 8), zeros, zeros,
+                       np.zeros(8), gear=Gear.NEUTRAL)
+        accel, valid = [-1.0] * 8, [0, 1, 1, 1, 1, 1, 1, 0]
+        series = AccelSeries(accel, valid)
+        assert series.accel.dtype == np.float64 and series.valid.dtype == np.bool_
+        assert not series.accel.flags.writeable and not series.valid.flags.writeable
+        arrays = AccelSeries(np.array(accel), np.array(valid, dtype=bool))
+        assert validate(gt_models, log, series) == validate(gt_models, log, arrays)
+        assert np.array_equal(extract_friction(log, series, gt_models.params),
+                              extract_friction(log, arrays, gt_models.params))
 
     def test_length_and_read_only_columns(self):
         series = estimate_acceleration(speed_log(np.arange(30) * 0.01, np.full(30, 5.0)), 5)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longforce.errors import FitError, InversionError, SchemaError
+from longforce.errors import FitError, SchemaError
 from longforce.pipeline import load_pipeline_config
 from longforce.reference import load_anchor_file
-from longforce.spline import (ForceSurface, Spline1D,
+from longforce.spline import (DEFAULT_KNOTS_MPS, ForceSurface, Spline1D,
                               check_signal_monotone, fit_curve, limited_tangents,
                               load_model, model_from_dict, model_to_dict, save_model,
                               _hermite, _supported_knots)
@@ -667,36 +668,43 @@ class TestForceSurface:
         assert surface.invert(5.0, 0.0) == (0.0, False, False)
 
     def test_non_monotone_cross_section_raises(self):
+        # Such a surface used to build, and every invert on it raised.
         lo = Spline1D.interpolate([0.0, 40.0], [800.0, 800.0])
         hi = Spline1D.interpolate([0.0, 40.0], [200.0, 200.0])
-        surface = ForceSurface((0, 100), (lo, hi))
-        with pytest.raises(InversionError):
-            surface.invert(5.0, 500.0)
+        with pytest.raises(FitError, match="^level 100 falls below level 0 by 600 N at 0 m/s; "
+                                           "surface would not be monotone in the signal$"):
+            ForceSurface((0, 100), (lo, hi))
 
     def test_check_signal_monotone_names_level(self):
         lo = Spline1D.interpolate([0.0, 40.0], [0.0, 900.0])
         mid = Spline1D.interpolate([0.0, 40.0], [500.0, 500.0])
         hi = Spline1D.interpolate([0.0, 40.0], [1000.0, 1000.0])
-        surface = ForceSurface((0, 40, 80), (lo, mid, hi))
-        with pytest.raises(FitError, match="level 40"):
-            check_signal_monotone(surface)
+        with pytest.raises(FitError, match="level 40 falls below level 0"):
+            ForceSurface((0, 40, 80), (lo, mid, hi))
+
+    def test_baseline_surface_is_refused_inside_its_narrow_segment(self):
+        # Level 100 falls below level 0 by 0.46 N between 20.0 and 20.1 m/s,
+        # which a check on 200 speeds spread over the span did not sample.
+        knots = [0.1, 20.0, 20.1, 36.0]
+        curves = (Spline1D.interpolate(knots, [0.0, 500.0, 600.0, 600.0]),
+                  Spline1D.interpolate(knots, [0.0, 500.0, 600.0, 1000.0]))
+        with pytest.raises(FitError) as err:
+            ForceSurface((0, 100), curves)
+        v = assert_names_a_real_fall(err.value, (0, 100), curves)
+        assert 20.0 < v < 20.1
+        assert "by 0.463 N" in str(err.value)
 
     @pytest.mark.parametrize("top, fall", [(10.0, 5e-7), (6000.0, 3e-6), (0.5, 2e-9)])
     def test_check_signal_monotone_allows_what_invert_allows(self, top, fall):
-        # The check used to allow a fixed 1e-6 N: a 10 N section falling by
-        # 5e-7 N loaded, then every invert on it raised InversionError, and a
-        # 6000 N section falling by 3e-6 N, which invert accepts, was refused.
-        flat = [Spline1D.interpolate([0.0, 40.0], [y, y]) for y in (top, top - fall)]
-        surface = ForceSurface((0, 100), tuple(flat))
-        refused = fall > 1e-9 * max(1.0, top)
-        try:
-            surface.invert(5.0, 0.5 * top)
-        except InversionError:
-            assert refused
+        # A fall by up to 1e-9 * max(1, f) N is rounding; invert's own scan
+        # allowed that much, and the surface check now allows the same.
+        flat = tuple(Spline1D.interpolate([0.0, 40.0], [y, y]) for y in (top, top - fall))
+        if fall > 1e-9 * max(1.0, top):
             with pytest.raises(FitError, match=f"level 100 falls below level 0 by {fall:.3g} N"):
-                check_signal_monotone(surface)
+                ForceSurface((0, 100), flat)
         else:
-            assert not refused
+            surface = ForceSurface((0, 100), flat)
+            assert surface.invert(5.0, 0.5 * top) == (0.0, False, True)
             check_signal_monotone(surface)
 
     def test_levels_strictly_increasing(self):
@@ -713,6 +721,100 @@ class TestForceSurface:
         with pytest.raises(FitError, match=rf"lowest level must be 0 .*got levels "
                                            rf"\[{', '.join(map(str, levels))}\]"):
             ForceSurface(levels, (zero,) * len(levels))
+
+
+# --- monotone in the signal, exactly ---------------------------------------------
+
+def assert_names_a_real_fall(err, levels, curves) -> float:
+    """The speed ``err`` names, where the curve of the lower named level, a
+    neighbour of the upper one, lies above it by more than the slack and by
+    about the named fall."""
+    found = re.fullmatch(r"level (\d+) falls below level (\d+) by (\S+) N at (\S+) m/s; "
+                         r"surface would not be monotone in the signal", str(err))
+    assert found, str(err)
+    upper, lower = levels.index(int(found[1])), levels.index(int(found[2]))
+    assert upper == lower + 1
+    v = float(found[4])
+    # The speed is printed to 6 digits: the worst fall lies within its last one.
+    near = [v, *np.linspace(v - 1e-5 * abs(v), v + 1e-5 * abs(v), 41).tolist()]
+    falls = [curves[lower].eval(x) - curves[upper].eval(x) for x in near]
+    worst = max(falls)
+    assert falls[0] > 1e-9 * max(1.0, curves[lower].eval(v))
+    assert worst == pytest.approx(float(found[3]), rel=6e-3)
+    return v
+
+
+def assert_monotone_in_the_signal(surface, speeds, signals):
+    """``eval(v, s1) <= eval(v, s2)`` for ``s1 < s2``, within the slack of each
+    level gap: neighbouring levels may fall by 1e-9 * max(1, f) N."""
+    for v in speeds:
+        section = surface.cross_section(v)
+        slack = (len(section) - 1) * 1e-9 * max(1.0, max(section))
+        values = [surface.eval(v, s) for s in sorted(signals)]
+        assert all(a <= b + slack for a, b in zip(values, values[1:])), (v, values)
+        assert all(a <= b + slack for a, b in zip(section, section[1:]))
+
+
+@st.composite
+def rising_surfaces(draw, shared_grid):
+    """Level curves, or the error ``ForceSurface`` refuses them with: knot values
+    that mostly rise with the level, on one knot grid or one stretched grid per
+    level. Between knots such curves can still cross."""
+    levels = sorted({0, *draw(st.lists(st.integers(1, 255), max_size=5))})
+    grid = [k / 1000.0 for k in sorted(draw(st.lists(st.integers(0, 45_000), min_size=2,
+                                                     max_size=8, unique=True)))]
+    ys = draw(st.lists(st.floats(0.0, 4000.0), min_size=len(grid), max_size=len(grid)))
+    steps = st.one_of(st.sampled_from([0.0, 0.0, 1e-6, 5.0, 3000.0]), st.floats(-20.0, 4000.0))
+    curves = []
+    for _ in levels:
+        stretch = 1.0 if shared_grid else 1.0 + 0.002 * draw(st.integers(0, 10))
+        curves.append(Spline1D.interpolate([x * stretch for x in grid], ys))
+        ys = [max(y + draw(steps), 0.0) for y in ys]
+    return tuple(levels), tuple(curves)
+
+
+def built_or_refused(levels, curves, data):
+    """Either branch of the property: a surface that builds is monotone in the
+    signal at random speeds, and a refusal names a speed where it falls."""
+    try:
+        surface = ForceSurface(levels, curves)
+    except FitError as err:
+        assert_names_a_real_fall(err, levels, curves)
+        return
+    knots = sorted({x for c in curves for x in c.knots_x})
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    speeds = [*knots, *rng.uniform(knots[0] - 1.0, knots[-1] + 1.0, 40).tolist()]
+    signals = [*levels, *rng.uniform(-5.0, levels[-1] + 5.0, 12).tolist()]
+    assert_monotone_in_the_signal(surface, speeds, signals)
+
+
+@pytest.mark.parametrize("shared_grid", [True, False], ids=["shared-grid", "per-level-grids"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_surface_builds_monotone_or_names_a_real_fall(shared_grid, data):
+    built_or_refused(*data.draw(rising_surfaces(shared_grid)), data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fitted_surface_builds_monotone_or_names_a_real_fall(data):
+    # Bins of a force curve that rises with the level, plus noise, fitted on
+    # one knot layout: noise can make neighbouring fits cross.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    levels = tuple(sorted({0, *data.draw(st.lists(st.integers(1, 255), min_size=1,
+                                                  max_size=4))}))
+    knots = DEFAULT_KNOTS_MPS
+    shape = rng.uniform(0.0, 3000.0, len(knots))
+    gain = data.draw(st.floats(0.0, 20.0))  # N per signal unit at every speed
+    noise = data.draw(st.sampled_from([0.0, 5.0, 50.0, 500.0]))
+    centers = np.geomspace(0.1, 36.0, 40)
+    counts = rng.integers(1, 200, len(centers))
+    curves = []
+    for level in levels:
+        truth = np.interp(centers, knots, shape) + gain * level
+        values = truth + rng.normal(0.0, noise, len(centers)) if noise else truth
+        curves.append(fit_curve(binned(centers, values, counts), knots))
+    built_or_refused(levels, tuple(curves), data)
 
 
 class TestSerialization:
