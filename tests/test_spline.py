@@ -735,11 +735,11 @@ def assert_names_a_real_fall(err, levels, curves) -> float:
     upper, lower = levels.index(int(found[1])), levels.index(int(found[2]))
     assert upper == lower + 1
     v = float(found[4])
-    # The speed is printed to 6 digits: the worst fall lies within its last one.
-    near = [v, *np.linspace(v - 1e-5 * abs(v), v + 1e-5 * abs(v), 41).tolist()]
-    falls = [curves[lower].eval(x) - curves[upper].eval(x) for x in near]
-    worst = max(falls)
-    assert falls[0] > 1e-9 * max(1.0, curves[lower].eval(v))
+    # The speed is printed to 6 digits: the worst fall lies within its last
+    # one, and at the printed speed itself the curves need not cross at all.
+    near = np.linspace(v - 1e-5 * abs(v), v + 1e-5 * abs(v), 41).tolist()
+    worst = max(curves[lower].eval(x) - curves[upper].eval(x) for x in near)
+    assert worst > 1e-9 * max(1.0, curves[lower].eval(v))
     assert worst == pytest.approx(float(found[3]), rel=6e-3)
     return v
 
