@@ -671,8 +671,7 @@ def test_invert_flags_a_force_below_a_section_that_dips_within_the_slack():
 # --- invert against the bisection over the public eval -----------------------------
 
 def _invert_by_eval(surface, v, force):
-    """``ForceSurface.invert`` as it was, bisecting with ``surface.eval``; its
-    scan of the section went when surfaces became monotone by construction."""
+    """``ForceSurface.invert`` as it was, bisecting with ``surface.eval``."""
     values = surface.cross_section(v)
     lo, hi = float(surface.levels[0]), float(surface.levels[-1])
     f_lo, f_hi = values[0], values[-1]

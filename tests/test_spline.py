@@ -668,7 +668,6 @@ class TestForceSurface:
         assert surface.invert(5.0, 0.0) == (0.0, False, False)
 
     def test_non_monotone_cross_section_raises(self):
-        # Such a surface used to build, and every invert on it raised.
         lo = Spline1D.interpolate([0.0, 40.0], [800.0, 800.0])
         hi = Spline1D.interpolate([0.0, 40.0], [200.0, 200.0])
         with pytest.raises(FitError, match="^level 100 falls below level 0 by 600 N at 0 m/s; "
