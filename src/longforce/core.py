@@ -28,6 +28,7 @@ KMH_PER_MPS = 3.6
 
 #: Gap (s) above which a log is treated as separate segments.
 MAX_SAMPLE_GAP_S = 0.5
+_INT64_SPAN = 2.0**63
 
 
 def kmh_to_mps(v_kmh: float) -> float:
@@ -106,16 +107,51 @@ class VehicleParams:
         object.__setattr__(self, "m_eq_kg", m_eq)
 
 
+class _Columns:
+    """Base of the array records: each field named in ``_COLUMNS`` (name -> dtype) is
+    held as a read-only 1-D copy, never the caller's array, all of one length; a bad
+    column, or an int64 column's value that is no whole int64, raises ``_ERROR``."""
+
+    _ERROR: type = InvalidParameterError
+
+    def __post_init__(self):
+        for name, dtype in self._COLUMNS.items():
+            try:
+                col = np.array(getattr(self, name))  # a copy
+            except ValueError as exc:  # a ragged list
+                raise self._ERROR(f"column '{name}': {exc}") from None
+            if col.ndim != 1 or col.dtype.kind not in "biuf":
+                raise self._ERROR(f"column '{name}' must be 1-D real numbers, got shape "
+                                  f"{col.shape} of {col.dtype}")
+            if dtype is np.int64 and col.dtype.kind in "uf":
+                f = col.astype(float, copy=False)
+                whole = (col <= np.uint64(2**63 - 1) if col.dtype.kind == "u" else
+                         (f == np.trunc(f)) & (f >= -_INT64_SPAN) & (f < _INT64_SPAN))
+                if not whole.all():
+                    bad = int(whole.argmin())
+                    raise self._ERROR(f"column '{name}' must hold whole numbers within the "
+                                      f"int64 range, got {col[bad]} at row {bad}")
+            col = col.astype(dtype, copy=False)
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+            if len(col) != len(self):  # the first column's length
+                raise self._ERROR(f"column '{name}' has {len(col)} rows, expected {len(self)}")
+
+    def __len__(self) -> int:
+        return len(getattr(self, next(iter(self._COLUMNS))))
+
+
 @dataclass(frozen=True)
-class DriveLog:
-    """Time-ordered telemetry, stored column-wise as read-only arrays.
+class DriveLog(_Columns):
+    """Time-ordered telemetry, held column-wise as read-only copies that leave
+    the caller's arrays alone.
 
     The sample rate is nominally 100 Hz; gaps larger than
     ``MAX_SAMPLE_GAP_S`` split the log into segments during processing
     (see :meth:`segments`). Only forward motion is modeled, so speeds are
-    non-negative, as are throttle and brake. Time, speed and slope must be
-    finite: a single NaN would spread through the acceleration filter into
-    every fitted force.
+    non-negative, as are throttle and brake, which are whole numbers. Time,
+    speed and slope must be finite: a single NaN would spread through the
+    acceleration filter into every fitted force.
     """
 
     t: np.ndarray
@@ -126,36 +162,27 @@ class DriveLog:
     gear: Gear = Gear.DRIVE
     description: str = ""
 
+    _COLUMNS = {"t": np.float64, "speed": np.float64, "throttle": np.int64,
+                "brake": np.int64, "slope": np.float64}
+    _ERROR = SchemaError
+
     def __post_init__(self):
-        kinds = {"t": float, "speed": float, "throttle": np.int64, "brake": np.int64,
-                 "slope": float}
-        cols = {name: np.asarray(getattr(self, name), dtype=kind) for name, kind in kinds.items()}
-        t, speed, throttle, brake, slope = cols.values()
-        n = len(t)
-        for name, col in cols.items():
-            if len(col) != n:
-                raise SchemaError(f"column '{name}' has {len(col)} rows, expected {n}")
-        for name, col in (("t", t), ("speed", speed), ("slope", slope)):
-            finite = np.isfinite(col)
+        super().__post_init__()
+        for name in ("t", "speed", "slope"):
+            finite = np.isfinite(col := getattr(self, name))
             if not finite.all():
                 bad = int(np.argmin(finite))
                 raise SchemaError(f"column '{name}' is non-finite at row {bad}: {col[bad]}")
         # A comparison, not np.diff: the difference of two finite stamps can
         # overflow to inf.
-        increasing = t[1:] > t[:-1]
+        increasing = self.t[1:] > self.t[:-1]
         if not increasing.all():
             bad = int(np.argmin(increasing)) + 1
             raise SchemaError(f"time must be strictly increasing; violated at row {bad}")
-        for name, col in (("speed", speed), ("throttle", throttle), ("brake", brake)):
-            if n and col.min() < 0:
+        for name in ("speed", "throttle", "brake"):
+            if len(self) and (col := getattr(self, name)).min() < 0:
                 bad = int(np.argmax(col < 0))
                 raise SchemaError(f"{name} must be >= 0; violated at row {bad}")
-        for name, col in cols.items():
-            col.setflags(write=False)
-            object.__setattr__(self, name, col)
-
-    def __len__(self) -> int:
-        return len(self.t)
 
     def segments(self) -> list[slice]:
         """Index ranges of contiguous recording, split at gaps > ``MAX_SAMPLE_GAP_S``."""
@@ -169,8 +196,8 @@ class DriveLog:
 
     def slice(self, sl: slice) -> "DriveLog":
         """A new log holding the given sample range."""
-        return DriveLog(self.t[sl], self.speed[sl], self.throttle[sl],
-                        self.brake[sl], self.slope[sl], self.gear, self.description)
+        return DriveLog(*(getattr(self, name)[sl] for name in self._COLUMNS), self.gear,
+                        self.description)
 
 
 def read_json(path: str | Path) -> dict:
@@ -251,6 +278,8 @@ def _number_types(key: str, value) -> set[type]:
 # --- drive log files ----------------------------------------------------------
 
 DRIVELOG_FORMAT = "longforce-drivelog-v1"
+#: The file's keys of the DriveLog columns, in field order.
+_LOG_KEYS = ("t_s", "speed_mps", "throttle", "brake", "slope_rad")
 #: Rows that CSV ingest and the drive-log writer hold as Python objects at a time.
 _BLOCK_ROWS = 4096
 
@@ -272,10 +301,9 @@ def save_drive_log(path: str | Path, log: DriveLog, extra_meta: dict | None = No
     meta = {"gear": log.gear.value, "description": log.description, **(extra_meta or {})}
     # The metadata is spelled before the file is opened, so that a value
     # json.dumps refuses leaves no partial file.
-    members = {"brake": log.brake, "format": json.dumps(DRIVELOG_FORMAT),
+    members = {"format": json.dumps(DRIVELOG_FORMAT),
                "metadata": json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  "),
-               "slope_rad": log.slope, "speed_mps": log.speed, "t_s": log.t,
-               "throttle": log.throttle}
+               **{key: getattr(log, name) for key, name in zip(_LOG_KEYS, log._COLUMNS)}}
     with open(path, "w", encoding="utf-8") as fh:
         separator = "{\n  "
         for name, value in sorted(members.items()):
@@ -313,15 +341,8 @@ def load_drive_log(path: str | Path) -> DriveLog:
         raise SchemaError(f"{path}: not a {DRIVELOG_FORMAT} file")
     with file_values(path, "malformed drive log"):
         meta = json_object(obj, "metadata")
-        return DriveLog(
-            t=np.array(json_numbers(obj, "t_s"), dtype=float),
-            speed=np.array(json_numbers(obj, "speed_mps"), dtype=float),
-            throttle=np.array(json_integers(obj, "throttle"), dtype=np.int64),
-            brake=np.array(json_integers(obj, "brake"), dtype=np.int64),
-            slope=np.array(json_numbers(obj, "slope_rad"), dtype=float),
-            gear=Gear(meta.get("gear", "drive")),
-            description=meta.get("description", ""),
-        )
+        return DriveLog(*(json_numbers(obj, key) for key in _LOG_KEYS),
+                        Gear(meta.get("gear", "drive")), meta.get("description", ""))
 
 
 # --- CSV ingestion ------------------------------------------------------------
@@ -331,7 +352,6 @@ UNIT_SPECS = ("speed_kmh", "speed_mps")
 _REJECT_REASONS = ("", "unparseable number", "non-finite value", "negative speed",
                    "non-integer command signal", "command signal out of range",
                    "negative command signal")
-_INT64_SPAN = 2.0**63
 #: Bytes on which ``csv.reader`` and ``np.loadtxt`` can read a data line
 #: differently: a quote (``csv.reader`` joins a quoted cell across delimiters
 #: and lines), NUL (``csv.reader`` refuses it before Python 3.11) and the
@@ -404,15 +424,7 @@ def ingest_csv(csv_path: str | Path, units: str, gear: Gear = Gear.DRIVE,
         raise SchemaError(
             f"{csv_path}: time not strictly increasing at data row "
             f"{int(np.flatnonzero(keep)[k]) + 1} (t={float(t[k])} after t={float(t[k - 1])})")
-    log = DriveLog(
-        t=t,
-        speed=speed[keep],
-        throttle=throttle[keep].astype(np.int64),
-        brake=brake[keep].astype(np.int64),
-        slope=slope[keep],
-        gear=gear,
-        description=description,
-    )
+    log = DriveLog(t, speed[keep], throttle[keep], brake[keep], slope[keep], gear, description)
     report = {
         "rows": len(log),
         "rejected": len(rejected_at),

@@ -22,9 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import VehicleParams, file_values, grade_force, grade_force_many
+from .core import VehicleParams, _Columns, file_values, grade_force, grade_force_many
 from .errors import InvalidParameterError, SchemaError
-from .spline import ForceSurface, Spline1D
+from .spline import ForceSurface, Spline1D, _float_rows
 
 #: (throttle, brake, slope_rad) at a given time.
 Schedule = Callable[[float], tuple[float, float, float]]
@@ -97,8 +97,7 @@ def direct_acceleration_many(models: ModelSet, v, throttle, brake,
     :class:`~longforce.errors.InvalidParameterError` naming the first row
     with a non-finite value.
     """
-    v, throttle, brake, slope = np.broadcast_arrays(
-        *(np.asarray(col, dtype=float).ravel() for col in (v, throttle, brake, slope)))
+    v, throttle, brake, slope = _float_rows(v, throttle, brake, slope)
     finite = np.isfinite(v) & np.isfinite(throttle) & np.isfinite(brake) & np.isfinite(slope)
     if not finite.all():
         k = int(finite.argmin())
@@ -116,8 +115,9 @@ def direct_acceleration_many(models: ModelSet, v, throttle, brake,
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Fixed-step simulation output, one row per time step."""
+class Trajectory(_Columns):
+    """Fixed-step simulation output, one row per time step, held as read-only
+    copies; the caller's arrays are left as they were."""
 
     t: np.ndarray
     speed: np.ndarray
@@ -126,12 +126,7 @@ class Trajectory:
     f_f: np.ndarray
     f_b: np.ndarray
 
-    def __post_init__(self):
-        for col in (self.t, self.speed, self.accel, self.f_p, self.f_f, self.f_b):
-            np.asarray(col).setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.t)
+    _COLUMNS = dict.fromkeys(("t", "speed", "accel", "f_p", "f_f", "f_b"), np.float64)
 
 
 def simulate(models: ModelSet, schedule: Schedule, v0: float, dt: float,
@@ -161,12 +156,7 @@ def simulate(models: ModelSet, schedule: Schedule, v0: float, dt: float,
                                     f"got {duration / dt:g}")
 
     steps = max(int(round(duration / dt)), 0)
-    t_out = np.empty(steps + 1)
-    v_out = np.empty(steps + 1)
-    a_out = np.empty(steps + 1)
-    fp_out = np.empty(steps + 1)
-    ff_out = np.empty(steps + 1)
-    fb_out = np.empty(steps + 1)
+    t_out, v_out, a_out, fp_out, ff_out, fb_out = out = np.empty((6, steps + 1))
 
     v = float(v0)
     for k in range(steps + 1):
@@ -195,7 +185,7 @@ def simulate(models: ModelSet, schedule: Schedule, v0: float, dt: float,
         x = v + dt / 6.0 * (a + 2.0 * k2 + 2.0 * k3 + k4)
         v = 0.0 if 0.0 > x else x
 
-    return Trajectory(t_out, v_out, a_out, fp_out, ff_out, fb_out)
+    return Trajectory(*out)
 
 
 def inverse_actuation(models: ModelSet, v: float, slope: float,
@@ -232,10 +222,7 @@ def step_hold_schedule(rows: list[tuple[float, float, float, float]]) -> Schedul
     times = [r[0] for r in rows]
 
     def schedule(t: float) -> tuple[float, float, float]:
-        i = bisect_right(times, t) - 1
-        if i < 0:
-            i = 0
-        _, throttle, brake, slope = rows[i]
+        _, throttle, brake, slope = rows[max(bisect_right(times, t) - 1, 0)]
         return throttle, brake, slope
 
     return schedule

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import DriveLog
+from .core import DriveLog, _Columns
 from .errors import EmptySeriesError, InvalidParameterError
 
 DEFAULT_WINDOW = 21
@@ -32,29 +32,19 @@ _SLOPE_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
-class AccelSeries:
+class AccelSeries(_Columns):
     """Acceleration estimates aligned index-for-index with a DriveLog.
 
     Samples too close to a segment boundary for the centered window to fit
     are marked invalid (``valid`` False, ``accel`` NaN) and must be excluded
-    downstream. Both are kept as read-only arrays, of floats and of bools;
-    unequal lengths raise :class:`~longforce.errors.InvalidParameterError`.
+    downstream. Both are read-only copies, of floats and of bools, that leave
+    the caller's arrays alone; a bad column raises :class:`InvalidParameterError`.
     """
 
     accel: np.ndarray
     valid: np.ndarray
 
-    def __post_init__(self):
-        accel, valid = np.asarray(self.accel, dtype=float), np.asarray(self.valid, dtype=bool)
-        if len(accel) != len(valid):
-            raise InvalidParameterError(
-                f"acceleration series has {len(accel)} estimates but {len(valid)} validity flags")
-        for name, col in (("accel", accel), ("valid", valid)):
-            col.setflags(write=False)
-            object.__setattr__(self, name, col)
-
-    def __len__(self) -> int:
-        return len(self.accel)
+    _COLUMNS = {"accel": np.float64, "valid": np.bool_}
 
 
 def _require_aligned(log: DriveLog, accel: AccelSeries) -> None:
@@ -172,17 +162,22 @@ def log_spaced_edges(lo: float = 0.05, hi: float = 40.0, count: int = 40) -> np.
 def bin_by_speed(points, edges) -> np.ndarray:
     """Aggregate scattered (speed, value) points into per-bin medians.
 
-    ``points`` is an (N, 2) array or a list of pairs. Returns a (K, 3) float
-    array with one row per non-empty bin, in bin order: the median member
-    speed, the median member value and the member count, the (speed, value,
-    weight) rows :func:`~longforce.spline.fit_curve` reads. Medians are
-    robust to the bump/pothole outliers that contaminate force observations.
+    ``points`` is an (N, 2) array or a list of pairs, or empty; any other
+    shape raises InvalidParameterError. Returns a (K, 3) float array with one
+    row per non-empty bin, in bin order: the median member speed, the median
+    member value and the member count, the (speed, value, weight) rows
+    :func:`~longforce.spline.fit_curve` reads. Medians are robust to the
+    bump/pothole outliers that contaminate force observations.
     Points outside the edge span are dropped; the top edge is inclusive.
     """
     edges = np.asarray(edges, dtype=float)
-    if len(edges) < 2 or not np.all(np.diff(edges) > 0):
+    if edges.ndim != 1 or len(edges) < 2 or not np.all(np.diff(edges) > 0):
         raise InvalidParameterError("edges must be strictly increasing with >= 2 entries")
-    speeds, values = np.asarray(points, dtype=float).reshape(-1, 2).T
+    points = np.asarray(points, dtype=float)
+    if points.size and (points.ndim != 2 or points.shape[1] != 2):
+        raise InvalidParameterError(f"points must be (speed, value) rows, got shape "
+                                    f"{points.shape}")
+    speeds, values = points.reshape(-1, 2).T
     idx = np.digitize(speeds, edges)  # 1..nbins inside; the top edge is inclusive
     idx[speeds == edges[-1]] = len(edges) - 1
     inside = np.flatnonzero((idx >= 1) & (idx < len(edges)))

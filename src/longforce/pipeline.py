@@ -100,10 +100,7 @@ def _provenance(source_logs: list[str]) -> dict:
         timestamp = int(stamp)
     except ValueError:
         timestamp = int(time.time())
-    return {
-        "source_logs": [str(p) for p in source_logs],
-        "fit_timestamp": timestamp,
-    }
+    return {"source_logs": [str(p) for p in source_logs], "fit_timestamp": timestamp}
 
 
 def _fit_level_curve(points, anchors, knots, bin_edges, label: str) -> Spline1D:
@@ -298,7 +295,6 @@ def run_reference(out_dir: str | Path) -> None:
     models = reference_model_set()
     provenance = {"source_logs": [], "fit_timestamp": 0,
                   "note": "interpolated from packaged reference anchors"}
-    save_model(out / "friction.json", "friction", models.friction, provenance)
-    save_model(out / "propulsion.json", "propulsion", models.propulsion, provenance)
-    save_model(out / "braking.json", "braking", models.braking, provenance)
+    for kind in MODEL_KINDS:
+        save_model(out / f"{kind}.json", kind, getattr(models, kind), provenance)
     print(f"wrote friction.json, propulsion.json, braking.json to {out}")

@@ -50,6 +50,8 @@ def _knot_positions(xs: Sequence[float]) -> np.ndarray:
     finite, strictly increasing; else a :class:`~longforce.errors.FitError` naming the
     first rule broken. The one layout rule of curves, fits and pipeline configs."""
     x = np.asarray(xs, dtype=float)
+    if x.ndim != 1:
+        raise FitError(f"knot positions must be 1-D, got shape {x.shape}")
     if len(x) < 2:
         raise FitError(f"need at least 2 knot positions, got {len(x)}")
     finite = np.isfinite(x)
@@ -185,6 +187,14 @@ def _limited_tangents_many(xs: Sequence[float], ys: np.ndarray) -> np.ndarray:
             m[i] = np.where(flat, 0.0, left)
             m[i + 1] = np.where(flat, 0.0, right)
     return m
+
+
+def _float_rows(*values) -> list[np.ndarray]:
+    """``values`` as flat float arrays broadcast to one length, else InvalidParameterError."""
+    rows = [np.asarray(v, dtype=float).ravel() for v in values]
+    if len({len(r) for r in rows} - {1}) > 1:
+        raise InvalidParameterError(f"arrays of {[len(r) for r in rows]} rows do not broadcast")
+    return np.broadcast_arrays(*rows)
 
 
 def _reject_nan(name: str, values: np.ndarray) -> None:
@@ -334,7 +344,7 @@ def fit_curve(points, knots_x: Sequence[float]) -> Spline1D:
     below zero.
     """
     k = _knot_positions(knots_x)
-    if np.size(points) and (np.ndim(points) > 2 or np.shape(points)[-1] != 3):
+    if np.size(points) and (np.ndim(points) not in (1, 2) or np.shape(points)[-1] != 3):
         raise InvalidParameterError(f"points must be (speed, value, weight) rows, got shape "
                                     f"{np.shape(points)}")
     xs, ys, ws = _weighted_rows(points, "fit row").T
@@ -555,8 +565,7 @@ class ForceSurface:
         :class:`~longforce.errors.InvalidParameterError` naming the first
         row where either is NaN.
         """
-        v, signal = np.broadcast_arrays(np.asarray(v, dtype=float).ravel(),
-                                        np.asarray(signal, dtype=float).ravel())
+        v, signal = _float_rows(v, signal)
         _reject_nan("speed", v)
         _reject_nan("signal", signal)
         levels = np.asarray(self.levels, dtype=float)
@@ -621,7 +630,8 @@ def check_signal_monotone(surface: ForceSurface) -> None:
     The invariant :class:`ForceSurface` checks when built, exactly: on each
     segment of the union of the levels' knots each curve is one Hermite piece
     or a held end, so two levels differ by a cubic, lowest at an end or where
-    its derivative is 0. The clamp at 0 is monotone, so it is left out.
+    its derivative is 0. The clamp at 0 is monotone, so it is left out. A
+    difference that is not finite, where a Hermite sum overflows, is a fall.
     """
     curves = surface.curves
     if len(curves) < 2:
@@ -638,28 +648,31 @@ def check_signal_monotone(surface: ForceSurface) -> None:
     h = kx[k + 1] - kx[k]
     a, a1 = (np.minimum(np.maximum((x - kx[k]) / h, 0.0), 1.0) for x in (grid[:-1], grid[1:]))
     b, y0, y1, scale = a1 - a, ky[k], ky[k + 1], max(1.0, ky.max())
-    # The piece's power-basis terms in t, over ``scale`` to stay finite, then the
-    # derivative's in the segment's u, with t = a + b * u
-    c1, dy, s1 = km[k] * h / scale, (y1 - y0) / scale, km[k + 1] * h / scale
-    c2, c3 = 3.0 * dy - 2.0 * c1 - s1, c1 + s1 - 2.0 * dy
-    d = np.diff([b * (c1 + a * (2.0 * c2 + 3.0 * a * c3)), 2.0 * b * b * (c2 + 3.0 * a * c3),
-                 3.0 * b ** 3 * c3], axis=1)  # each level less its neighbour below
-    with np.errstate(all="ignore"):  # the roots of d, by the formula that does not cancel
+    with np.errstate(all="ignore"):  # an overflowing sum gives a NaN excess: a fall
+        # The piece's power-basis terms in t, over ``scale`` to stay finite, then the
+        # derivative's in the segment's u, with t = a + b * u
+        c1, dy, s1 = km[k] * h / scale, (y1 - y0) / scale, km[k + 1] * h / scale
+        c2, c3 = 3.0 * dy - 2.0 * c1 - s1, c1 + s1 - 2.0 * dy
+        d = np.diff([b * (c1 + a * (2.0 * c2 + 3.0 * a * c3)), 2.0 * b * b * (c2 + 3.0 * a * c3),
+                     3.0 * b ** 3 * c3], axis=1)  # each level less its neighbour below
+        # The roots of d, by the formula that does not cancel
         r = -0.5 * (d[1] + np.copysign(np.sqrt(d[1] * d[1] - 4.0 * d[2] * d[0]), d[1]))
         u = np.array([np.zeros_like(r), np.ones_like(r), r / d[2], d[0] / r])
-    u = np.where((u >= 0.0) & (u <= 1.0), u, 0.0)  # NaN fails both tests
-    # Each pair's lower and upper level there, knot values exact
-    pair = np.array([np.arange(len(curves) - 1), np.arange(1, len(curves))])[:, None]
-    a, a1, y0, y1, c1, c2, c3 = np.array([a, a1, y0, y1, c1, c2, c3])[:, pair]
-    t = (1.0 - u) * a + u * a1
-    lower, upper = np.where(t < 1.0, y0 + scale * (t * (c1 + t * (c2 + t * c3))), y1)
-    excess = lower - upper - 1e-9 * np.maximum(1.0, np.maximum(lower, upper))
+        u = np.where((u >= 0.0) & (u <= 1.0), u, 0.0)  # NaN fails both tests
+        # Each pair's lower and upper level there, knot values exact
+        pair = np.array([np.arange(len(curves) - 1), np.arange(1, len(curves))])[:, None]
+        a, a1, y0, y1, c1, c2, c3 = np.array([a, a1, y0, y1, c1, c2, c3])[:, pair]
+        t = (1.0 - u) * a + u * a1
+        lower, upper = np.where(t < 1.0, y0 + scale * (t * (c1 + t * (c2 + t * c3))), y1)
+        excess = lower - upper - 1e-9 * np.maximum(1.0, np.maximum(lower, upper))
+    excess[np.isnan(excess)] = np.inf
     i = _, p, j = np.unravel_index(excess.argmax(), excess.shape)
     if excess[i] > 0.0:
+        fall = f"{lower[i] - upper[i]:.3g} N" if excess[i] < np.inf else "an overflowing sum"
         raise FitError(
-            f"level {surface.levels[p + 1]} falls below level {surface.levels[p]} by "
-            f"{lower[i] - upper[i]:.3g} N at {grid[j] + u[i] * (grid[j + 1] - grid[j]):.6g} "
-            "m/s; surface would not be monotone in the signal")
+            f"level {surface.levels[p + 1]} falls below level {surface.levels[p]} by {fall} "
+            f"at {grid[j] + u[i] * (grid[j + 1] - grid[j]):.6g} m/s; surface would not be "
+            "monotone in the signal")
 
 
 # --- model file serialization -------------------------------------------------
@@ -682,15 +695,10 @@ def model_to_dict(kind: str, model: Spline1D | ForceSurface,
                   provenance: dict | None = None) -> dict:
     if kind not in MODEL_KINDS:
         raise SchemaError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-    out: dict = {"kind": kind}
-    if isinstance(model, Spline1D):
-        out["curves"] = [_curve_to_dict(model)]
-    else:
-        out["levels"] = list(model.levels)
-        out["curves"] = [_curve_to_dict(c) for c in model.curves]
-    out["lower_clamp_N"] = 0.0
-    out["provenance"] = dict(provenance or {"source_logs": []})
-    return out
+    surface = isinstance(model, ForceSurface)
+    return {"kind": kind, **({"levels": list(model.levels)} if surface else {}),
+            "curves": [_curve_to_dict(c) for c in (model.curves if surface else [model])],
+            "lower_clamp_N": 0.0, "provenance": dict(provenance or {"source_logs": []})}
 
 
 def model_from_dict(obj: dict) -> tuple[str, Spline1D | ForceSurface, dict]:

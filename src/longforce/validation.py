@@ -16,6 +16,7 @@ from .core import _INT64_SPAN, DriveLog
 from .dynamics import ModelSet, direct_acceleration_many
 from .errors import EmptyReportError, InvalidParameterError
 from .estimation import AccelSeries, _require_aligned
+from .spline import _reject_nan
 
 DEFAULT_HIST_BIN = 0.1
 #: Most histogram bins a bin width may ask for over the errors' range.
@@ -52,6 +53,7 @@ def validate(models: ModelSet, log: DriveLog, accel: AccelSeries,
     idx = np.flatnonzero(accel.valid)
     if len(idx) == 0:
         raise EmptyReportError("no valid samples to compare")
+    _reject_nan("measured acceleration", np.where(accel.valid, accel.accel, 0.0))
     # Rows are independent, so blocks of them give the same bits as one call
     # while bounding the size of its temporaries.
     model_a = np.concatenate([

@@ -886,8 +886,8 @@ class TestFractionalIntegerFields:
         path.write_text(json.dumps(obj))
         assert main(cli_argv("fit-friction", cli_inputs, str(tmp_path / "out"))) == 2
         assert capsys.readouterr().err == (
-            f"error: {path}: malformed drive log: '{column}' must hold whole numbers, "
-            "got 39.7 at row 1\n")
+            f"error: {path}: malformed drive log: column '{column}' must hold whole numbers "
+            "within the int64 range, got 39.7 at row 1\n")
 
     @pytest.mark.parametrize("section, key, value", [
         ("estimator", "window", 21.5), ("bins", "count", 40.5)], ids=["window", "bins-count"])

@@ -6,6 +6,8 @@ import pytest
 
 from longforce.core import (KMH_PER_MPS, DriveLog, Gear, VehicleParams, Wheel, kmh_to_mps,
                             load_vehicle_params)
+from longforce.dynamics import Trajectory
+from longforce.estimation import AccelSeries
 from longforce.errors import InvalidParameterError, SchemaError
 
 
@@ -202,6 +204,107 @@ class TestDriveLog:
         row = (log.t[0], log.speed[0], log.throttle[0], log.brake[0], log.slope[0])
         assert row == (0.0, 10.0, 50, 0, 0.01)
         assert (log.throttle.dtype, log.brake.dtype) == (np.int64, np.int64)
+
+
+    @pytest.mark.parametrize("column", ["throttle", "brake"])
+    @pytest.mark.parametrize("value, shown", [
+        (0.5, "0.5"), (39.7, "39.7"), (np.nan, "nan"), (1e30, "1e+30"),
+        (2.0**63, "9.223372036854776e+18"),
+    ], ids=["half", "39.7", "nan", "1e30", "2**63"])
+    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+    def test_command_must_be_a_whole_int64(self, column, value, shown, as_list):
+        # 0.5 read as 0 and 39.7 as 39; NaN and 1e30 were cast with a warning and
+        # refused as negative, or, in a list, raised a bare ValueError or OverflowError.
+        cols = {"throttle": np.zeros(3), "brake": np.zeros(3)}
+        cols[column][1] = value
+        cols[column] = cols[column].tolist() if as_list else cols[column]
+        with pytest.raises(SchemaError) as err:
+            DriveLog(np.array([0.0, 0.01, 0.02]), np.ones(3), cols["throttle"],
+                     cols["brake"], np.zeros(3))
+        assert str(err.value) == (f"column '{column}' must hold whole numbers within the "
+                                  f"int64 range, got {shown} at row 1")
+
+    def test_whole_floats_and_int64_extremes_are_kept(self):
+        log = DriveLog(np.array([0.0, 0.01]), np.ones(2), np.array([3.0, 0.0]),
+                       np.array([0, 2**63 - 1], dtype=np.uint64), np.zeros(2))
+        assert log.throttle.tolist() == [3, 0] and log.brake.tolist() == [0, 2**63 - 1]
+
+
+def record_columns(record) -> dict:
+    """Writeable columns for ``record`` that it accepts, by field name."""
+    n = 4
+    if record is DriveLog:
+        return {"t": np.arange(n) * 0.01, "speed": np.ones(n), "throttle": np.full(n, 20),
+                "brake": np.zeros(n, dtype=np.int64), "slope": np.zeros(n)}
+    if record is AccelSeries:
+        return {"accel": np.linspace(-1.0, 1.0, n), "valid": np.ones(n, dtype=bool)}
+    return {name: np.arange(n) * 0.5 for name in ("t", "speed", "accel", "f_p", "f_f", "f_b")}
+
+
+RECORDS = pytest.mark.parametrize("record", [DriveLog, AccelSeries, Trajectory],
+                                  ids=["DriveLog", "AccelSeries", "Trajectory"])
+
+
+class TestRecordColumns:
+    """The one column rule of DriveLog, AccelSeries and Trajectory."""
+
+    @RECORDS
+    def test_caller_arrays_are_copied_not_frozen(self, record):
+        # DriveLog and AccelSeries used to keep the caller's array and make it
+        # read-only in the caller's hands (``log.t is t``).
+        cols = record_columns(record)
+        before = {name: col.tobytes() for name, col in cols.items()}
+        built = record(**cols)
+        for name, col in cols.items():
+            assert col.flags.writeable and col.tobytes() == before[name], name
+            kept = getattr(built, name)
+            assert kept is not col and not kept.flags.writeable, name
+            col[...] = 7
+            assert kept.tobytes() == before[name], name
+
+    @RECORDS
+    def test_list_columns_become_read_only_arrays(self, record):
+        # A Trajectory built from lists used to keep the mutable lists.
+        cols = record_columns(record)
+        built = record(**{name: col.tolist() for name, col in cols.items()})
+        for name, col in cols.items():
+            kept = getattr(built, name)
+            assert isinstance(kept, np.ndarray) and not kept.flags.writeable, name
+            assert kept.dtype == record._COLUMNS[name] and np.array_equal(kept, col), name
+        assert len(built) == 4
+
+    @RECORDS
+    @pytest.mark.parametrize("shape", [(2, 4), ()], ids=["2-D", "scalar"])
+    def test_a_column_that_is_not_1d_is_refused_naming_it(self, record, shape):
+        # DriveLog(1.0, ...) raised a bare TypeError, and a 2-D AccelSeries built.
+        cols = record_columns(record)
+        name = list(cols)[-1]
+        cols[name] = np.zeros(shape, dtype=cols[name].dtype)
+        error = SchemaError if record is DriveLog else InvalidParameterError
+        with pytest.raises(error) as err:
+            record(**cols)
+        assert str(err.value) == (f"column '{name}' must be 1-D real numbers, got shape "
+                                  f"{shape} of {cols[name].dtype}")
+
+    @RECORDS
+    @pytest.mark.parametrize("value", [["a"] * 4, [1 + 2j] * 4, [None] * 4],
+                             ids=["str", "complex", "object"])
+    def test_a_column_that_is_not_real_numbers_is_refused_naming_it(self, record, value):
+        cols = record_columns(record)
+        name = list(cols)[0]
+        error = SchemaError if record is DriveLog else InvalidParameterError
+        with pytest.raises(error, match=f"^column '{name}' must be 1-D real numbers, got shape "
+                                        r"\(4,\) of (<U1|complex128|object)$"):
+            record(**{**cols, name: value})
+
+    @RECORDS
+    def test_unequal_lengths_are_refused_naming_the_column(self, record):
+        cols = record_columns(record)
+        name = list(cols)[1]
+        error = SchemaError if record is DriveLog else InvalidParameterError
+        with pytest.raises(error) as err:
+            record(**{**cols, name: cols[name][:3]})
+        assert str(err.value) == f"column '{name}' has 3 rows, expected 4"
 
 
 def test_unit_conversions():

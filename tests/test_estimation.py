@@ -40,8 +40,7 @@ class TestAccelSeries:
     def test_unequal_lengths_refused(self):
         with pytest.raises(InvalidParameterError) as exc_info:
             AccelSeries(np.zeros(5), np.ones(4, dtype=bool))
-        assert str(exc_info.value) == \
-            "acceleration series has 5 estimates but 4 validity flags"
+        assert str(exc_info.value) == "column 'valid' has 4 rows, expected 5"
 
     def test_lists_become_read_only_float_and_bool_arrays(self, gt_models):
         # From lists, validate and extract_friction used to fail with a bare
@@ -231,6 +230,18 @@ def binning_inputs(draw):
                        st.just(edges[-1]), st.floats(edges[0] - 5.0, edges[-1] + 5.0))
     pairs = draw(st.lists(st.tuples(speeds, st.floats(-1e4, 1e4)), max_size=60))
     return np.array(pairs, dtype=float).reshape(-1, 2), edges
+
+
+@pytest.mark.parametrize("points, shape", [
+    (np.ones((2, 3)), "(2, 3)"), ([1.0, 2.0, 3.0], "(3,)"), ([1.0, 2.0], "(2,)")],
+    ids=["2x3", "odd-flat-list", "even-flat-list"])
+def test_bin_by_speed_needs_pairs(points, shape):
+    # A (2, 3) array was read as three pairs, one bin of count 3, and an odd
+    # flat list raised a bare ValueError from reshape.
+    with pytest.raises(InvalidParameterError) as err:
+        bin_by_speed(points, [0.0, 10.0])
+    assert str(err.value) == f"points must be (speed, value) rows, got shape {shape}"
+    assert bin_by_speed(np.empty((0, 2)), [0.0, 10.0]).shape == (0, 3)
 
 
 @settings(max_examples=300, deadline=None)

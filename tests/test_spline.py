@@ -693,6 +693,17 @@ class TestForceSurface:
         assert 20.0 < v < 20.1
         assert "by 0.463 N" in str(err.value)
 
+    def test_an_overflowing_hermite_sum_is_a_fall(self):
+        # The sum overflows, the difference of the levels is NaN, and argmax
+        # used to hide that NaN: the surface built, and eval at 20 m/s read
+        # inf, NaN and 5.0 at signals 0, 1 and 2.
+        big = Spline1D((0.0, 40.0), (1e308, 1e308), (1e308, -1e308))
+        flat = Spline1D.interpolate([0.0, 40.0], [5.0, 5.0])
+        with pytest.raises(FitError) as err:
+            ForceSurface((0, 1, 2), (big, big, flat))
+        assert str(err.value) == ("level 1 falls below level 0 by an overflowing sum at 0 m/s; "
+                                  "surface would not be monotone in the signal")
+
     @pytest.mark.parametrize("top, fall", [(10.0, 5e-7), (6000.0, 3e-6), (0.5, 2e-9)])
     def test_check_signal_monotone_allows_what_invert_allows(self, top, fall):
         # A fall by up to 1e-9 * max(1, f) N is rounding; invert's own scan
