@@ -109,8 +109,8 @@ class VehicleParams:
 
 class _Columns:
     """Base of the array records: each field named in ``_COLUMNS`` (name -> dtype) is
-    held as a read-only 1-D copy, never the caller's array, all of one length; a bad
-    column, or an int64 column's value that is no whole int64, raises ``_ERROR``."""
+    held as a read-only 1-D copy, never the caller's array, all of one length. A bad
+    column, or a fraction or out-of-range value in an int64 column, raises ``_ERROR``."""
 
     _ERROR: type = InvalidParameterError
 

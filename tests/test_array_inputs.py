@@ -161,8 +161,6 @@ def test_estimation_extraction_and_validation(data, n, gear):
     check_call(extract_propulsion, log, accel, friction, params)
     check_call(extract_braking, log, accel, friction, p0, params)
     check_call(validate, MODELS, log, accel)
-    for arg in log_args + accel_args:  # the records kept nothing of the caller's
-        assert not isinstance(arg, np.ndarray) or arg.flags.writeable
 
 
 @pytest.mark.parametrize("call, error", [
